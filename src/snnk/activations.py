@@ -455,16 +455,6 @@ def decompose(ft: AtomicFT | TabulatedFT, label: str = "custom") -> FourierDecom
     )
 
 
-def reassemble(d: FourierDecomposition, grid: np.ndarray) -> np.ndarray:
-    """Evaluate R+ - R- + i I+ - i I- on ``grid`` (densities only)."""
-    out = np.zeros(len(grid), dtype=complex)
-    for c in d.components:
-        if not c.is_active or c.is_atomic:
-            continue
-        out += AXIS_PHASE[c.axis] * np.interp(grid, c.grid, c.values, left=0.0, right=0.0)
-    return out
-
-
 def _component_inverse(c: FourierComponent, zs: np.ndarray) -> np.ndarray:
     """int component(xi) exp(2 pi i xi z) dxi for each z."""
     if c.is_atomic:

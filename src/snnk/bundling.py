@@ -210,13 +210,6 @@ def bundled_forward(x: np.ndarray, bn: BundledNetwork) -> np.ndarray:
     return (bn.W_bar @ z).real
 
 
-def bundled_forward_complex(x: np.ndarray, bn: BundledNetwork) -> np.ndarray:
-    z = np.asarray(x)
-    for fmap in bn.stages:
-        z = phi(z, fmap.draws).entries
-    return bn.W_bar @ z
-
-
 # ---------------------------------------------------------------------------
 # accounting
 

@@ -33,6 +33,7 @@ from .bundling import (
 from .layers import arc_cosine_exact, relu_snnk_features, urf_feature_map
 from .train import (
     Dataset,
+    DivergenceDetected,
     TrainConfig,
     fit_A,
     generate_blobs,
@@ -456,7 +457,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, TypeError, DivergenceDetected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

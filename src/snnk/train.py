@@ -1,10 +1,13 @@
 """Minimal trainer for learnable feature-weight matrices.
 
 With the input embedding frozen, a replacement layer's output Re(A Phi(x))
-is linear in A, so gradients are exact outer products against the cached
-(conjugated) features; training A directly is what makes the layer a
-compressed stand-in for the original weights.  Plain SGD with optional
-momentum; the point is validated trainability, not leaderboard accuracy.
+is linear in A, so gradients are exact outer products against the
+conjugated features; training A directly is what makes the layer a
+compressed stand-in for the original weights.  Phi depends only on the
+inputs and the frozen draws, so ``fit_A`` computes it once per split and
+reuses it for every SGD batch and every epoch's full-split loss.  Plain SGD
+with optional momentum; the point is validated trainability, not
+leaderboard accuracy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .layers import SnnkLayer
 
 
 class DivergenceDetected(RuntimeError):
-    """Loss exceeded 10x its initial value."""
+    """Training loss became non-finite or exceeded 10x its initial value."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +138,11 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(feats, layer, head):
-    hidden = (feats @ layer.A.T).real  # (n, l)
-    if head is None:
+def _forward(feats, A, W, b):
+    hidden = (feats @ A.T).real  # (n, l)
+    if W is None:
         return hidden, hidden
-    return hidden, hidden @ head.W.T + head.b
+    return hidden, hidden @ W.T + b
 
 
 def _loss_and_grad(pred, Y, loss):
@@ -156,9 +159,16 @@ def _loss_and_grad(pred, Y, loss):
     return float(np.mean(ll)), grad / n
 
 
-def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str):
-    feats = layer.feature_map.features_many(data.X)
-    _, pred = _forward(feats, layer, head)
+def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
+    """(loss, accuracy) on the full split; accuracy is NaN for mse.
+
+    ``feats`` is ``layer.feature_map.features_many(data.X)``, computed here
+    when not given.
+    """
+    if feats is None:
+        feats = layer.feature_map.features_many(data.X)
+    W, b = (head.W, head.b) if head is not None else (None, None)
+    _, pred = _forward(feats, layer.A, W, b)
     if loss == "cross_entropy":
         value, _ = _loss_and_grad(pred, data.Y, loss)
         acc = float(np.mean(pred.argmax(axis=1) == data.Y))
@@ -172,25 +182,25 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str):
 # training
 
 
-def _grads(feats, layer, head, Y, loss, l2):
-    hidden, pred = _forward(feats, layer, head)
+def _grads(feats, A, W, b, Y, loss, l2):
+    hidden, pred = _forward(feats, A, W, b)
     value, dpred = _loss_and_grad(pred, Y, loss)
-    if head is not None:
-        gW = dpred.T @ hidden + l2 * head.W
+    if W is not None:
+        gW = dpred.T @ hidden + l2 * W
         gb = dpred.sum(axis=0)
-        dhidden = dpred @ head.W
+        dhidden = dpred @ W
     else:
         gW = gb = None
         dhidden = dpred
     # d Re(A f) / dA = conj(f); exact because the output is linear in A
     gA = dhidden.T @ feats.conj()
-    if not np.iscomplexobj(layer.A):
+    if not np.iscomplexobj(A):
         gA = gA.real
-    gA = gA + l2 * layer.A
+    gA = gA + l2 * A
     if l2 > 0:
         value = value + l2 * (
-            float(np.sum(np.abs(layer.A) ** 2))
-            + (float(np.sum(head.W**2)) if head is not None else 0.0)
+            float(np.sum(np.abs(A) ** 2))
+            + (float(np.sum(W**2)) if W is not None else 0.0)
         )
     return value, gA, gW, gb
 
@@ -199,10 +209,12 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
           validation: Dataset | None = None):
     """Mini-batch SGD on A (and the affine head); returns (layer, head, history).
 
-    The feature matrix is computed once and sliced per batch.  History rows
-    are (epoch, split, loss, accuracy); loss is evaluated on the full split
-    after each epoch.  Raises DivergenceDetected if the loss passes 10x its
-    starting value.
+    Phi is computed once for the training split and once for the validation
+    split; the training matrix is sliced for every SGD batch, and both are
+    reused for every epoch's full-split loss.  History rows are (epoch,
+    split, loss, accuracy), evaluated before training and after each epoch.
+    Raises DivergenceDetected if the training loss is non-finite, the
+    initial one included, or passes 10x its starting value.
     """
     if not layer.learnable:
         raise ValueError("layer is not in learnable mode")
@@ -219,6 +231,9 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     vb = np.zeros_like(headb) if headb is not None else None
 
     feats = layer.feature_map.features_many(data.X)
+    val_feats = (
+        layer.feature_map.features_many(validation.X) if validation is not None else None
+    )
     Y = data.Y if (cfg.loss == "cross_entropy" or data.Y.ndim == 2) else data.Y[:, None]
 
     def snapshot():
@@ -228,41 +243,33 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         return lay, hd
 
     history = []
-    lay0, hd0 = snapshot()
-    initial_loss, acc = evaluate(lay0, hd0, data, cfg.loss)
-    history.append((0, "train", initial_loss, acc))
-    if validation is not None:
-        vloss, vacc = evaluate(lay0, hd0, validation, cfg.loss)
-        history.append((0, "validation", vloss, vacc))
-
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
-        for start in range(0, data.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            fb = feats[idx]
-            yb = Y[idx]
-            lay, hd = snapshot()
-            _, gA, gW, gb = _grads(fb, lay, hd, yb, cfg.loss, cfg.l2)
-            vA = cfg.momentum * vA - cfg.learning_rate * gA
-            A = A + vA
-            if head is not None:
-                vW = cfg.momentum * vW - cfg.learning_rate * gW
-                vb = cfg.momentum * vb - cfg.learning_rate * gb
-                headW = headW + vW
-                headb = headb + vb
+    for epoch in range(cfg.epochs + 1):
+        if epoch > 0:
+            order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
+            for start in range(0, data.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, gA, gW, gb = _grads(feats[idx], A, headW, headb, Y[idx], cfg.loss, cfg.l2)
+                vA = cfg.momentum * vA - cfg.learning_rate * gA
+                A = A + vA
+                if head is not None:
+                    vW = cfg.momentum * vW - cfg.learning_rate * gW
+                    vb = cfg.momentum * vb - cfg.learning_rate * gb
+                    headW = headW + vW
+                    headb = headb + vb
         lay, hd = snapshot()
-        loss_value, acc = evaluate(lay, hd, data, cfg.loss)
+        loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats)
         history.append((epoch, "train", loss_value, acc))
+        if epoch == 0:
+            initial_loss = loss_value
         if validation is not None:
-            vloss, vacc = evaluate(lay, hd, validation, cfg.loss)
+            vloss, vacc = evaluate(lay, hd, validation, cfg.loss, feats=val_feats)
             history.append((epoch, "validation", vloss, vacc))
-        if loss_value > 10.0 * max(initial_loss, 1e-30):
+        if not math.isfinite(loss_value) or loss_value > 10.0 * max(initial_loss, 1e-30):
             raise DivergenceDetected(
-                f"loss {loss_value:.3e} exceeded 10x initial {initial_loss:.3e}"
+                f"loss {loss_value:.3e} at epoch {epoch} is non-finite or exceeded "
+                f"10x initial {initial_loss:.3e}"
             )
-
-    trained_layer, trained_head = snapshot()
-    return trained_layer, trained_head, history
+    return lay, hd, history
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +293,14 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
         raise ValueError("mse check expects real targets")
 
     def loss_at(A, W, b):
-        lay = SnnkLayer(feature_map=layer.feature_map, A=A, learnable=True)
-        hd = AffineHead(W=W, b=b) if head is not None else None
-        _, pred = _forward(feats, lay, hd)
+        _, pred = _forward(feats, A, W, b)
         value, _ = _loss_and_grad(pred, Y, loss)
         return value
 
     A0 = layer.A.copy()
     W0 = head.W.copy() if head is not None else None
     b0 = head.b.copy() if head is not None else None
-    _, gA, gW, gb = _grads(feats, layer, head, Y, loss, l2=0.0)
+    _, gA, gW, gb = _grads(feats, A0, W0, b0, Y, loss, l2=0.0)
 
     worst = 0.0
 
@@ -340,13 +345,3 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
 def ffl_param_count(in_dim: int, out_dim: int) -> int:
     """Weight entries of the dense layer being replaced (biases excluded)."""
     return in_dim * out_dim
-
-
-def compression_report(layer: SnnkLayer, in_dim: int) -> dict:
-    dense = ffl_param_count(in_dim, layer.out_dim)
-    ours = layer.param_count()
-    return {
-        "ffl_params": dense,
-        "layer_params": ours,
-        "ratio": dense / ours,
-    }

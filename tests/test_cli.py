@@ -72,6 +72,11 @@ class TestEstimateCommand:
         aggs = [r for r in rows[1:] if r[0] == "aggregate"]
         assert float(aggs[1][9]) < float(aggs[0][9]) * 1.2  # error does not blow up
 
+    def test_malformed_feature_counts_fail_cleanly(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, feature_counts=5))
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_error_decays_across_octaves(self):
         report = run_pointwise(
             EstimateConfig(
@@ -223,6 +228,18 @@ class TestTrainCommand:
         assert float(val[-1][3]) >= 0.95
         losses = [float(r[2]) for r in rows[1:] if r[1] == "train"]
         assert losses[-1] < losses[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "train.json",
+            dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], learning_rate=1e200)),
+        )
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: loss ")
+        assert not out.exists()
 
     def test_urf_layer_variant(self, tmp_path):
         cfg_payload = dict(

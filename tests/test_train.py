@@ -6,7 +6,7 @@ import pytest
 from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation
 from snnk.bundling import closed_form_regression, regression_objective
-from snnk.layers import relu_feature_map, urf_feature_map
+from snnk.layers import ReluFeatureMap, relu_feature_map, urf_feature_map
 from snnk.train import (
     Dataset,
     DivergenceDetected,
@@ -109,6 +109,27 @@ class TestFitA:
         with pytest.raises(DivergenceDetected):
             fit_A(layer, None, data, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_is_divergence(self):
+        # a NaN loss never compares greater than 10x the initial one
+        rng = rng_for(48, 0, 0, MISC_STREAM)
+        fmap = relu_feature_map(4, 8, seed=49)
+        data = Dataset(X=rng.standard_normal((30, 4)), Y=rng.standard_normal((30, 2)))
+        layer = make_learnable_layer(fmap, 2, seed=50)
+        cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=5, loss="mse", seed=0)
+        with pytest.raises(DivergenceDetected, match="non-finite"):
+            fit_A(layer, None, data, cfg)
+
+    def test_non_finite_initial_loss_is_divergence(self):
+        fmap = relu_feature_map(4, 8, seed=49)
+        layer = make_learnable_layer(fmap, 2, seed=50)
+        layer.A[0, 0] = math.nan
+        data = Dataset(X=np.ones((4, 4)), Y=np.zeros((4, 2)))
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4, loss="mse", seed=0)
+        with pytest.raises(DivergenceDetected, match="epoch 0"):
+            fit_A(layer, None, data, cfg)
+
     def test_blob_classification_with_relu_layer(self):
         full = generate_blobs(n=600, d=6, k=3, separation=10.0, seed=51)
         train_set, val_set = split_dataset(full, 0.25, seed=52)
@@ -180,3 +201,52 @@ class TestParameterAccounting:
         data = Dataset(X=np.zeros((5, 3)), Y=np.zeros((5, 1)))
         loss, acc = evaluate(layer, None, data, "mse")
         assert math.isnan(acc)
+
+
+class TestFeatureReuse:
+    """fit_A computes Phi once per split and reuses it for every loss."""
+
+    def _fixtures(self):
+        full = generate_blobs(n=200, d=5, k=3, separation=8.0, seed=70)
+        train_set, val_set = split_dataset(full, 0.25, seed=71)
+        fmap = relu_feature_map(5, 16, seed=72)
+        layer = make_learnable_layer(fmap, 8, seed=73)
+        head = make_head(3, 8, seed=74)
+        cfg = TrainConfig(
+            learning_rate=0.05, epochs=4, batch_size=16, loss="cross_entropy", seed=75
+        )
+        return train_set, val_set, layer, head, cfg
+
+    @pytest.mark.parametrize("with_validation, expected_calls", [(True, 2), (False, 1)])
+    def test_features_computed_once_per_split(self, monkeypatch, with_validation,
+                                              expected_calls):
+        train_set, val_set, layer, head, cfg = self._fixtures()
+        calls = []
+        original = ReluFeatureMap.features_many
+
+        def counting(fmap, X):
+            calls.append(len(X))
+            return original(fmap, X)
+
+        monkeypatch.setattr(ReluFeatureMap, "features_many", counting)
+        fit_A(layer, head, train_set, cfg, validation=val_set if with_validation else None)
+        assert len(calls) == expected_calls
+
+    def test_history_matches_fresh_evaluation(self):
+        train_set, val_set, layer, head, cfg = self._fixtures()
+        trained, trained_head, history = fit_A(layer, head, train_set, cfg, validation=val_set)
+        last_train, last_val = history[-2:]
+        assert last_train == (cfg.epochs, "train",
+                              *evaluate(trained, trained_head, train_set, cfg.loss))
+        assert last_val == (cfg.epochs, "validation",
+                            *evaluate(trained, trained_head, val_set, cfg.loss))
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    def test_evaluate_with_given_features_is_identical(self, loss):
+        train_set, _, layer, head, _ = self._fixtures()
+        if loss == "mse":
+            train_set = Dataset(X=train_set.X, Y=np.eye(3)[train_set.Y])
+        feats = layer.feature_map.features_many(train_set.X)
+        given = evaluate(layer, head, train_set, loss, feats=feats)
+        fresh = evaluate(layer, head, train_set, loss)
+        assert np.array_equal(given, fresh, equal_nan=True)
