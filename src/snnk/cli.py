@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -350,21 +351,24 @@ def _cmd_train(args) -> int:
     raw = _load_json(args.config)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     data_raw = raw["data"]
+    d = _conf(data_raw, "d", int, section="data")
+    k = _conf(data_raw, "k", int, section="data")
     full = generate_blobs(
-        n=int(data_raw["n"]), d=int(data_raw["d"]), k=int(data_raw["k"]),
-        separation=float(data_raw["separation"]), seed=derive_seed(seed, 600),
+        n=_conf(data_raw, "n", int, section="data"), d=d, k=k,
+        separation=_conf(data_raw, "separation", float, section="data"),
+        seed=derive_seed(seed, 600),
     )
     train_set, val_set = split_dataset(
-        full, float(data_raw.get("validation_frac", 0.25)), seed=derive_seed(seed, 601)
+        full, _conf(data_raw, "validation_frac", float, 0.25, section="data"),
+        seed=derive_seed(seed, 601),
     )
 
     layer_raw = raw["layer"]
-    d = int(data_raw["d"])
-    out_dim = int(layer_raw.get("out_dim", 16))
+    out_dim = _conf(layer_raw, "out_dim", int, 16, section="layer")
     if layer_raw.get("kind", "relu") == "relu":
         from .layers import relu_feature_map
 
-        fmap = relu_feature_map(d, int(layer_raw.get("features", 32)),
+        fmap = relu_feature_map(d, _conf(layer_raw, "features", int, 32, section="layer"),
                                 seed=derive_seed(seed, 602))
     else:
         # feature magnitudes grow like exp(|x|^2 / 2) for trig maps, so
@@ -375,23 +379,23 @@ def _cmd_train(args) -> int:
         fmap = urf_feature_map(
             Activation(layer_raw["activation"]), d,
             UrfConfig(
-                m=int(layer_raw.get("m", 16)),
-                A=float(layer_raw.get("A", 0.0)),
+                m=_conf(layer_raw, "m", int, 16, section="layer"),
+                A=_conf(layer_raw, "A", float, 0.0, section="layer"),
                 seed=derive_seed(seed, 603),
             ),
         )
     layer = make_learnable_layer(fmap, out_dim, seed=derive_seed(seed, 604))
-    head = make_head(int(data_raw["k"]), out_dim, seed=derive_seed(seed, 605))
+    head = make_head(k, out_dim, seed=derive_seed(seed, 605))
 
     t_raw = raw.get("train", {})
     cfg = TrainConfig(
-        learning_rate=float(t_raw.get("learning_rate", 0.05)),
-        epochs=int(t_raw.get("epochs", 20)),
-        batch_size=int(t_raw.get("batch_size", 32)),
+        learning_rate=_conf(t_raw, "learning_rate", float, 0.05, section="train"),
+        epochs=_conf(t_raw, "epochs", int, 20, section="train"),
+        batch_size=_conf(t_raw, "batch_size", int, 32, section="train"),
         loss=t_raw.get("loss", "cross_entropy"),
         seed=derive_seed(seed, 606),
-        l2=float(t_raw.get("l2", 0.0)),
-        momentum=float(t_raw.get("momentum", 0.0)),
+        l2=_conf(t_raw, "l2", float, 0.0, section="train"),
+        momentum=_conf(t_raw, "momentum", float, 0.0, section="train"),
     )
     _, _, history = fit_A(layer, head, train_set, cfg, validation=val_set)
     _write_csv(args.out, TRAIN_HEADER, history)
@@ -407,18 +411,39 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _int_list(value) -> tuple[int, ...]:
+    # operator.index rejects floats and strings, so "816" cannot pass as (8, 1, 6)
+    return tuple(operator.index(p) for p in value)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integers"}
+_REQUIRED = object()
+
+
+def _conf(raw: dict, key: str, convert, default=_REQUIRED, section: str = ""):
+    """``raw[key]`` (or ``default`` when given and the key is absent) through
+    ``convert``; a value that does not convert raises a ValueError naming
+    the key."""
+    value = raw[key] if default is _REQUIRED else raw.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        name = f"{section}.{key}" if section else key
+        raise ValueError(f"{name}: expected {_EXPECTED[convert]}, got {value!r}") from None
+
+
 def _estimate_config_from(raw: dict, seed_override) -> EstimateConfig:
     cfg = EstimateConfig(
         activation=raw.get("activation", "sine"),
-        d=int(raw.get("d", 200)),
-        l=int(raw.get("l", 1)),
-        bias=float(raw.get("bias", 0.5)),
-        feature_counts=tuple(raw.get("feature_counts", (8, 16, 32, 64, 128, 256, 512))),
-        instantiations=int(raw.get("instantiations", 100)),
-        A=float(raw.get("A", 0.0)),
+        d=_conf(raw, "d", int, 200),
+        l=_conf(raw, "l", int, 1),
+        bias=_conf(raw, "bias", float, 0.5),
+        feature_counts=_conf(raw, "feature_counts", _int_list, (8, 16, 32, 64, 128, 256, 512)),
+        instantiations=_conf(raw, "instantiations", int, 100),
+        A=_conf(raw, "A", float, 0.0),
         strategy=raw.get("strategy", "iid"),
-        block_size=int(raw.get("block_size", 0)),
-        seed=int(raw.get("seed", 1)),
+        block_size=_conf(raw, "block_size", int, 0),
+        seed=_conf(raw, "seed", int, 1),
     )
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)

@@ -213,11 +213,13 @@ def snnk_from_ffl(spec: FflSpec, cfg: UrfConfig, mode: str = "sample") -> SnnkLa
 def snnk_forward(x: np.ndarray, layer: SnnkLayer) -> np.ndarray:
     """Re(A Phi(x)); costs l*M plus one feature-map evaluation.
 
-    Row-wise products, so each output coordinate is bit-identical to the
-    corresponding single-pair kernel estimate.
+    One stacked matmul of the (l, 1, M) row stack with the features: numpy
+    runs the same one-row product per row, so each output coordinate is
+    bit-identical to the corresponding single-pair kernel estimate.  A plain
+    ``A @ feats`` is faster but differs from those products in the last bits.
     """
     feats = layer.feature_map.features(x)
-    return np.array([(row[None, :] @ feats)[0] for row in layer.A]).real
+    return (layer.A[:, None, :] @ feats)[:, 0].real
 
 
 def snnk_forward_many(X: np.ndarray, layer: SnnkLayer) -> np.ndarray:

@@ -214,7 +214,8 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     reused for every epoch's full-split loss.  History rows are (epoch,
     split, loss, accuracy), evaluated before training and after each epoch.
     Raises DivergenceDetected if the training loss is non-finite, the
-    initial one included, or passes 10x its starting value.
+    initial one included, or passes 10x its starting value; a non-finite
+    mini-batch loss raises at once, before that batch's step.
     """
     if not layer.learnable:
         raise ValueError("layer is not in learnable mode")
@@ -246,9 +247,15 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs + 1):
         if epoch > 0:
             order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
-            for start in range(0, data.n, cfg.batch_size):
+            for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                _, gA, gW, gb = _grads(feats[idx], A, headW, headb, Y[idx], cfg.loss, cfg.l2)
+                batch_loss, gA, gW, gb = _grads(
+                    feats[idx], A, headW, headb, Y[idx], cfg.loss, cfg.l2
+                )
+                if not math.isfinite(batch_loss):
+                    raise DivergenceDetected(
+                        f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
+                    )
                 vA = cfg.momentum * vA - cfg.learning_rate * gA
                 A = A + vA
                 if head is not None:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +119,14 @@ class UrfConfig:
 
 @dataclass(frozen=True)
 class AxisDraws:
-    """Sampled (xi_i, g_i) pairs and importance ratios for one component."""
+    """Sampled (xi_i, g_i) pairs and importance ratios for one component.
+
+    ``g_complex``, a complex copy of ``g``, is built lazily and cached on
+    the instance, only once a complex input or weight row meets this block
+    (bundled stages after the first).  The draw arrays must not be modified
+    in place after a feature map has been evaluated: the cached constants
+    here and in ``UrfDraws.terms`` would go stale.
+    """
 
     axis: str
     sub: int  # atom index under per-atom concatenation, else 0
@@ -127,16 +136,57 @@ class AxisDraws:
     ratio: np.ndarray  # (m,), p_j(xi)/proposal(xi), >= 0
     atom_probs: tuple[float, ...] = ()  # normalized atom probabilities, if atomic
 
+    @cached_property
+    def g_complex(self) -> np.ndarray:
+        return self.g.astype(complex)
+
+    def g_for(self, v: np.ndarray) -> np.ndarray:
+        """g, or its cached complex copy when ``v`` is complex: numpy would
+        otherwise cast g to complex on every product with v."""
+        return self.g_complex if np.iscomplexobj(v) else self.g
+
+
+class PhiTerms(NamedTuple):
+    """Per-block constants of the input-side feature for one shape A."""
+
+    agg: np.ndarray  # A |g_i|^2
+    scale: float  # (1-4A)^(d/4) / sqrt(m)
+    phase: np.ndarray  # sqrt(1-4A) * 2 pi i xi_i, the coefficient of g_i.x
+    quad: np.ndarray  # 2 pi^2 xi_i^2, the coefficient of x.x
+
 
 @dataclass(frozen=True)
 class UrfDraws:
+    """Draws for every active component, plus cached per-block constants.
+
+    ``layout`` and ``terms`` (one ``PhiTerms`` per block: A|g_i|^2, the
+    (1-4A)^(d/4)/sqrt(m) prefactor and the two xi coefficients) are
+    computed once per draw set, on first use.
+    """
+
     dim: int
     config: UrfConfig
     blocks: tuple[AxisDraws, ...]
 
-    @property
+    @cached_property
     def layout(self) -> tuple[tuple[str, int, int], ...]:
         return tuple((b.axis, b.sub, len(b.xi)) for b in self.blocks)
+
+    @cached_property
+    def terms(self) -> tuple[PhiTerms, ...]:
+        A = self.config.A
+        out = []
+        for blk in self.blocks:
+            m, d = blk.g.shape
+            out.append(
+                PhiTerms(
+                    agg=A * np.sum(blk.g * blk.g, axis=1),
+                    scale=(1.0 - 4.0 * A) ** (d / 4.0) / math.sqrt(m),
+                    phase=math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * blk.xi),
+                    quad=2.0 * math.pi**2 * blk.xi**2,
+                )
+            )
+        return tuple(out)
 
     @property
     def total_features(self) -> int:
@@ -282,40 +332,38 @@ def lambda_feature(g: np.ndarray, z: np.ndarray, A: float) -> complex:
     return prefactor * np.exp(exponent)
 
 
-def _phi_block(x, block, A):
-    m, d = block.g.shape
-    gx = block.g @ x  # (m,)
+def _phi_block(x, block, terms):
+    # same operation order as Lambda written out, so cached terms change no bits
+    gx = block.g_for(x) @ x  # (m,)
     xx = np.sum(x * x)  # bilinear; complex-safe
-    prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
-    exponent = (
-        A * np.sum(block.g * block.g, axis=1)
-        + math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * block.xi) * gx
-        + 2.0 * math.pi**2 * block.xi**2 * xx
-    )
-    return prefactor / math.sqrt(m) * np.exp(exponent)
+    return terms.scale * np.exp(terms.agg + terms.phase * gx + terms.quad * xx)
 
 
-def _psi_block(w, b, block, A):
+def _psi_block(w, b, block, terms, A):
     m, d = block.g.shape
-    gw = block.g @ w
+    gw = block.g_for(w) @ w
     ww = np.sum(w * w)
     prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
-    lam = prefactor * np.exp(
-        A * np.sum(block.g * block.g, axis=1)
-        + math.sqrt(1.0 - 4.0 * A) * gw
-        - ww / 2.0
-    )
+    lam = prefactor * np.exp(terms.agg + math.sqrt(1.0 - 4.0 * A) * gw - ww / 2.0)
     s = block.ratio * np.exp(2j * math.pi * block.xi * b)
     return block.c / math.sqrt(m) * s * lam
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
-    """Input-side feature vector; deterministic given the draws."""
+    """Input-side feature vector; deterministic given the draws.
+
+    Reads the draw set's cached constants (``UrfDraws.terms``: A|g|^2, the
+    (1-4A)^(d/4)/sqrt(m) prefactor and the xi coefficients) rather than
+    re-deriving them; a complex input uses the lazily built complex copy of
+    each block's g.  Bit-identical to evaluating the Lambda expression
+    directly.
+    """
     x = np.asarray(x)
     if x.shape != (draws.dim,):
         raise ValueError(f"expected input of dim {draws.dim}, got {x.shape}")
-    A = draws.config.A
-    entries = np.concatenate([_phi_block(x, b, A) for b in draws.blocks])
+    entries = np.concatenate(
+        [_phi_block(x, b, t) for b, t in zip(draws.blocks, draws.terms)]
+    )
     return FeatureVector(entries=entries, layout=draws.layout)
 
 
@@ -325,26 +373,21 @@ def psi(w: np.ndarray, b: float, draws: UrfDraws) -> FeatureVector:
     if w.shape != (draws.dim,):
         raise ValueError(f"expected weights of dim {draws.dim}, got {w.shape}")
     A = draws.config.A
-    entries = np.concatenate([_psi_block(w, b, blk, A) for blk in draws.blocks])
+    entries = np.concatenate(
+        [_psi_block(w, b, blk, t, A) for blk, t in zip(draws.blocks, draws.terms)]
+    )
     return FeatureVector(entries=entries, layout=draws.layout)
 
 
 def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
     """Rows of Phi for each row of ``X``; (n, total_features) complex."""
     X = np.asarray(X)
-    A = draws.config.A
+    xx = np.sum(X * X, axis=1)[:, None]
     cols = []
-    for blk in draws.blocks:
-        m, d = blk.g.shape
-        gx = X @ blk.g.T  # (n, m)
-        xx = np.sum(X * X, axis=1)[:, None]
-        prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
-        exponent = (
-            A * np.sum(blk.g * blk.g, axis=1)[None, :]
-            + math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * blk.xi)[None, :] * gx
-            + 2.0 * math.pi**2 * (blk.xi**2)[None, :] * xx
-        )
-        cols.append(prefactor / math.sqrt(m) * np.exp(exponent))
+    for blk, t in zip(draws.blocks, draws.terms):
+        gx = X @ blk.g_for(X).T  # (n, m)
+        exponent = t.agg[None, :] + t.phase[None, :] * gx + t.quad[None, :] * xx
+        cols.append(t.scale * np.exp(exponent))
     return np.concatenate(cols, axis=1)
 
 
@@ -392,12 +435,7 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
     A = draws.config.A
     if A > 0:
         raise ValueError("bound requires A <= 0")
-    out = []
-    for blk in draws.blocks:
-        m, d = blk.g.shape
-        pref = (1.0 - 4.0 * A) ** (d / 4.0) / math.sqrt(m)
-        out.append(pref * np.exp(2.0 * math.pi**2 * blk.xi**2 * max_norm_x**2))
-    return np.concatenate(out)
+    return np.concatenate([t.scale * np.exp(t.quad * max_norm_x**2) for t in draws.terms])
 
 
 def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
@@ -412,12 +450,10 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
         raise ValueError("parameter-side bound requires A < 0")
     R = max_norm_w
     exponent = (1.0 - 4.0 * A) * R * R / (4.0 * abs(A)) - R * R / 2.0
-    out = []
-    for blk in draws.blocks:
-        m, d = blk.g.shape
-        pref = (1.0 - 4.0 * A) ** (d / 4.0) / math.sqrt(m)
-        out.append(pref * abs(blk.c) * blk.ratio * math.exp(exponent))
-    return np.concatenate(out)
+    return np.concatenate([
+        t.scale * abs(blk.c) * blk.ratio * math.exp(exponent)
+        for blk, t in zip(draws.blocks, draws.terms)
+    ])
 
 
 def per_term_bound(draws: UrfDraws, max_norm_x: float, max_norm_w: float) -> float:

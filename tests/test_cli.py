@@ -75,7 +75,9 @@ class TestEstimateCommand:
     def test_malformed_feature_counts_fail_cleanly(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, feature_counts=5))
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err == "error: feature_counts: expected a list of integers, got 5\n"
 
     def test_error_decays_across_octaves(self):
         report = run_pointwise(
@@ -240,6 +242,16 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: loss ")
         assert not out.exists()
+
+    def test_malformed_value_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "train.json",
+            dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], epochs="many")),
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: train.epochs: expected an integer, got 'many'\n"
+        )
 
     def test_urf_layer_variant(self, tmp_path):
         cfg_payload = dict(

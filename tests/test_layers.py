@@ -119,6 +119,23 @@ class TestSnnkLayer:
             ki = kernel_estimate(phi(x, draws), psi(spec.W[i], spec.b[i], draws))
             assert out[i] == ki
 
+    def test_serving_size_rows_equal_kernel_estimates(self):
+        rng = rng_for(8, 0, 0, MISC_STREAM)
+        spec = FflSpec(
+            W=0.8 / 8.0 * rng.standard_normal((256, 64)),
+            b=0.8 * rng.standard_normal(256),
+            activation=Activation("sine"),
+        )
+        cfg = UrfConfig(m=256, A=0.0, seed=9)
+        layer = snnk_from_ffl(spec, cfg)
+        assert layer.n_features == 512
+        x = rng.uniform(-1.0, 1.0, 64) / 8.0
+        out = snnk_forward(x, layer)
+        draws = layer.feature_map.draws
+        px = phi(x, draws)
+        for i in range(256):
+            assert out[i] == kernel_estimate(px, psi(spec.W[i], spec.b[i], draws))
+
     def test_learnable_pinv_fit_matches_normal_equations(self):
         fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=8, seed=7))
         rng = rng_for(5, 0, 0, MISC_STREAM)

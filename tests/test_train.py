@@ -6,6 +6,7 @@ import pytest
 from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation
 from snnk.bundling import closed_form_regression, regression_objective
+import snnk.train as train_module
 from snnk.layers import ReluFeatureMap, relu_feature_map, urf_feature_map
 from snnk.train import (
     Dataset,
@@ -120,6 +121,30 @@ class TestFitA:
         cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=5, loss="mse", seed=0)
         with pytest.raises(DivergenceDetected, match="non-finite"):
             fit_A(layer, None, data, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_no_step_after_first_non_finite_batch_loss(self, monkeypatch):
+        rng = rng_for(48, 0, 0, MISC_STREAM)
+        fmap = relu_feature_map(4, 8, seed=49)
+        data = Dataset(X=rng.standard_normal((30, 4)), Y=rng.standard_normal((30, 2)))
+        layer = make_learnable_layer(fmap, 2, seed=50)
+        cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=5, loss="mse", seed=0)
+        losses = []
+        real_grads = train_module._grads
+
+        def counting_grads(*args, **kwargs):
+            out = real_grads(*args, **kwargs)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(train_module, "_grads", counting_grads)
+        with pytest.raises(DivergenceDetected, match=r"epoch 1, batch \d+ is non-finite"):
+            fit_A(layer, None, data, cfg)
+        # the epoch has 6 batches; fitting stops at the first non-finite one
+        assert 1 < len(losses) < 6
+        assert all(math.isfinite(v) for v in losses[:-1])
+        assert not math.isfinite(losses[-1])
 
     def test_non_finite_initial_loss_is_divergence(self):
         fmap = relu_feature_map(4, 8, seed=49)

@@ -6,6 +6,7 @@ import pytest
 
 from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation, decomposition_for
+from snnk.bundling import bundle_full, network
 from snnk.urf import (
     ExactProposal,
     GaussianProposal,
@@ -200,6 +201,56 @@ class TestFeatureMaps:
         many = phi_many(X, draws)
         for i in range(2):
             assert np.allclose(many[i], phi(X[i], draws).entries, rtol=1e-13)
+
+
+def direct_phi(x, draws):
+    """Lambda written out per block, re-deriving every constant per call."""
+    A = draws.config.A
+    out = []
+    for blk in draws.blocks:
+        m, d = blk.g.shape
+        g = blk.g.astype(complex) if np.iscomplexobj(x) else blk.g
+        gx = g @ x
+        xx = np.sum(x * x)
+        prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
+        exponent = (
+            A * np.sum(blk.g * blk.g, axis=1)
+            + math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * blk.xi) * gx
+            + 2.0 * math.pi**2 * blk.xi**2 * xx
+        )
+        out.append(prefactor / math.sqrt(m) * np.exp(exponent))
+    return np.concatenate(out)
+
+
+class TestCachedConstants:
+    def test_real_input_matches_direct_lambda(self):
+        dec = decomposition_for(Activation("tanh"))
+        draws = sample_draws(dec, 6, UrfConfig(m=16, A=-0.1, seed=5))
+        x = rng_for(6, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
+        assert "terms" not in draws.__dict__
+        cold = phi(x, draws).entries
+        assert "terms" in draws.__dict__
+        assert all("g_complex" not in blk.__dict__ for blk in draws.blocks)
+        warm = phi(x, draws).entries
+        assert np.array_equal(cold, direct_phi(x, draws))
+        assert np.array_equal(warm, direct_phi(x, draws))
+
+    def test_complex_stage_input_matches_direct_lambda(self):
+        net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
+        bn = bundle_full(net, UrfConfig(m=8, A=-0.1, seed=8))
+        x = rng_for(9, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 5)
+        z = phi(x, bn.stages[0].draws).entries  # the stage-1 input of bundled_forward
+        assert np.iscomplexobj(z)
+        built = bn.stages[1].draws  # bundle_full has already filled its caches
+        draws = dataclasses.replace(
+            built, blocks=tuple(dataclasses.replace(b) for b in built.blocks)
+        )
+        assert all("g_complex" not in blk.__dict__ for blk in draws.blocks)
+        cold = phi(z, draws).entries
+        assert all("g_complex" in blk.__dict__ for blk in draws.blocks)
+        warm = phi(z, draws).entries
+        assert np.array_equal(cold, direct_phi(z, draws))
+        assert np.array_equal(warm, direct_phi(z, draws))
 
 
 class TestKernelEstimate:
