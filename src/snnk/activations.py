@@ -70,15 +70,6 @@ class Activation:
     def __call__(self, z):
         return _EVALS[self.kind](self, np.asarray(z, dtype=float))
 
-    @property
-    def parity(self) -> str:
-        """'odd', 'even' or 'none'."""
-        if self.kind in ("sine", "tanh"):
-            return "odd"
-        if self.kind == "cosine":
-            return "even"
-        return "none"
-
 
 def _norm_pdf(u):
     return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)

@@ -61,7 +61,7 @@ class LayeredNetwork:
     phi_prefix: tuple = ()  # UrfFeatureMap chain
 
     def __post_init__(self):
-        width = self.input_dim if not self.phi_prefix else self.phi_prefix[-1].total_features
+        width = self.in_width
         for i, layer in enumerate(self.layers):
             if layer.W.shape[1] != width:
                 raise ShapeMismatch(
@@ -70,6 +70,11 @@ class LayeredNetwork:
             if layer.b.shape != (layer.W.shape[0],):
                 raise ShapeMismatch(f"layer {i} bias shape {layer.b.shape}")
             width = layer.W.shape[0]
+
+    @property
+    def in_width(self) -> int:
+        """Width of the first layer's input: the last embedding's, if any."""
+        return self.phi_prefix[-1].total_features if self.phi_prefix else self.input_dim
 
     @property
     def n_layers(self) -> int:
@@ -149,15 +154,10 @@ def _stage_feature_map(activation, dim, cfg, stage):
         raise UnsupportedActivation(str(exc)) from exc
 
 
-def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
-    """Absorb the leading layer; returns a network with one fewer layer,
-    or a BundledNetwork once the last one is absorbed."""
-    if net.n_layers < 1:
-        raise ValueError("nothing left to bundle")
-    stage = len(net.phi_prefix)
+def _absorb(net: LayeredNetwork, fmap):
+    """Replace the leading layer by the embedding ``fmap``: the next layer's
+    W absorbs Psi(W0, b0), or Psi(W0, b0) is W_bar once no layer is left."""
     first = net.layers[0]
-    in_width = net.input_dim if stage == 0 else net.phi_prefix[-1].total_features
-    fmap = _stage_feature_map(first.activation, in_width, cfg, stage)
     psi_mat = psi_many(first.W, first.b, fmap.draws)  # (d1, M)
     prefix = net.phi_prefix + (fmap,)
     if net.n_layers == 1:
@@ -171,35 +171,37 @@ def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
     )
 
 
+def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
+    """Absorb the leading layer; returns a network with one fewer layer,
+    or a BundledNetwork once the last one is absorbed."""
+    if net.n_layers < 1:
+        raise ValueError("nothing left to bundle")
+    stage = len(net.phi_prefix)
+    return _absorb(net, _stage_feature_map(net.layers[0].activation, net.in_width, cfg, stage))
+
+
 def bundle_full(
     net: LayeredNetwork, cfgs: UrfConfig | Sequence[UrfConfig]
 ) -> BundledNetwork:
-    """Collapse every layer: W_bar is the nested Psi/W product."""
+    """Collapse every layer: W_bar is the nested Psi/W product.
+
+    One config is reseeded per stage, exactly as repeated ``bundle_once``;
+    a list gives each layer its own config, used as is.
+    """
+    from .layers import urf_feature_map
+
     if net.phi_prefix:
         raise ValueError("bundle_full expects an unbundled network")
     if isinstance(cfgs, UrfConfig):
-        cfg_list = None
-        base_cfg = cfgs
-    else:
-        cfg_list = list(cfgs)
-        if len(cfg_list) != net.n_layers:
-            raise ShapeMismatch("need one config per layer")
-
-    stages = []
-    acc = None
-    width = net.input_dim
-    for i, layer in enumerate(net.layers):
-        if cfg_list is None:
-            fmap = _stage_feature_map(layer.activation, width, base_cfg, i)
-        else:
-            from .layers import urf_feature_map
-
-            fmap = urf_feature_map(layer.activation, width, cfg_list[i])
-        W_cur = layer.W if acc is None else layer.W @ acc
-        acc = psi_many(W_cur, layer.b, fmap.draws)
-        stages.append(fmap)
-        width = fmap.total_features
-    return BundledNetwork(input_dim=net.input_dim, stages=tuple(stages), W_bar=acc)
+        while isinstance(net, LayeredNetwork):
+            net = bundle_once(net, cfgs)
+        return net
+    cfg_list = list(cfgs)
+    if len(cfg_list) != net.n_layers:
+        raise ShapeMismatch("need one config per layer")
+    for cfg in cfg_list:
+        net = _absorb(net, urf_feature_map(net.layers[0].activation, net.in_width, cfg))
+    return net
 
 
 def bundled_forward(x: np.ndarray, bn: BundledNetwork) -> np.ndarray:
@@ -244,14 +246,15 @@ def bundled_flop_count(bn: BundledNetwork) -> int:
 
 @dataclass(frozen=True)
 class FoldedAffine:
-    """Precomposed map: x -> Re(features(x) @ matrix) + bias."""
+    """A feature map with the following affine map folded in:
+    x -> Re(features(x) @ matrix) + bias."""
 
-    layer: SnnkLayer
+    feature_map: object  # UrfFeatureMap or ReluFeatureMap
     matrix: np.ndarray  # (M, d_out)
     bias: np.ndarray  # (d_out,)
 
     def __call__(self, x) -> np.ndarray:
-        feats = self.layer.feature_map.features(x)
+        feats = self.feature_map.features(x)
         return (feats @ self.matrix).real + self.bias
 
     def param_count(self) -> int:
@@ -268,22 +271,11 @@ def fold_following_linear(layer: SnnkLayer, W2: np.ndarray, b2: np.ndarray) -> F
         )
     if b2.shape != (W2.shape[0],):
         raise ShapeMismatch("b2 must match W2's row count")
-    return FoldedAffine(layer=layer, matrix=(W2 @ layer.A).T, bias=b2)
+    return FoldedAffine(feature_map=layer.feature_map, matrix=(W2 @ layer.A).T, bias=b2)
 
 
 # ---------------------------------------------------------------------------
 # pooler + classifier merge
-
-
-@dataclass(frozen=True)
-class MergedHead:
-    feature_map: object
-    matrix: np.ndarray  # (M, classes)
-    bias: np.ndarray  # (classes,)
-
-    def __call__(self, x) -> np.ndarray:
-        feats = self.feature_map.features(x)
-        return (feats @ self.matrix).real + self.bias
 
 
 def bundle_pooler_classifier(
@@ -293,10 +285,10 @@ def bundle_pooler_classifier(
     bc: np.ndarray,
     cfg: UrfConfig,
     activation: Activation = Activation("tanh"),
-) -> tuple[MergedHead, float]:
+) -> tuple[FoldedAffine, float]:
     """Merge tanh-pooler + classifier into one (M, classes) matrix.
 
-    Returns the merged head and the storage ratio
+    Returns the merged head, a ``FoldedAffine``, and the storage ratio
     (d*d + d*classes) / (M*classes) of the replaced pair.
     """
     from .layers import urf_feature_map
@@ -313,7 +305,7 @@ def bundle_pooler_classifier(
     merged = psi_mat.T @ Wc.T  # (M, classes)
     classes = Wc.shape[0]
     ratio = (d * Wp.shape[0] + Wp.shape[0] * classes) / (merged.shape[0] * classes)
-    return MergedHead(feature_map=fmap, matrix=merged, bias=bc), float(ratio)
+    return FoldedAffine(feature_map=fmap, matrix=merged, bias=bc), float(ratio)
 
 
 def pooler_classifier_exact(Wp, bp, Wc, bc, x, activation=Activation("tanh")):

@@ -239,7 +239,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.config)
     base = _estimate_config_from(raw.get("base", {}), args.seed)
-    merged = run_sweep(raw["axis"], raw["values"], base, threads=args.threads)
+    merged = run_sweep(_require(raw, "axis"), _require(raw, "values"), base,
+                       threads=args.threads)
     rows = []
     for value, report in merged:
         rows.extend(_estimate_csv_rows(report, sweep_value=value))
@@ -295,8 +296,11 @@ BUNDLE_HEADER = [
 def _cmd_bundle(args) -> int:
     raw = _load_json(args.config)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    dims = [int(raw["input_dim"])] + [int(l["out_dim"]) for l in raw["layers"]]
-    acts = [Activation(l["activation"]) for l in raw["layers"]]
+    dims = [_conf(raw, "input_dim", int)]
+    acts = []
+    for i, l in enumerate(_require(raw, "layers")):
+        dims.append(_conf(l, "out_dim", int, section=f"layers[{i}]"))
+        acts.append(Activation(_require(l, "activation", f"layers[{i}]")))
     weights = raw.get("weights")
     biases = raw.get("biases")
     net = network(
@@ -350,7 +354,7 @@ TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
 def _cmd_train(args) -> int:
     raw = _load_json(args.config)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    data_raw = raw["data"]
+    data_raw = _require(raw, "data")
     d = _conf(data_raw, "d", int, section="data")
     k = _conf(data_raw, "k", int, section="data")
     full = generate_blobs(
@@ -363,7 +367,7 @@ def _cmd_train(args) -> int:
         seed=derive_seed(seed, 601),
     )
 
-    layer_raw = raw["layer"]
+    layer_raw = _require(raw, "layer")
     out_dim = _conf(layer_raw, "out_dim", int, 16, section="layer")
     if layer_raw.get("kind", "relu") == "relu":
         from .layers import relu_feature_map
@@ -377,7 +381,7 @@ def _cmd_train(args) -> int:
         train_set = Dataset(X=train_set.X / scale, Y=train_set.Y, split="train")
         val_set = Dataset(X=val_set.X / scale, Y=val_set.Y, split="validation")
         fmap = urf_feature_map(
-            Activation(layer_raw["activation"]), d,
+            Activation(_require(layer_raw, "activation", "layer")), d,
             UrfConfig(
                 m=_conf(layer_raw, "m", int, 16, section="layer"),
                 A=_conf(layer_raw, "A", float, 0.0, section="layer"),
@@ -420,11 +424,20 @@ _EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integer
 _REQUIRED = object()
 
 
+def _require(raw: dict, key: str, section: str = ""):
+    """``raw[key]``; a missing key raises a ValueError naming it."""
+    try:
+        return raw[key]
+    except KeyError:
+        name = f"{section}.{key}" if section else key
+        raise ValueError(f"{name}: missing required key") from None
+
+
 def _conf(raw: dict, key: str, convert, default=_REQUIRED, section: str = ""):
     """``raw[key]`` (or ``default`` when given and the key is absent) through
-    ``convert``; a value that does not convert raises a ValueError naming
-    the key."""
-    value = raw[key] if default is _REQUIRED else raw.get(key, default)
+    ``convert``; a missing required key or a value that does not convert
+    raises a ValueError naming the key."""
+    value = _require(raw, key, section) if default is _REQUIRED else raw.get(key, default)
     try:
         return convert(value)
     except (TypeError, ValueError):

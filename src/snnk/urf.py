@@ -17,6 +17,12 @@ complex arguments by analytic continuation and E_g[Lambda_g(x) Lambda_g(y)]
 = exp(x.y) holds exactly.  Feature vectors are the per-draw factors of the
 summand, concatenated across active transform components; their bilinear
 dot product is an unbiased estimate of f(w.x + b).
+
+Both towers evaluate Lambda through one batch-first kernel, ``_lambda_exp``,
+over the per-block constants cached in ``UrfDraws.terms``.  It forms each
+g.z as one matrix-vector product per row of a (..., d) stack, so row i of
+``phi_many``/``psi_many`` is bit-identical to ``phi``/``psi`` of that row,
+which are the same calls without a leading axis.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ class UrfConfig:
 class AxisDraws:
     """Sampled (xi_i, g_i) pairs and importance ratios for one component.
 
+    The arrays may carry a leading instantiation axis (``sample_draws_batch``).
     ``g_complex``, a complex copy of ``g``, is built lazily and cached on
     the instance, only once a complex input or weight row meets this block
     (bundled stages after the first).  The draw arrays must not be modified
@@ -131,9 +138,9 @@ class AxisDraws:
     axis: str
     sub: int  # atom index under per-atom concatenation, else 0
     c: complex  # signed component mass
-    xi: np.ndarray  # (m,)
-    g: np.ndarray  # (m, dim)
-    ratio: np.ndarray  # (m,), p_j(xi)/proposal(xi), >= 0
+    xi: np.ndarray  # (..., m)
+    g: np.ndarray  # (..., m, dim)
+    ratio: np.ndarray  # (..., m), p_j(xi)/proposal(xi), >= 0
     atom_probs: tuple[float, ...] = ()  # normalized atom probabilities, if atomic
 
     @cached_property
@@ -146,12 +153,14 @@ class AxisDraws:
         return self.g_complex if np.iscomplexobj(v) else self.g
 
 
-class PhiTerms(NamedTuple):
-    """Per-block constants of the input-side feature for one shape A."""
+class LambdaTerms(NamedTuple):
+    """Per-block constants of Lambda for one shape A, shared by both towers."""
 
     agg: np.ndarray  # A |g_i|^2
-    scale: float  # (1-4A)^(d/4) / sqrt(m)
-    phase: np.ndarray  # sqrt(1-4A) * 2 pi i xi_i, the coefficient of g_i.x
+    prefactor: float  # (1-4A)^(d/4)
+    scale: float  # prefactor / sqrt(m), the input-side weight
+    root: float  # sqrt(1-4A), the coefficient of g_i.w
+    phase: np.ndarray  # root * 2 pi i xi_i, the coefficient of g_i.x
     quad: np.ndarray  # 2 pi^2 xi_i^2, the coefficient of x.x
 
 
@@ -159,9 +168,9 @@ class PhiTerms(NamedTuple):
 class UrfDraws:
     """Draws for every active component, plus cached per-block constants.
 
-    ``layout`` and ``terms`` (one ``PhiTerms`` per block: A|g_i|^2, the
-    (1-4A)^(d/4)/sqrt(m) prefactor and the two xi coefficients) are
-    computed once per draw set, on first use.
+    ``layout`` and ``terms`` (one ``LambdaTerms`` per block, read by both
+    towers) are computed once per draw set, on first use.  Block arrays may
+    carry a leading instantiation axis (``BatchUrfDraws``); so do the terms.
     """
 
     dim: int
@@ -170,19 +179,23 @@ class UrfDraws:
 
     @cached_property
     def layout(self) -> tuple[tuple[str, int, int], ...]:
-        return tuple((b.axis, b.sub, len(b.xi)) for b in self.blocks)
+        return tuple((b.axis, b.sub, b.xi.shape[-1]) for b in self.blocks)
 
     @cached_property
-    def terms(self) -> tuple[PhiTerms, ...]:
+    def terms(self) -> tuple[LambdaTerms, ...]:
         A = self.config.A
+        root = math.sqrt(1.0 - 4.0 * A)
         out = []
         for blk in self.blocks:
-            m, d = blk.g.shape
+            m, d = blk.g.shape[-2:]
+            prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
             out.append(
-                PhiTerms(
-                    agg=A * np.sum(blk.g * blk.g, axis=1),
-                    scale=(1.0 - 4.0 * A) ** (d / 4.0) / math.sqrt(m),
-                    phase=math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * blk.xi),
+                LambdaTerms(
+                    agg=A * np.sum(blk.g * blk.g, axis=-1),
+                    prefactor=prefactor,
+                    scale=prefactor / math.sqrt(m),
+                    root=root,
+                    phase=root * (2j * math.pi * blk.xi),
                     quad=2.0 * math.pi**2 * blk.xi**2,
                 )
             )
@@ -190,7 +203,7 @@ class UrfDraws:
 
     @property
     def total_features(self) -> int:
-        return sum(len(b.xi) for b in self.blocks)
+        return sum(b.xi.shape[-1] for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -332,74 +345,59 @@ def lambda_feature(g: np.ndarray, z: np.ndarray, A: float) -> complex:
     return prefactor * np.exp(exponent)
 
 
-def _phi_block(x, block, terms):
-    # same operation order as Lambda written out, so cached terms change no bits
-    gx = block.g_for(x) @ x  # (m,)
-    xx = np.sum(x * x)  # bilinear; complex-safe
-    return terms.scale * np.exp(terms.agg + terms.phase * gx + terms.quad * xx)
+def _lambda_exp(Z, blk, t, coef, quad):
+    """exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of Z (..., d).
 
-
-def _psi_block(w, b, block, terms, A):
-    m, d = block.g.shape
-    gw = block.g_for(w) @ w
-    ww = np.sum(w * w)
-    prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
-    lam = prefactor * np.exp(terms.agg + math.sqrt(1.0 - 4.0 * A) * gw - ww / 2.0)
-    s = block.ratio * np.exp(2j * math.pi * block.xi * b)
-    return block.c / math.sqrt(m) * s * lam
+    g_i.z is one matrix-vector product per row, so every row of a stack is
+    bit-identical to that row evaluated alone; ``Z @ g.T`` would be one
+    matrix-matrix product, whose rows differ in the last bits.
+    """
+    gz = (blk.g_for(Z) @ Z[..., None])[..., 0]
+    zz = (Z * Z).sum(axis=-1, keepdims=True)  # bilinear; complex-safe
+    return np.exp(t.agg + coef * gz + quad * zz)
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
-    """Input-side feature vector; deterministic given the draws.
-
-    Reads the draw set's cached constants (``UrfDraws.terms``: A|g|^2, the
-    (1-4A)^(d/4)/sqrt(m) prefactor and the xi coefficients) rather than
-    re-deriving them; a complex input uses the lazily built complex copy of
-    each block's g.  Bit-identical to evaluating the Lambda expression
-    directly.
-    """
+    """Input-side feature vector: ``phi_many`` of one row."""
     x = np.asarray(x)
     if x.shape != (draws.dim,):
         raise ValueError(f"expected input of dim {draws.dim}, got {x.shape}")
-    entries = np.concatenate(
-        [_phi_block(x, b, t) for b, t in zip(draws.blocks, draws.terms)]
-    )
-    return FeatureVector(entries=entries, layout=draws.layout)
+    return FeatureVector(entries=phi_many(x, draws), layout=draws.layout)
 
 
 def psi(w: np.ndarray, b: float, draws: UrfDraws) -> FeatureVector:
-    """Parameter-side feature vector for one (weight row, bias) pair."""
+    """Parameter-side feature vector: ``psi_many`` of one (row, bias) pair."""
     w = np.asarray(w)
     if w.shape != (draws.dim,):
         raise ValueError(f"expected weights of dim {draws.dim}, got {w.shape}")
-    A = draws.config.A
-    entries = np.concatenate(
-        [_psi_block(w, b, blk, t, A) for blk, t in zip(draws.blocks, draws.terms)]
-    )
-    return FeatureVector(entries=entries, layout=draws.layout)
+    return FeatureVector(entries=psi_many(w, b, draws), layout=draws.layout)
 
 
 def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
-    """Rows of Phi for each row of ``X``; (n, total_features) complex."""
+    """Phi of each row of ``X`` (..., d); (..., total_features) complex.
+
+    Any leading axes are allowed; row i equals ``phi(X[i], draws)`` bit for bit.
+    """
     X = np.asarray(X)
-    xx = np.sum(X * X, axis=1)[:, None]
-    cols = []
-    for blk, t in zip(draws.blocks, draws.terms):
-        gx = X @ blk.g_for(X).T  # (n, m)
-        exponent = t.agg[None, :] + t.phase[None, :] * gx + t.quad[None, :] * xx
-        cols.append(t.scale * np.exp(exponent))
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([t.scale * _lambda_exp(X, blk, t, t.phase, t.quad)
+                           for blk, t in zip(draws.blocks, draws.terms)], axis=-1)
 
 
 def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
-    """Rows of Psi for each (weight row, bias); (l, total_features) complex.
+    """Psi of each weight row of ``W`` (..., d) with its bias in ``b`` (...);
+    (..., total_features) complex.
 
-    Implemented as per-row psi calls so a derived feature-weight matrix is
-    bit-identical to the row-by-row construction.
+    Any leading axes are allowed; row i equals ``psi(W[i], b[i], draws)`` bit
+    for bit, so A and W_bar are the row-by-row constructions.
     """
     W = np.asarray(W)
-    b = np.asarray(b)
-    return np.stack([psi(W[i], float(b[i]), draws).entries for i in range(len(b))])
+    b = np.asarray(b)[..., None]
+    return np.concatenate([
+        blk.c / math.sqrt(blk.xi.shape[-1])
+        * (blk.ratio * np.exp(2j * math.pi * blk.xi * b))
+        * (t.prefactor * _lambda_exp(W, blk, t, t.root, -0.5))
+        for blk, t in zip(draws.blocks, draws.terms)
+    ], axis=-1)
 
 
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float:
@@ -462,36 +460,19 @@ def per_term_bound(draws: UrfDraws, max_norm_x: float, max_norm_w: float) -> flo
     concentration bounds."""
     bphi = phi_entry_bound(draws, max_norm_x)
     bpsi = psi_entry_bound(draws, max_norm_w)
-    m = draws.config.m
-    per_block = []
-    start = 0
-    for blk in draws.blocks:
-        n = len(blk.xi)
-        per_block.append(m * np.max(bphi[start : start + n] * bpsi[start : start + n]))
-        start += n
-    return float(sum(per_block))
+    ends = np.cumsum([n for _, _, n in draws.layout])[:-1]
+    return float(sum(draws.config.m * np.max(p) for p in np.split(bphi * bpsi, ends)))
 
 
 # ---------------------------------------------------------------------------
-# batched instantiations (harness fast path)
+# batched instantiations
 
 
 @dataclass(frozen=True)
-class BatchAxisDraws:
-    axis: str
-    sub: int
-    c: complex
-    xi: np.ndarray  # (n, m)
-    g: np.ndarray  # (n, m, dim)
-    ratio: np.ndarray  # (n, m)
+class BatchUrfDraws(UrfDraws):
+    """``n`` instantiations stacked on a leading axis of every block array."""
 
-
-@dataclass(frozen=True)
-class BatchUrfDraws:
-    dim: int
-    config: UrfConfig
     n: int
-    blocks: tuple[BatchAxisDraws, ...]
 
 
 def sample_draws_batch(
@@ -508,51 +489,21 @@ def sample_draws_batch(
         axis_id = AXIS_ID[comp.axis]
         rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
         proposal = cfg.proposal_for(comp)
-        if cfg.strategy == "block":
-            n_xi = cfg.m // cfg.block_size
-            xi, ratio = _sample_xi(comp, proposal, n * n_xi, rng_xi)
-            xi = np.repeat(xi.reshape(n, n_xi), cfg.block_size, axis=1)
-            ratio = np.repeat(ratio.reshape(n, n_xi), cfg.block_size, axis=1)
-        else:
-            xi, ratio = _sample_xi(comp, proposal, n * cfg.m, rng_xi)
-            xi = xi.reshape(n, cfg.m)
-            ratio = ratio.reshape(n, cfg.m)
+        reps = cfg.block_size if cfg.strategy == "block" else 1
+        xi, ratio = _sample_xi(comp, proposal, n * (cfg.m // reps), rng_xi)
+        xi = np.repeat(xi.reshape(n, -1), reps, axis=1)
+        ratio = np.repeat(ratio.reshape(n, -1), reps, axis=1)
         g = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((n, cfg.m, dim))
-        blocks.append(
-            BatchAxisDraws(
-                axis=comp.axis,
-                sub=0,
-                c=complex(comp.mass * _axis_phase(comp.axis)),
-                xi=xi,
-                g=g,
-                ratio=ratio,
-            )
-        )
-    return BatchUrfDraws(dim=dim, config=cfg, n=n, blocks=tuple(blocks))
+        c = complex(comp.mass * _axis_phase(comp.axis))
+        blocks.append(AxisDraws(axis=comp.axis, sub=0, c=c, xi=xi, g=g, ratio=ratio))
+    return BatchUrfDraws(dim=dim, config=cfg, blocks=tuple(blocks), n=n)
 
 
 def kernel_estimate_batch(
     x: np.ndarray, w: np.ndarray, b: float, bdraws: BatchUrfDraws
 ) -> np.ndarray:
-    """Complex estimator value per instantiation; (n,) array."""
-    A = bdraws.config.A
-    x = np.asarray(x)
-    w = np.asarray(w)
-    out = np.zeros(bdraws.n, dtype=complex)
-    xx = np.sum(x * x)
-    ww = np.sum(w * w)
-    for blk in bdraws.blocks:
-        n, m, d = blk.g.shape
-        pref = (1.0 - 4.0 * A) ** (d / 2.0)  # one (d/4) power per side
-        gx = blk.g @ x  # (n, m)
-        gw = blk.g @ w
-        gg = np.sum(blk.g * blk.g, axis=2)
-        exponent = (
-            2.0 * A * gg
-            + math.sqrt(1.0 - 4.0 * A) * ((2j * math.pi * blk.xi) * gx + gw)
-            + 2.0 * math.pi**2 * blk.xi**2 * xx
-            - ww / 2.0
-        )
-        s = blk.ratio * np.exp(2j * math.pi * blk.xi * b)
-        out += blk.c * pref * np.mean(s * np.exp(exponent), axis=1)
-    return out
+    """Complex estimator value per instantiation; (n,) array.
+
+    Row i is the bilinear product of ``phi`` and ``psi`` over instantiation
+    i's draws: ``kernel_estimate_complex`` up to summation order."""
+    return np.sum(phi_many(x, bdraws) * psi_many(w, b, bdraws), axis=-1)

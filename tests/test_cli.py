@@ -156,6 +156,11 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_missing_axis_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sweep.json", {"values": [1], "base": ESTIMATE_CFG})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: axis: missing required key\n"
+
 
 class TestFtTableCommand:
     def test_default_table(self, tmp_path):
@@ -210,6 +215,12 @@ class TestBundleCommand:
         assert main(["bundle", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_missing_out_dim_names_its_key(self, tmp_path, capsys):
+        payload = dict(BUNDLE_CFG, layers=[BUNDLE_CFG["layers"][0], {"activation": "sine"}])
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: layers[1].out_dim: missing required key\n"
+
 
 TRAIN_CFG = {
     "seed": 3,
@@ -252,6 +263,14 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: train.epochs: expected an integer, got 'many'\n"
         )
+
+    def test_missing_required_key_names_it(self, tmp_path, capsys):
+        data = {k: v for k, v in TRAIN_CFG["data"].items() if k != "n"}
+        cfg = write_json(tmp_path / "train.json", dict(TRAIN_CFG, data=data))
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: data.n: missing required key\n"
+        assert not out.exists()
 
     def test_urf_layer_variant(self, tmp_path):
         cfg_payload = dict(

@@ -6,7 +6,7 @@ import pytest
 
 from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation, decomposition_for
-from snnk.bundling import bundle_full, network
+from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ExactProposal,
     GaussianProposal,
@@ -15,6 +15,7 @@ from snnk.urf import (
     NotAtomic,
     ProposalMismatch,
     UrfConfig,
+    UrfDraws,
     atoms_concat_draws,
     atoms_concat_phi,
     atoms_concat_psi,
@@ -190,17 +191,33 @@ class TestFeatureMaps:
         draws = sample_draws(dec, 3, UrfConfig(m=8, seed=4))
         W = np.array([[0.2, -0.4, 0.1], [0.0, 0.5, -0.3]])
         b = np.array([0.1, -0.7])
-        mat = psi_many(W, b, draws)
-        for i in range(2):
-            assert np.array_equal(mat[i], psi(W[i], b[i], draws).entries)
+        # a bundle's second stage sees W1 Psi(W0, b0), a complex weight matrix
+        net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
+        absorbed = bundle_once(net, UrfConfig(m=8, A=-0.1, seed=8)).layers[0]
+        assert np.iscomplexobj(absorbed.W)
+        stage = sample_draws(
+            decomposition_for(Activation("sine")), absorbed.W.shape[1],
+            UrfConfig(m=8, A=-0.1, seed=9),
+        )
+        for W, b, draws in ((W, b, draws), (absorbed.W, absorbed.b, stage)):
+            mat = psi_many(W, b, draws)
+            for i in range(len(b)):
+                assert np.array_equal(mat[i], psi(W[i], b[i], draws).entries)
 
     def test_phi_many_matches_phi_rows(self):
         dec = decomposition_for(Activation("sine"))
         draws = sample_draws(dec, 3, UrfConfig(m=8, seed=4))
         X = np.array([[0.2, -0.4, 0.1], [0.0, 0.5, -0.3]])
-        many = phi_many(X, draws)
-        for i in range(2):
-            assert np.allclose(many[i], phi(X[i], draws).entries, rtol=1e-13)
+        # complex stage-1 inputs of bundled_forward
+        net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
+        bn = bundle_full(net, UrfConfig(m=8, A=-0.1, seed=8))
+        X5 = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
+        Z = phi_many(X5, bn.stages[0].draws)
+        assert np.iscomplexobj(Z)
+        for X, draws in ((X, draws), (Z, bn.stages[1].draws)):
+            many = phi_many(X, draws)
+            for i in range(len(X)):
+                assert np.array_equal(many[i], phi(X[i], draws).entries)
 
 
 def direct_phi(x, draws):
@@ -291,6 +308,24 @@ class TestKernelEstimate:
         # conjugate-pair symmetry: imaginary diagnostic centered at zero
         im_se = est.imag.std(ddof=1) / math.sqrt(bd.n)
         assert abs(est.imag.mean()) < 3 * im_se
+
+    @pytest.mark.parametrize("kind", ["sine", "tanh"])
+    def test_batch_rows_match_single_draw_path(self, kind):
+        dec = decomposition_for(Activation(kind))
+        rng = rng_for(22, 0, 0, MISC_STREAM)
+        x = rng.uniform(-0.4, 0.4, 5)
+        w = rng.uniform(-0.4, 0.4, 5)
+        bd = sample_draws_batch(dec, 5, UrfConfig(m=16, A=-0.1, seed=23), 20)
+        est = kernel_estimate_batch(x, w, 0.3, bd)
+        for i in range(bd.n):
+            blocks = tuple(
+                dataclasses.replace(b, xi=b.xi[i], g=b.g[i], ratio=b.ratio[i])
+                for b in bd.blocks
+            )
+            d_i = UrfDraws(dim=bd.dim, config=bd.config, blocks=blocks)
+            px, pw = phi(x, d_i), psi(w, 0.3, d_i)
+            scale = np.sum(np.abs(px.entries * pw.entries))
+            assert abs(est[i] - kernel_estimate_complex(px, pw)) <= 1e-12 * scale
 
     def test_single_path_matches_batched_distribution(self):
         dec = decomposition_for(Activation("cosine"))
