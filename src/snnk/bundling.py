@@ -7,9 +7,11 @@ acting on the chained embedding
 
     x_bar = Phi_L( ... Phi_1(x) ... ),    y_bar = W_bar x_bar.
 
-Intermediate embeddings are complex; subsequent Phi maps accept them
-through the bilinear extension of the feature map, and the real part is
-taken only where an estimate feeds an exact layer (or at the output).
+``chain_features`` computes x_bar for a ``(..., d)`` stack of inputs, for
+both ``network_forward`` and ``bundled_forward``.  Intermediate embeddings
+are complex; subsequent Phi maps accept them through the bilinear extension
+of the feature map, and the real part is taken only where an estimate feeds
+an exact layer (or at the output).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .activations import Activation, UnsupportedClosedForm
-from .layers import ShapeMismatch, SnnkLayer
+from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward
 from .urf import UrfConfig, phi, psi_many
 
 STAGE_KEY = 777
@@ -40,24 +42,17 @@ class SingularSystem(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class Layer:
-    W: np.ndarray
-    b: np.ndarray
-    activation: Activation
-
-
-@dataclass(frozen=True)
 class LayeredNetwork:
     """A chain of layers, possibly with already-bundled input stages.
 
     ``phi_prefix`` holds the accumulated input embeddings; when nonempty,
     the first layer's weight matrix is complex (it has absorbed parameter
-    embeddings) and forward evaluation takes the real part of the first
-    pre-activation before the remaining exact layers.
+    embeddings), and ``ffl_forward`` takes the real part of its
+    pre-activation.
     """
 
     input_dim: int
-    layers: tuple[Layer, ...]
+    layers: tuple[FflSpec, ...]
     phi_prefix: tuple = ()  # UrfFeatureMap chain
 
     def __post_init__(self):
@@ -67,8 +62,6 @@ class LayeredNetwork:
                 raise ShapeMismatch(
                     f"layer {i} expects input dim {layer.W.shape[1]}, chain gives {width}"
                 )
-            if layer.b.shape != (layer.W.shape[0],):
-                raise ShapeMismatch(f"layer {i} bias shape {layer.b.shape}")
             width = layer.W.shape[0]
 
     @property
@@ -87,13 +80,21 @@ class LayeredNetwork:
 
 def network(dims: Sequence[int], activations: Sequence[Activation], weights=None,
             biases=None, seed: int = 0, init_std: float = 1.0) -> LayeredNetwork:
-    """Build a plain network; random Gaussian init unless weights given."""
+    """Build a plain network; random Gaussian init unless weights and biases
+    are given, one entry per layer each."""
     from ._seeds import MISC_STREAM, rng_for
 
-    if len(activations) != len(dims) - 1:
+    n_layers = len(dims) - 1
+    if len(activations) != n_layers:
         raise ShapeMismatch("need one activation per layer")
+    if (weights is None) != (biases is None):
+        missing = "biases" if biases is None else "weights"
+        raise ShapeMismatch(f"{missing}: missing; give weights and biases together")
+    for key, given in (("weights", weights), ("biases", biases)):
+        if given is not None and len(given) != n_layers:
+            raise ShapeMismatch(f"{key}: need one entry per layer, got {len(given)} for {n_layers}")
     layers = []
-    for i in range(len(dims) - 1):
+    for i in range(n_layers):
         if weights is not None:
             W = np.asarray(weights[i], dtype=float)
             b = np.asarray(biases[i], dtype=float)
@@ -101,21 +102,26 @@ def network(dims: Sequence[int], activations: Sequence[Activation], weights=None
             rng = rng_for(seed, 900 + i, 0, MISC_STREAM)
             W = init_std / math.sqrt(dims[i]) * rng.standard_normal((dims[i + 1], dims[i]))
             b = init_std * rng.standard_normal(dims[i + 1])
-        layers.append(Layer(W=W, b=b, activation=activations[i]))
+        layers.append(FflSpec(W=W, b=b, activation=activations[i]))
     return LayeredNetwork(input_dim=dims[0], layers=tuple(layers))
 
 
-def network_forward(x: np.ndarray, net: LayeredNetwork) -> np.ndarray:
-    """Exact forward pass; partial bundles take Re at the estimate boundary."""
-    z = np.asarray(x)
-    for fmap in net.phi_prefix:
-        z = phi(z, fmap.draws).entries
-    for i, layer in enumerate(net.layers):
-        u = layer.W @ z + layer.b
-        if np.iscomplexobj(u):
-            u = u.real
-        z = layer.activation(u)
-    return z
+def chain_features(X: np.ndarray, stages: Sequence) -> np.ndarray:
+    """Phi_L( ... Phi_1(x) ... ) for each row x of ``X`` (..., d), one
+    ``phi`` call per stage; ``X`` itself when there are no stages."""
+    Z = np.asarray(X)
+    for fmap in stages:
+        Z = phi(Z, fmap.draws).entries
+    return Z
+
+
+def network_forward(X: np.ndarray, net: LayeredNetwork) -> np.ndarray:
+    """Exact forward pass of each row of ``X`` (..., d); a partial bundle
+    first applies its embedding chain and takes Re at the estimate boundary."""
+    Z = chain_features(X, net.phi_prefix)
+    for layer in net.layers:
+        Z = ffl_forward(Z, layer)
+    return Z
 
 
 @dataclass(frozen=True)
@@ -156,17 +162,24 @@ def _stage_feature_map(activation, dim, cfg, stage):
 
 def _absorb(net: LayeredNetwork, fmap):
     """Replace the leading layer by the embedding ``fmap``: the next layer's
-    W absorbs Psi(W0, b0), or Psi(W0, b0) is W_bar once no layer is left."""
+    W absorbs Psi(W0, b0), or Psi(W0, b0) is W_bar once no layer is left;
+    a non-finite entry in that matrix raises a ValueError naming the stage."""
     first = net.layers[0]
-    psi_mat = psi_many(first.W, first.b, fmap.draws)  # (d1, M)
+    with np.errstate(over="ignore", invalid="ignore"):  # the count below reports it
+        mat = psi_many(first.W, first.b, fmap.draws)  # (d1, M)
+        if net.n_layers > 1:
+            mat = net.layers[1].W @ mat
+    bad = int(np.count_nonzero(~np.isfinite(mat)))
+    if bad:
+        what = "W_bar" if net.n_layers == 1 else "the absorbed weights"
+        raise ValueError(f"bundling stage {len(net.phi_prefix)}: {bad} of {mat.size} entries "
+                         f"of {what} are non-finite")
     prefix = net.phi_prefix + (fmap,)
     if net.n_layers == 1:
-        return BundledNetwork(input_dim=net.input_dim, stages=prefix, W_bar=psi_mat)
-    second = net.layers[1]
-    absorbed = Layer(W=second.W @ psi_mat, b=second.b, activation=second.activation)
+        return BundledNetwork(input_dim=net.input_dim, stages=prefix, W_bar=mat)
     return LayeredNetwork(
         input_dim=net.input_dim,
-        layers=(absorbed,) + net.layers[2:],
+        layers=(replace(net.layers[1], W=mat),) + net.layers[2:],
         phi_prefix=prefix,
     )
 
@@ -204,12 +217,11 @@ def bundle_full(
     return net
 
 
-def bundled_forward(x: np.ndarray, bn: BundledNetwork) -> np.ndarray:
-    """Apply the embedding chain, then one matrix multiply; Re at the end."""
-    z = np.asarray(x)
-    for fmap in bn.stages:
-        z = phi(z, fmap.draws).entries
-    return (bn.W_bar @ z).real
+def bundled_forward(X: np.ndarray, bn: BundledNetwork) -> np.ndarray:
+    """The embedding chain of each row of ``X`` (..., d), then one W_bar
+    matrix-vector product per row (as in ``ffl_forward``); Re at the end."""
+    Z = chain_features(X, bn.stages)
+    return (bn.W_bar @ Z[..., None])[..., 0].real
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Experiment harness and command-line surface.
 
 Subcommands: estimate, sweep, ft-table, bundle, train.  Everything reads a
-JSON config and writes RFC-4180 CSV; runs are deterministic in the seed,
-and per-trial work is distributed over a thread pool with derived seeds so
-the output bytes do not depend on --threads.  Exit code 0 means every
-validation passed.
+JSON config and writes RFC-4180 CSV; runs are deterministic in the seed.
+Trials run in order on one thread, each from its own derived seed; --threads
+is still accepted but cannot change the output bytes.  Exit code 0 means
+every validation passed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,7 +116,8 @@ def _arccos_trial(cfg, x, w, p, p_index, trial):
 
 
 def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
-    """The pointwise benchmark: relative estimation error vs feature count."""
+    """The pointwise benchmark: relative estimation error vs feature count.
+    ``threads`` is ignored: the trials run in order on one thread."""
     x, w = _draw_inputs(cfg)
     if cfg.activation == "arccos":
         exact = 0.5 * arc_cosine_exact(1, w, x)
@@ -133,33 +133,19 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
             for pi, p in enumerate(cfg.feature_counts)
         ]
 
-    def one(task):
-        pi, p, trial = task
-        if cfg.activation == "arccos":
-            est = _arccos_trial(cfg, x, w, p, pi, trial)
-        else:
-            est = _urf_trial(cfg, dec, x, w, p // len(dec.active()), pi, trial)
-        return (pi, p, trial, est)
-
-    tasks = [(pi, p, t) for pi, p in plan for t in range(cfg.instantiations)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[2]))
-
     rows = []
     aggregates = []
     denom = max(abs(exact), REL_ERROR_FLOOR)
     for pi, p in plan:
         errs = []
-        for rpi, rp, trial, est in results:
-            if rpi != pi:
-                continue
+        for trial in range(cfg.instantiations):
+            if cfg.activation == "arccos":
+                est = _arccos_trial(cfg, x, w, p, pi, trial)
+            else:
+                est = _urf_trial(cfg, dec, x, w, p // len(dec.active()), pi, trial)
             rel = abs(est - exact) / denom
             errs.append(rel)
-            rows.append((cfg.activation, cfg.d, rp, trial, est, exact, rel))
+            rows.append((cfg.activation, cfg.d, p, trial, est, exact, rel))
         errs = np.array(errs)
         aggregates.append((p, float(errs.mean()), float(errs.std(ddof=1))))
     return EstimateReport(rows=rows, aggregates=aggregates)
@@ -168,7 +154,7 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
 SWEEP_AXES = ("A", "strategy", "activation")
 
 
-def run_sweep(axis: str, values: list, base: EstimateConfig, threads: int = 1):
+def run_sweep(axis: str, values: list, base: EstimateConfig):
     """One report per value along the sweep axis; merged row list."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -185,7 +171,7 @@ def run_sweep(axis: str, values: list, base: EstimateConfig, threads: int = 1):
                 cfg = replace(base, strategy="block", block_size=int(value.split(":")[1]))
             else:
                 cfg = replace(base, strategy=str(value))
-        report = run_pointwise(cfg, threads=threads)
+        report = run_pointwise(cfg)
         merged.append((str(value), report))
     return merged
 
@@ -231,7 +217,7 @@ def _estimate_csv_rows(report: EstimateReport, sweep_value: str = ""):
 
 def _cmd_estimate(args) -> int:
     cfg = _load_estimate_config(args)
-    report = run_pointwise(cfg, threads=args.threads)
+    report = run_pointwise(cfg)
     _write_csv(args.out, ESTIMATE_HEADER, _estimate_csv_rows(report))
     return 0
 
@@ -239,8 +225,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.config)
     base = _estimate_config_from(raw.get("base", {}), args.seed)
-    merged = run_sweep(_require(raw, "axis"), _require(raw, "values"), base,
-                       threads=args.threads)
+    merged = run_sweep(_require(raw, "axis"), _require(raw, "values"), base)
     rows = []
     for value, report in merged:
         rows.extend(_estimate_csv_rows(report, sweep_value=value))
@@ -318,14 +303,8 @@ def _cmd_bundle(args) -> int:
     n_probes = int(raw.get("probes", 16))
     rng = rng_for(seed, 501, 0, MISC_STREAM)
     probes = rng.uniform(-1.0, 1.0, (n_probes, net.input_dim))
-    mae = float(
-        np.mean(
-            [
-                np.abs(bundled_forward(p, bundled) - network_forward(p, net)).mean()
-                for p in probes
-            ]
-        )
-    )
+    err = np.abs(bundled_forward(probes, bundled) - network_forward(probes, net))
+    mae = float(np.mean(err.mean(axis=-1)))
     _write_csv(
         args.out,
         BUNDLE_HEADER,
@@ -486,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="ignored; kept for old scripts")
         p.set_defaults(fn=fn)
     return parser
 

@@ -46,12 +46,12 @@ class ShapeMismatch(ValueError):
 class FflSpec:
     """Weights, biases and activation of one feedforward layer."""
 
-    W: np.ndarray  # (l, d)
+    W: np.ndarray  # (l, d); complex once it has absorbed a parameter embedding
     b: np.ndarray  # (l,)
     activation: Activation
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
+        W = np.asarray(self.W, dtype=complex if np.iscomplexobj(self.W) else float)
         b = np.asarray(self.b, dtype=float)
         if W.ndim != 2 or b.shape != (W.shape[0],):
             raise ShapeMismatch(f"W {W.shape} incompatible with b {b.shape}")
@@ -69,12 +69,13 @@ class FflSpec:
         return self.W.shape[1]
 
 
-def ffl_forward(x: np.ndarray, spec: FflSpec) -> np.ndarray:
-    """f(Wx + b), evaluated exactly."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.in_dim,):
-        raise ShapeMismatch(f"expected input of dim {spec.in_dim}, got {x.shape}")
-    return spec.activation(spec.W @ x + spec.b)
+def ffl_forward(X: np.ndarray, spec: FflSpec) -> np.ndarray:
+    """f(Re(W x) + b) for each row x of ``X`` (..., d), evaluated exactly; one
+    matrix-vector product per row, so a row of a stack has its bits alone."""
+    X = np.asarray(X)
+    if X.shape[-1:] != (spec.in_dim,):
+        raise ShapeMismatch(f"expected input of dim {spec.in_dim}, got {X.shape}")
+    return spec.activation(((spec.W @ X[..., None])[..., 0] + spec.b).real)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ class UrfDraws:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    entries: np.ndarray  # complex, (total_features,)
+    entries: np.ndarray  # complex, (total_features,) or (..., total_features)
     layout: tuple[tuple[str, int, int], ...]
 
 
@@ -358,9 +358,10 @@ def _lambda_exp(Z, blk, t, coef, quad):
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
-    """Input-side feature vector: ``phi_many`` of one row."""
+    """Input-side feature vector: ``phi_many`` of one row, or of a (..., d)
+    stack (entries (..., total_features))."""
     x = np.asarray(x)
-    if x.shape != (draws.dim,):
+    if x.shape[-1:] != (draws.dim,):
         raise ValueError(f"expected input of dim {draws.dim}, got {x.shape}")
     return FeatureVector(entries=phi_many(x, draws), layout=draws.layout)
 

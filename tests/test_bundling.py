@@ -15,6 +15,7 @@ from snnk.bundling import (
     bundled_flop_count,
     bundled_forward,
     bundled_param_count,
+    chain_features,
     closed_form_regression,
     default_ridge,
     error_propagation_bound,
@@ -115,6 +116,64 @@ class TestBundleFull:
             maes.append((np.mean(per_seed), np.std(per_seed, ddof=1) / math.sqrt(12)))
         for (hi, hi_se), (lo, lo_se) in zip(maes, maes[1:]):
             assert lo <= hi + math.hypot(hi_se, lo_se)
+
+
+def layer_serve_net(kind, seed):
+    """The 64-256-256-10 net (init std 0.8) of the layer-serve benchmark."""
+    return network([64, 256, 256, 10], [Activation(kind)] * 3, seed=seed, init_std=0.8)
+
+
+class TestBatchFirstForwards:
+    """A stack of probes equals the stacked single-probe calls, bit for bit."""
+
+    def _probes(self, seed):
+        return rng_for(seed, 1, 0, MISC_STREAM).uniform(-1.0, 1.0, (20, 64)) / 8.0
+
+    def _check(self, fn, P):
+        rows = np.array([fn(p) for p in P])
+        assert np.array_equal(fn(P), rows)
+        stacked = fn(P.reshape(2, 10, -1))
+        assert np.array_equal(stacked, rows.reshape(2, 10, *rows.shape[1:]))
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_rows_match_single_probes(self, seed):
+        net = layer_serve_net("sine", seed)
+        cfg = UrfConfig(m=128, A=0.0, seed=seed)
+        P = self._probes(seed)
+        once = bundle_once(net, cfg)  # complex prefix, absorbed complex weights
+        assert once.layers[0].W.dtype == complex
+        bn = bundle_full(net, cfg)
+        self._check(lambda X: network_forward(X, net), P)
+        self._check(lambda X: network_forward(X, once), P)
+        self._check(lambda X: chain_features(X, bn.stages), P)
+        self._check(lambda X: bundled_forward(X, bn), P)
+
+    def test_non_finite_w_bar_raises(self):
+        net = layer_serve_net("tanh", 1)
+        with pytest.raises(ValueError, match=r"bundling stage 2: \d+ of 2560 entries of W_bar"):
+            bundle_full(net, UrfConfig(m=128, A=0.0, seed=1))
+
+
+class TestNetworkWeights:
+    def _net(self, weights, biases):
+        return network([2, 2, 1], [Activation("sine")] * 2, weights=weights, biases=biases)
+
+    def test_given_weights_are_used(self):
+        W = [np.eye(2), np.ones((1, 2))]
+        b = [np.zeros(2), np.zeros(1)]
+        net = self._net(W, b)
+        assert all(np.array_equal(l.W, w) for l, w in zip(net.layers, W))
+        assert isinstance(net.layers[0], FflSpec)
+
+    @pytest.mark.parametrize("weights, biases, key", [
+        ([np.eye(2), np.ones((1, 2))], None, "biases"),
+        (None, [np.zeros(2), np.zeros(1)], "weights"),
+        ([np.eye(2)], [np.zeros(2), np.zeros(1)], "weights"),
+        ([np.eye(2), np.ones((1, 2))], [np.zeros(2)] * 3, "biases"),
+    ])
+    def test_mismatched_weights_name_the_key(self, weights, biases, key):
+        with pytest.raises(ShapeMismatch, match=f"^{key}: "):
+            self._net(weights, biases)
 
 
 class TestBundledForward:

@@ -221,6 +221,32 @@ class TestBundleCommand:
         assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: layers[1].out_dim: missing required key\n"
 
+    def test_weights_without_biases_name_the_key(self, tmp_path, capsys):
+        payload = dict(BUNDLE_CFG, weights=[np.ones((4, 3)).tolist(), np.ones((2, 4)).tolist()])
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: biases: ")
+
+    def test_too_few_weights_name_the_key(self, tmp_path, capsys):
+        payload = dict(BUNDLE_CFG, weights=[np.ones((4, 3)).tolist()],
+                       biases=[np.zeros(4).tolist(), np.zeros(2).tolist()])
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: weights: need one entry per layer")
+
+    def test_non_finite_w_bar_fails_cleanly(self, tmp_path, capsys):
+        payload = dict(
+            BUNDLE_CFG, input_dim=64, seed=4, urf={"m": 128}, probes=4,
+            layers=[{"out_dim": n, "activation": "tanh"} for n in (256, 256, 10)],
+        )
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bundling stage 2: 2560 of 2560 entries of W_bar are non-finite\n"
+        )
+        assert not out.exists()
+
 
 TRAIN_CFG = {
     "seed": 3,

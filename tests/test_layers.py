@@ -60,6 +60,34 @@ class TestFflForward:
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             FflSpec(W=np.zeros((2, 3)), b=np.zeros(3), activation=Activation("sine"))
+        with pytest.raises(ShapeMismatch):
+            ffl_forward(np.zeros((4, 2)), FflSpec(W=np.zeros((2, 3)), b=np.zeros(2),
+                                                   activation=Activation("sine")))
+
+    def test_stack_rows_match_single_rows(self):
+        rng = rng_for(4, 0, 0, MISC_STREAM)
+        spec = FflSpec(W=rng.standard_normal((256, 64)) / 8, b=rng.standard_normal(256),
+                       activation=Activation("tanh"))
+        X = rng.uniform(-1.0, 1.0, (20, 64))
+        rows = np.array([ffl_forward(x, spec) for x in X])
+        assert np.array_equal(ffl_forward(X, spec), rows)
+        assert np.array_equal(ffl_forward(X.reshape(2, 10, 64), spec), rows.reshape(2, 10, 256))
+
+    def test_complex_weights_take_real_part(self):
+        rng = rng_for(5, 0, 0, MISC_STREAM)
+        W = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        b = rng.standard_normal(3)
+        spec = FflSpec(W=W, b=b, activation=Activation("sine"))
+        assert spec.W.dtype == complex
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert np.array_equal(ffl_forward(z, spec), np.sin((W @ z).real + b))
+
+    def test_non_finite_weights_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+            W = np.zeros((2, 3), dtype=type(bad))
+            W[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                FflSpec(W=W, b=np.zeros(2), activation=Activation("sine"))
 
 
 class TestSnnkLayer:
