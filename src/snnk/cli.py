@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -223,8 +223,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_json(args.config)
-    base = _estimate_config_from(raw.get("base", {}), args.seed)
+    raw = _known(_load_json(args.config), ("axis", "values", "base"))
+    base = _estimate_config_from(raw.get("base", {}), args.seed, section="base")
     merged = run_sweep(_require(raw, "axis"), _require(raw, "values"), base)
     rows = []
     for value, report in merged:
@@ -239,7 +239,7 @@ FT_TABLE_HEADER = [
 
 
 def _cmd_ft_table(args) -> int:
-    raw = _load_json(args.config) if args.config else {}
+    raw = _known(_load_json(args.config) if args.config else {}, ("activations",))
     names = raw.get("activations", ["sine", "cosine", "tanh", "sigmoid"])
     rows = []
     for name in names:
@@ -279,28 +279,31 @@ BUNDLE_HEADER = [
 
 
 def _cmd_bundle(args) -> int:
-    raw = _load_json(args.config)
+    raw = _known(_load_json(args.config), (
+        "input_dim", "layers", "weights", "biases", "seed", "init_std", "urf", "probes",
+    ))
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     dims = [_conf(raw, "input_dim", int)]
     acts = []
     for i, l in enumerate(_require(raw, "layers")):
+        _known(l, ("out_dim", "activation"), f"layers[{i}]")
         dims.append(_conf(l, "out_dim", int, section=f"layers[{i}]"))
         acts.append(Activation(_require(l, "activation", f"layers[{i}]")))
     weights = raw.get("weights")
     biases = raw.get("biases")
     net = network(
         dims, acts, weights=weights, biases=biases,
-        seed=seed, init_std=float(raw.get("init_std", 1.0)),
+        seed=seed, init_std=_conf(raw, "init_std", float, 1.0),
     )
-    urf_raw = raw.get("urf", {})
+    urf_raw = _known(raw.get("urf", {}), ("m", "A"), "urf")
     cfg = UrfConfig(
-        m=int(urf_raw.get("m", 128)),
-        A=float(urf_raw.get("A", 0.0)),
+        m=_conf(urf_raw, "m", int, 128, "urf"),
+        A=_conf(urf_raw, "A", float, 0.0, "urf"),
         seed=derive_seed(seed, 500),
     )
     bundled = bundle_full(net, cfg)
 
-    n_probes = int(raw.get("probes", 16))
+    n_probes = _conf(raw, "probes", int, 16)
     rng = rng_for(seed, 501, 0, MISC_STREAM)
     probes = rng.uniform(-1.0, 1.0, (n_probes, net.input_dim))
     err = np.abs(bundled_forward(probes, bundled) - network_forward(probes, net))
@@ -331,9 +334,10 @@ TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
 
 
 def _cmd_train(args) -> int:
-    raw = _load_json(args.config)
+    raw = _known(_load_json(args.config), ("seed", "data", "layer", "train"))
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    data_raw = _require(raw, "data")
+    data_raw = _known(_require(raw, "data"), ("n", "d", "k", "separation", "validation_frac"),
+                      "data")
     d = _conf(data_raw, "d", int, section="data")
     k = _conf(data_raw, "k", int, section="data")
     full = generate_blobs(
@@ -346,9 +350,13 @@ def _cmd_train(args) -> int:
         seed=derive_seed(seed, 601),
     )
 
-    layer_raw = _require(raw, "layer")
+    layer_raw = _known(_require(raw, "layer"),
+                       ("kind", "out_dim", "features", "activation", "m", "A"), "layer")
     out_dim = _conf(layer_raw, "out_dim", int, 16, section="layer")
-    if layer_raw.get("kind", "relu") == "relu":
+    kind = layer_raw.get("kind", "relu")
+    if kind not in ("relu", "urf"):
+        raise ValueError(f"layer.kind: expected 'relu' or 'urf', got {kind!r}")
+    if kind == "relu":
         from .layers import relu_feature_map
 
         fmap = relu_feature_map(d, _conf(layer_raw, "features", int, 32, section="layer"),
@@ -370,7 +378,9 @@ def _cmd_train(args) -> int:
     layer = make_learnable_layer(fmap, out_dim, seed=derive_seed(seed, 604))
     head = make_head(k, out_dim, seed=derive_seed(seed, 605))
 
-    t_raw = raw.get("train", {})
+    t_raw = _known(raw.get("train", {}), (
+        "learning_rate", "epochs", "batch_size", "loss", "l2", "momentum",
+    ), "train")
     cfg = TrainConfig(
         learning_rate=_conf(t_raw, "learning_rate", float, 0.05, section="train"),
         epochs=_conf(t_raw, "epochs", int, 20, section="train"),
@@ -403,13 +413,27 @@ _EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integer
 _REQUIRED = object()
 
 
+def _key_name(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+def _known(raw: dict, keys, section: str = "") -> dict:
+    """``raw``, once checked to hold no key outside ``keys``: a mistyped
+    optional key raises a ValueError naming it instead of being ignored."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section or 'config'}: expected an object, got {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{_key_name(section, key)}: unknown key")
+    return raw
+
+
 def _require(raw: dict, key: str, section: str = ""):
     """``raw[key]``; a missing key raises a ValueError naming it."""
     try:
         return raw[key]
     except KeyError:
-        name = f"{section}.{key}" if section else key
-        raise ValueError(f"{name}: missing required key") from None
+        raise ValueError(f"{_key_name(section, key)}: missing required key") from None
 
 
 def _conf(raw: dict, key: str, convert, default=_REQUIRED, section: str = ""):
@@ -420,22 +444,25 @@ def _conf(raw: dict, key: str, convert, default=_REQUIRED, section: str = ""):
     try:
         return convert(value)
     except (TypeError, ValueError):
-        name = f"{section}.{key}" if section else key
-        raise ValueError(f"{name}: expected {_EXPECTED[convert]}, got {value!r}") from None
+        raise ValueError(
+            f"{_key_name(section, key)}: expected {_EXPECTED[convert]}, got {value!r}"
+        ) from None
 
 
-def _estimate_config_from(raw: dict, seed_override) -> EstimateConfig:
+def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
+    _known(raw, {f.name for f in fields(EstimateConfig)}, section)
     cfg = EstimateConfig(
         activation=raw.get("activation", "sine"),
-        d=_conf(raw, "d", int, 200),
-        l=_conf(raw, "l", int, 1),
-        bias=_conf(raw, "bias", float, 0.5),
-        feature_counts=_conf(raw, "feature_counts", _int_list, (8, 16, 32, 64, 128, 256, 512)),
-        instantiations=_conf(raw, "instantiations", int, 100),
-        A=_conf(raw, "A", float, 0.0),
+        d=_conf(raw, "d", int, 200, section),
+        l=_conf(raw, "l", int, 1, section),
+        bias=_conf(raw, "bias", float, 0.5, section),
+        feature_counts=_conf(raw, "feature_counts", _int_list,
+                             (8, 16, 32, 64, 128, 256, 512), section),
+        instantiations=_conf(raw, "instantiations", int, 100, section),
+        A=_conf(raw, "A", float, 0.0, section),
         strategy=raw.get("strategy", "iid"),
-        block_size=_conf(raw, "block_size", int, 0),
-        seed=_conf(raw, "seed", int, 1),
+        block_size=_conf(raw, "block_size", int, 0, section),
+        seed=_conf(raw, "seed", int, 1, section),
     )
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)

@@ -23,6 +23,13 @@ over the per-block constants cached in ``UrfDraws.terms``.  It forms each
 g.z as one matrix-vector product per row of a (..., d) stack, so row i of
 ``phi_many``/``psi_many`` is bit-identical to ``phi``/``psi`` of that row,
 which are the same calls without a leading axis.
+
+There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
+reads each component's frequencies and Gaussians off its own (seed, axis,
+XI/G) streams.  With ``n`` given, every block array carries a leading (n,)
+axis of instantiations; the towers and ``kernel_estimate_complex`` then
+return one row per instantiation, each equal to the single-set path over
+that instantiation's slice of the draws.
 """
 
 from __future__ import annotations
@@ -127,7 +134,7 @@ class UrfConfig:
 class AxisDraws:
     """Sampled (xi_i, g_i) pairs and importance ratios for one component.
 
-    The arrays may carry a leading instantiation axis (``sample_draws_batch``).
+    The arrays may carry a leading instantiation axis (``sample_draws(..., n)``).
     ``g_complex``, a complex copy of ``g``, is built lazily and cached on
     the instance, only once a complex input or weight row meets this block
     (bundled stages after the first).  The draw arrays must not be modified
@@ -170,7 +177,8 @@ class UrfDraws:
 
     ``layout`` and ``terms`` (one ``LambdaTerms`` per block, read by both
     towers) are computed once per draw set, on first use.  Block arrays may
-    carry a leading instantiation axis (``BatchUrfDraws``); so do the terms.
+    carry a leading (n,) instantiation axis (``sample_draws(..., n)``); so
+    do the terms.
     """
 
     dim: int
@@ -258,34 +266,31 @@ def _sample_xi(component, proposal, n_xi, rng):
     raise ProposalMismatch(f"unknown proposal {proposal!r}")
 
 
-def _axis_block(component, dim, cfg, sub=0, fixed_xi=None, fixed_ratio=None):
+def _axis_block(component, dim, cfg, n=None, sub=0, atom=None):
+    """(xi, ratio, g) for one component: ``n`` instantiations stacked on a
+    leading axis, or one set when ``n`` is None.  ``atom=(loc, prob)`` fixes
+    every frequency at that atom (per-atom concatenation); otherwise the
+    frequencies are drawn from the component's proposal."""
     axis_id = AXIS_ID[component.axis]
-    m = cfg.m
-    if fixed_xi is not None:
-        xi = np.full(m, fixed_xi)
-        ratio = np.full(m, fixed_ratio)
+    shape = (cfg.m,) if n is None else (n, cfg.m)
+    if atom is not None:
+        xi, ratio = np.full(shape, atom[0]), np.full(shape, atom[1])
     else:
+        reps = cfg.block_size if cfg.strategy == "block" else 1
         rng_xi = rng_for(cfg.seed, axis_id, sub, XI_STREAM)
         proposal = cfg.proposal_for(component)
-        if cfg.strategy == "block":
-            n_xi = m // cfg.block_size
-            xi, ratio = _sample_xi(component, proposal, n_xi, rng_xi)
-            xi = np.repeat(xi, cfg.block_size)
-            ratio = np.repeat(ratio, cfg.block_size)
-        else:
-            xi, ratio = _sample_xi(component, proposal, m, rng_xi)
-    g = rng_for(cfg.seed, axis_id, sub, G_STREAM).standard_normal((m, dim))
-    probs = ()
-    if component.is_atomic:
-        probs = tuple(w / component.mass for _, w in component.atoms)
+        drawn = _sample_xi(component, proposal, math.prod(shape) // reps, rng_xi)
+        xi, ratio = (a.reshape(shape[:-1] + (-1,)) for a in drawn)
+        if reps > 1:
+            xi, ratio = np.repeat(xi, reps, axis=-1), np.repeat(ratio, reps, axis=-1)
     return AxisDraws(
         axis=component.axis,
         sub=sub,
         c=complex(component.mass * _axis_phase(component.axis)),
         xi=xi,
-        g=g,
+        g=rng_for(cfg.seed, axis_id, sub, G_STREAM).standard_normal(shape + (dim,)),
         ratio=ratio,
-        atom_probs=probs,
+        atom_probs=tuple(w / component.mass for _, w in component.atoms),
     )
 
 
@@ -293,13 +298,21 @@ def _axis_phase(axis):
     return {"re+": 1.0, "re-": -1.0, "im+": 1j, "im-": -1j}[axis]
 
 
-def sample_draws(decomp: FourierDecomposition, dim: int, cfg: UrfConfig) -> UrfDraws:
+def sample_draws(
+    decomp: FourierDecomposition, dim: int, cfg: UrfConfig, n: int | None = None
+) -> UrfDraws:
     """Draw (xi_i, g_i) pairs for every active component.
 
     Deterministic in ``cfg.seed``; each component uses its own derived
     stream, so adding or removing components does not perturb the others.
+    With ``n`` given, every block array gains a leading (n,) axis of
+    independent instantiations, read off the same streams: ``n=1`` equals
+    the single set with a leading axis, and row i is an instantiation whose
+    ``phi``/``psi`` rows are bit-identical to those of the sliced draws.
     """
-    blocks = tuple(_axis_block(c, dim, cfg) for c in decomp.active())
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
+    blocks = tuple(_axis_block(c, dim, cfg, n) for c in decomp.active())
     return UrfDraws(dim=dim, config=cfg, blocks=blocks)
 
 
@@ -319,11 +332,7 @@ def atoms_concat_draws(
     blocks = []
     for comp in decomp.active():
         for k, (loc, w) in enumerate(comp.atoms):
-            blocks.append(
-                _axis_block(
-                    comp, dim, cfg, sub=k, fixed_xi=loc, fixed_ratio=w / comp.mass
-                )
-            )
+            blocks.append(_axis_block(comp, dim, cfg, sub=k, atom=(loc, w / comp.mass)))
     return UrfDraws(dim=dim, config=cfg, blocks=tuple(blocks))
 
 
@@ -401,15 +410,22 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
     ], axis=-1)
 
 
-def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float:
+def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
     """Re of the bilinear feature dot product (the estimator proper)."""
     return kernel_estimate_complex(px, pw).real
 
 
-def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex:
-    """Full bilinear product; the imaginary part is a sampling diagnostic."""
+def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex | np.ndarray:
+    """Full bilinear product; the imaginary part is a sampling diagnostic.
+
+    Feature rows with leading axes (stacked inputs, or draws from
+    ``sample_draws(..., n)``) give one product per row, each formed as one
+    (1, M) @ (M, 1) product, so a row equals that pair alone bit for bit.
+    One pair gives a Python complex.
+    """
     _like_layouts(px, pw)
-    return complex((pw.entries[None, :] @ px.entries)[0])
+    est = (pw.entries[..., None, :] @ px.entries[..., None])[..., 0, 0]
+    return complex(est) if est.ndim == 0 else est
 
 
 def atoms_concat_phi(x, decomp, cfg) -> FeatureVector:
@@ -429,12 +445,15 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
 
     sup over g of exp(A|g|^2) is 1, the g.z term is purely imaginary for
     real inputs, and -(z.z)/2 = 2 pi^2 xi^2 |x|^2, so the bound is the
-    prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.
+    prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.  Draws from
+    ``sample_draws(..., n)`` give one row of bounds per instantiation.
     """
     A = draws.config.A
     if A > 0:
         raise ValueError("bound requires A <= 0")
-    return np.concatenate([t.scale * np.exp(t.quad * max_norm_x**2) for t in draws.terms])
+    return np.concatenate(
+        [t.scale * np.exp(t.quad * max_norm_x**2) for t in draws.terms], axis=-1
+    )
 
 
 def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
@@ -442,7 +461,8 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
 
     Maximizing A t^2 + sqrt(1-4A) t R - R^2/2 over t = |g| gives the
     exponent (1-4A) R^2 / (4|A|) - R^2/2; |exp(2 pi i xi b)| = 1 for any
-    real bias, and the drawn importance ratio enters linearly.
+    real bias, and the drawn importance ratio enters linearly.  Batched
+    draws give one row of bounds per instantiation.
     """
     A = draws.config.A
     if A >= 0:
@@ -452,59 +472,18 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
     return np.concatenate([
         t.scale * abs(blk.c) * blk.ratio * math.exp(exponent)
         for blk, t in zip(draws.blocks, draws.terms)
-    ])
+    ], axis=-1)
 
 
-def per_term_bound(draws: UrfDraws, max_norm_x: float, max_norm_w: float) -> float:
+def per_term_bound(
+    draws: UrfDraws, max_norm_x: float, max_norm_w: float
+) -> float | np.ndarray:
     """Bound on one averaged estimator term |m * phi_i * psi_i| summed
     over components; usable as the bounded-increment constant in
-    concentration bounds."""
+    concentration bounds.  Batched draws give one bound per instantiation."""
     bphi = phi_entry_bound(draws, max_norm_x)
     bpsi = psi_entry_bound(draws, max_norm_w)
     ends = np.cumsum([n for _, _, n in draws.layout])[:-1]
-    return float(sum(draws.config.m * np.max(p) for p in np.split(bphi * bpsi, ends)))
-
-
-# ---------------------------------------------------------------------------
-# batched instantiations
-
-
-@dataclass(frozen=True)
-class BatchUrfDraws(UrfDraws):
-    """``n`` instantiations stacked on a leading axis of every block array."""
-
-    n: int
-
-
-def sample_draws_batch(
-    decomp: FourierDecomposition, dim: int, cfg: UrfConfig, n: int
-) -> BatchUrfDraws:
-    """``n`` independent instantiations drawn in one shot.
-
-    Equivalent in distribution to ``n`` calls of sample_draws with derived
-    seeds; the batch shares one stream per component, so it is its own
-    deterministic scheme rather than a reshaping of the single-draw one.
-    """
-    blocks = []
-    for comp in decomp.active():
-        axis_id = AXIS_ID[comp.axis]
-        rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
-        proposal = cfg.proposal_for(comp)
-        reps = cfg.block_size if cfg.strategy == "block" else 1
-        xi, ratio = _sample_xi(comp, proposal, n * (cfg.m // reps), rng_xi)
-        xi = np.repeat(xi.reshape(n, -1), reps, axis=1)
-        ratio = np.repeat(ratio.reshape(n, -1), reps, axis=1)
-        g = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((n, cfg.m, dim))
-        c = complex(comp.mass * _axis_phase(comp.axis))
-        blocks.append(AxisDraws(axis=comp.axis, sub=0, c=c, xi=xi, g=g, ratio=ratio))
-    return BatchUrfDraws(dim=dim, config=cfg, blocks=tuple(blocks), n=n)
-
-
-def kernel_estimate_batch(
-    x: np.ndarray, w: np.ndarray, b: float, bdraws: BatchUrfDraws
-) -> np.ndarray:
-    """Complex estimator value per instantiation; (n,) array.
-
-    Row i is the bilinear product of ``phi`` and ``psi`` over instantiation
-    i's draws: ``kernel_estimate_complex`` up to summation order."""
-    return np.sum(phi_many(x, bdraws) * psi_many(w, b, bdraws), axis=-1)
+    pieces = np.split(bphi * bpsi, ends, axis=-1)
+    bound = sum(draws.config.m * np.max(p, axis=-1) for p in pieces)
+    return float(bound) if np.ndim(bound) == 0 else bound

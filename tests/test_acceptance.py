@@ -39,13 +39,12 @@ from snnk.layers import (
 from snnk.train import Dataset, TrainConfig, ffl_param_count, grad_check, make_head, make_learnable_layer
 from snnk.urf import (
     UrfConfig,
-    kernel_estimate_batch,
+    kernel_estimate,
     phi,
     phi_entry_bound,
     psi,
     psi_entry_bound,
     sample_draws,
-    sample_draws_batch,
 )
 
 
@@ -72,8 +71,8 @@ def test_criterion_01_unbiasedness_suite():
             w = unit_ball_point(rng, d)
             b = float(rng.uniform(-1, 1))
             target = float(act(np.dot(w, x) + b))
-            batch = sample_draws_batch(dec, d, UrfConfig(m=m, A=-0.1, seed=9000 + t), n_inst)
-            est = kernel_estimate_batch(x, w, b, batch).real
+            batch = sample_draws(dec, d, UrfConfig(m=m, A=-0.1, seed=9000 + t), n_inst)
+            est = kernel_estimate(phi(x, batch), psi(w, b, batch))
             se = est.std(ddof=1) / math.sqrt(n_inst)
             ok += abs(est.mean() - target) <= 3.0 * se
         passes[kind] = ok

@@ -79,6 +79,13 @@ class TestEstimateCommand:
         assert err.startswith("error: ")
         assert err == "error: feature_counts: expected a list of integers, got 5\n"
 
+    def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, instantiation=3))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: instantiation: unknown key\n"
+        assert not out.exists()
+
     def test_error_decays_across_octaves(self):
         report = run_pointwise(
             EstimateConfig(
@@ -156,6 +163,12 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_unknown_base_key_names_its_section(self, tmp_path, capsys):
+        payload = {"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, seeds=2)}
+        cfg = write_json(tmp_path / "sweep.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: base.seeds: unknown key\n"
+
     def test_missing_axis_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sweep.json", {"values": [1], "base": ESTIMATE_CFG})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
@@ -220,6 +233,25 @@ class TestBundleCommand:
         cfg = write_json(tmp_path / "bundle.json", payload)
         assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: layers[1].out_dim: missing required key\n"
+
+    def test_unknown_urf_key_names_its_section(self, tmp_path, capsys):
+        payload = dict(BUNDLE_CFG, urf={"m": 64, "shape": -0.1})
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: urf.shape: unknown key\n"
+        assert not out.exists()
+
+    def test_malformed_urf_value_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, urf={"m": "many"}))
+        assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: urf.m: expected an integer, got 'many'\n"
+
+    def test_unknown_layer_key_names_its_index(self, tmp_path, capsys):
+        layers = [BUNDLE_CFG["layers"][0], {"out_dim": 2, "activaton": "sine"}]
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=layers))
+        assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: layers[1].activaton: unknown key\n"
 
     def test_weights_without_biases_name_the_key(self, tmp_path, capsys):
         payload = dict(BUNDLE_CFG, weights=[np.ones((4, 3)).tolist(), np.ones((2, 4)).tolist()])
@@ -297,6 +329,31 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: data.n: missing required key\n"
         assert not out.exists()
+
+    def test_unknown_layer_key_names_its_section(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "train.json",
+            dict(TRAIN_CFG, layer=dict(TRAIN_CFG["layer"], feature=64)),
+        )
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: layer.feature: unknown key\n"
+        assert not out.exists()
+
+    def test_unknown_layer_kind_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "train.json",
+            dict(TRAIN_CFG, layer=dict(TRAIN_CFG["layer"], kind="rleu")),
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: layer.kind: expected 'relu' or 'urf', got 'rleu'\n"
+        )
+
+    def test_non_object_section_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "train.json", dict(TRAIN_CFG, train=[0.05]))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == "error: train: expected an object, got [0.05]\n"
 
     def test_urf_layer_variant(self, tmp_path):
         cfg_payload = dict(

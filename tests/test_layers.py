@@ -190,6 +190,18 @@ class TestReluFeatures:
         out = relu_snnk_features(np.array([1.0, -2.0]), np.eye(2))
         assert np.allclose(out, [1.0 / math.sqrt(2), 0.0], rtol=1e-15)
 
+    def test_stack_rows_match_single_rows(self):
+        G = rng_for(8, 0, 0, MISC_STREAM).standard_normal((32, 5))
+        V = rng_for(9, 0, 0, MISC_STREAM).standard_normal((2, 7, 5))
+        out = relu_snnk_features(V, G)
+        assert out.shape == (2, 7, 32)
+        for i in range(2):
+            for j in range(7):
+                assert np.array_equal(out[i, j], relu_snnk_features(V[i, j], G))
+        assert relu_feature_map(5, 32, seed=4).features(V).shape == (2, 7, 32)
+        with pytest.raises(ShapeMismatch):
+            relu_snnk_features(np.zeros((3, 4)), G)
+
     def test_kernel_expectation_matches_first_order_arc_cosine(self):
         rng = rng_for(7, 0, 0, MISC_STREAM)
         x = rng.standard_normal(4)

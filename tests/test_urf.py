@@ -20,9 +20,9 @@ from snnk.urf import (
     atoms_concat_phi,
     atoms_concat_psi,
     kernel_estimate,
-    kernel_estimate_batch,
     kernel_estimate_complex,
     lambda_feature,
+    per_term_bound,
     phi,
     phi_entry_bound,
     phi_many,
@@ -30,10 +30,17 @@ from snnk.urf import (
     psi_entry_bound,
     psi_many,
     sample_draws,
-    sample_draws_batch,
 )
 
 XI0 = 1.0 / (2.0 * math.pi)
+
+
+def instantiation(bd, i):
+    """Draw set i of a batched draw set, as a single set."""
+    blocks = tuple(
+        dataclasses.replace(b, xi=b.xi[i], g=b.g[i], ratio=b.ratio[i]) for b in bd.blocks
+    )
+    return UrfDraws(dim=bd.dim, config=bd.config, blocks=blocks)
 
 
 def zeroed_g(draws):
@@ -84,6 +91,29 @@ class TestSampleDraws:
             # ratio times |c| recovers the atom weight
             assert np.all(blk.ratio * abs(blk.c) == 0.5)
             assert blk.atom_probs == (1.0,)
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("tanh", UrfConfig(m=8, seed=3)),  # density components, grid proposal
+        ("tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=3)),
+        ("tanh", UrfConfig(m=8, seed=3, proposals=(("im+", GaussianProposal(1.0)),))),
+        ("cosine", UrfConfig(m=8, seed=4)),  # two atoms, categorical draw
+        ("sine", UrfConfig(m=8, seed=4)),  # one atom per component
+    ])
+    def test_one_instantiation_is_the_single_set(self, kind, cfg):
+        dec = decomposition_for(Activation(kind))
+        single = sample_draws(dec, 3, cfg)
+        batch = sample_draws(dec, 3, cfg, 1)
+        assert batch.layout == single.layout
+        for s_blk, b_blk in zip(single.blocks, batch.blocks, strict=True):
+            assert (b_blk.axis, b_blk.sub, b_blk.c) == (s_blk.axis, s_blk.sub, s_blk.c)
+            assert b_blk.atom_probs == s_blk.atom_probs
+            for name in ("xi", "g", "ratio"):
+                assert np.array_equal(getattr(b_blk, name), getattr(s_blk, name)[None])
+
+    def test_instantiation_count_must_be_positive(self):
+        dec = decomposition_for(Activation("sine"))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_draws(dec, 3, UrfConfig(m=4), 0)
 
     def test_block_strategy_reuses_xi(self):
         dec = decomposition_for(Activation("tanh"))
@@ -289,9 +319,9 @@ class TestKernelEstimate:
 
     def test_unbiasedness_probe_at_half_pi(self):
         dec = decomposition_for(Activation("sine"))
-        bd = sample_draws_batch(dec, 4, UrfConfig(m=8, seed=3), 100_000)
-        est = kernel_estimate_batch(np.zeros(4), np.zeros(4), math.pi / 2, bd)
-        se = est.real.std(ddof=1) / math.sqrt(bd.n)
+        bd = sample_draws(dec, 4, UrfConfig(m=8, seed=3), 100_000)
+        est = kernel_estimate_complex(phi(np.zeros(4), bd), psi(np.zeros(4), math.pi / 2, bd))
+        se = est.real.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.real.mean() - 1.0) < 3 * se
 
     def test_sine_kernel_against_exact(self):
@@ -300,13 +330,13 @@ class TestKernelEstimate:
         w = rng.uniform(-0.35, 0.35, 8)
         b = 0.4
         dec = decomposition_for(Activation("sine"))
-        bd = sample_draws_batch(dec, 8, UrfConfig(m=32, seed=17), 2000)
-        est = kernel_estimate_batch(x, w, b, bd)
+        bd = sample_draws(dec, 8, UrfConfig(m=32, seed=17), 2000)
+        est = kernel_estimate_complex(phi(x, bd), psi(w, b, bd))
         target = math.sin(float(w @ x) + b)
-        se = est.real.std(ddof=1) / math.sqrt(bd.n)
+        se = est.real.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.real.mean() - target) < 3 * se
         # conjugate-pair symmetry: imaginary diagnostic centered at zero
-        im_se = est.imag.std(ddof=1) / math.sqrt(bd.n)
+        im_se = est.imag.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.imag.mean()) < 3 * im_se
 
     @pytest.mark.parametrize("kind", ["sine", "tanh"])
@@ -315,17 +345,18 @@ class TestKernelEstimate:
         rng = rng_for(22, 0, 0, MISC_STREAM)
         x = rng.uniform(-0.4, 0.4, 5)
         w = rng.uniform(-0.4, 0.4, 5)
-        bd = sample_draws_batch(dec, 5, UrfConfig(m=16, A=-0.1, seed=23), 20)
-        est = kernel_estimate_batch(x, w, 0.3, bd)
-        for i in range(bd.n):
-            blocks = tuple(
-                dataclasses.replace(b, xi=b.xi[i], g=b.g[i], ratio=b.ratio[i])
-                for b in bd.blocks
-            )
-            d_i = UrfDraws(dim=bd.dim, config=bd.config, blocks=blocks)
+        bd = sample_draws(dec, 5, UrfConfig(m=16, A=-0.1, seed=23), 20)
+        fx, fw = phi(x, bd), psi(w, 0.3, bd)
+        est = kernel_estimate_complex(fx, fw)
+        assert est.shape == (20,)
+        for i in range(len(est)):
+            d_i = instantiation(bd, i)
             px, pw = phi(x, d_i), psi(w, 0.3, d_i)
-            scale = np.sum(np.abs(px.entries * pw.entries))
-            assert abs(est[i] - kernel_estimate_complex(px, pw)) <= 1e-12 * scale
+            assert np.array_equal(fx.entries[i], px.entries)
+            assert np.array_equal(fw.entries[i], pw.entries)
+            assert est[i] == kernel_estimate_complex(px, pw)
+            # the single-pair product as one matrix-vector product
+            assert est[i] == (pw.entries[None, :] @ px.entries)[0]
 
     def test_single_path_matches_batched_distribution(self):
         dec = decomposition_for(Activation("cosine"))
@@ -398,10 +429,10 @@ class TestInvariants:
         x = rng.uniform(-0.3, 0.3, 6)
         w = rng.uniform(-0.3, 0.3, 6)
         b = 0.25
-        bd = sample_draws_batch(dec, 6, UrfConfig(m=32, A=-0.05, seed=101), 10_000)
-        est = kernel_estimate_batch(x, w, b, bd).real
+        bd = sample_draws(dec, 6, UrfConfig(m=32, A=-0.05, seed=101), 10_000)
+        est = kernel_estimate(phi(x, bd), psi(w, b, bd))
         target = float(a(np.dot(w, x) + b))
-        se = est.std(ddof=1) / math.sqrt(bd.n)
+        se = est.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.mean() - target) < 3 * se
 
     def test_variance_scales_inversely_with_m(self):
@@ -412,8 +443,8 @@ class TestInvariants:
         ms = np.array([8, 16, 32, 64, 128, 256, 512])
         variances = []
         for i, m in enumerate(ms):
-            bd = sample_draws_batch(dec, 8, UrfConfig(m=int(m), seed=200 + i), 400)
-            variances.append(kernel_estimate_batch(x, w, 0.5, bd).real.var(ddof=1))
+            bd = sample_draws(dec, 8, UrfConfig(m=int(m), seed=200 + i), 400)
+            variances.append(kernel_estimate(phi(x, bd), psi(w, 0.5, bd)).var(ddof=1))
         slope = np.polyfit(np.log(ms), np.log(variances), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
@@ -431,6 +462,20 @@ class TestInvariants:
             fw = psi(w, b, draws)
             assert np.all(np.abs(fx.entries) <= phi_entry_bound(draws, 1.0) + 1e-12)
             assert np.all(np.abs(fw.entries) <= psi_entry_bound(draws, 1.0) + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["sine", "tanh"])
+    def test_bounds_of_batched_draws_match_each_instantiation(self, kind):
+        dec = decomposition_for(Activation(kind))
+        bd = sample_draws(dec, 4, UrfConfig(m=16, A=-0.1, seed=41), 3)
+        bphi, bpsi = phi_entry_bound(bd, 1.0), psi_entry_bound(bd, 1.0)
+        total = per_term_bound(bd, 1.0, 1.0)
+        assert bphi.shape == bpsi.shape == (3, bd.total_features)
+        assert total.shape == (3,)
+        for i in range(3):
+            d_i = instantiation(bd, i)
+            assert np.array_equal(bphi[i], phi_entry_bound(d_i, 1.0))
+            assert np.array_equal(bpsi[i], psi_entry_bound(d_i, 1.0))
+            assert total[i] == per_term_bound(d_i, 1.0, 1.0)
 
     def test_bound_requires_negative_shape(self):
         dec = decomposition_for(Activation("sine"))
