@@ -183,6 +183,8 @@ class SnnkLayer:
                 f"A {self.A.shape} incompatible with feature length "
                 f"{self.feature_map.total_features}"
             )
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A has non-finite entries")
 
     @property
     def out_dim(self) -> int:

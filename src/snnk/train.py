@@ -215,7 +215,8 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     split, loss, accuracy), evaluated before training and after each epoch.
     Raises DivergenceDetected if the training loss is non-finite, the
     initial one included, or passes 10x its starting value; a non-finite
-    mini-batch loss raises at once, before that batch's step.
+    mini-batch loss raises at once, before that batch's step, and so does
+    a non-finite entry of A at the end of an epoch.
     """
     if not layer.learnable:
         raise ValueError("layer is not in learnable mode")
@@ -263,6 +264,8 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
                     vb = cfg.momentum * vb - cfg.learning_rate * gb
                     headW = headW + vW
                     headb = headb + vb
+        if not np.all(np.isfinite(A)):
+            raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
         lay, hd = snapshot()
         loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats)
         history.append((epoch, "train", loss_value, acc))

@@ -115,8 +115,8 @@ class UrfConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.A > 0:
-            raise ValueError("A must be <= 0")
+        if not (math.isfinite(self.A) and self.A <= 0):
+            raise ValueError(f"A must be finite and <= 0, got {self.A}")
         if self.strategy not in ("iid", "block"):
             raise ValueError("strategy must be 'iid' or 'block'")
         if self.strategy == "block":

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnk.activations import (
+    _trapezoid_ft,
     AtomicFT,
     Activation,
     QuadratureNonConvergent,
@@ -162,6 +163,24 @@ class TestNumericFT:
         grid = np.linspace(-4, 4, 33)
         with pytest.raises(QuadratureNonConvergent):
             numeric_ft(Activation("tanh"), grid, step=2.0, rtol=1e-14)
+
+    # 121 = 11^2 fills every block; 97 is prime, so the samples are
+    # zero-padded (97 < 10^2); 90 leaves fewer blocks (9) than block
+    # length (10); 2 is the shortest quadrature
+    @pytest.mark.parametrize("n", [121, 97, 90, 2])
+    @pytest.mark.parametrize("gapped", [False, True])
+    def test_blocked_sum_matches_dense_reference(self, n, gapped):
+        z = np.linspace(-6.0, 6.0, n)
+        fz = np.tanh(z) + 0.3 * np.cos(3.0 * z)
+        grid = np.linspace(-3.0, 3.0, 61)
+        if gapped:
+            grid = grid[np.abs(grid) > 0.4]
+        weights = np.full(n, z[1] - z[0])
+        weights[0] = weights[-1] = weights[0] / 2.0
+        dense = np.exp(-2j * math.pi * np.outer(grid, z)) @ (weights * fz)
+        blocked = _trapezoid_ft(z, fz, grid)
+        assert blocked.shape == dense.shape
+        assert np.max(np.abs(blocked - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import snnk
 from snnk.cli import (
     ESTIMATE_HEADER,
     EstimateConfig,
@@ -31,6 +35,16 @@ def run_twice_and_compare(argv_base, tmp_path, name):
     assert main(argv_base + ["--out", str(out4), "--threads", "4"]) == 0
     assert out1.read_bytes() == out4.read_bytes()
     return out1
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs most of the import; only the quadrature
+    # reconstruction of a closed-form density needs it
+    src = os.path.dirname(os.path.dirname(snnk.__file__))
+    code = "import sys, snnk.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 ESTIMATE_CFG = {
@@ -84,6 +98,16 @@ class TestEstimateCommand:
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: instantiation: unknown key\n"
+        assert not out.exists()
+
+    def test_non_finite_shape_parameter_fails_cleanly(self, tmp_path, capsys):
+        # json reads the bare NaN token as a float
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps(dict(ESTIMATE_CFG, A=math.nan)))
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: A must be finite and <= 0, got nan\n"
         assert not out.exists()
 
     def test_error_decays_across_octaves(self):

@@ -131,6 +131,14 @@ class TestSnnkLayer:
         layer = SnnkLayer(feature_map=fmap, A=np.zeros((2, 8), dtype=complex))
         assert np.array_equal(snnk_forward(np.ones(3), layer), np.zeros(2))
 
+    def test_non_finite_feature_weights_rejected(self):
+        fmap = urf_feature_map(Activation("sine"), 3, UrfConfig(m=4, seed=1))
+        one_inf = np.zeros((2, 8), dtype=complex)
+        one_inf[1, 5] = math.inf
+        for A in (one_inf, np.full((2, 8), math.nan)):
+            with pytest.raises(ValueError, match="non-finite"):
+                SnnkLayer(feature_map=fmap, A=A)
+
     def test_derived_rows_equal_kernel_estimates(self):
         rng = rng_for(4, 0, 0, MISC_STREAM)
         spec = FflSpec(

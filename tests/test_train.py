@@ -146,6 +146,24 @@ class TestFitA:
         assert all(math.isfinite(v) for v in losses[:-1])
         assert not math.isfinite(losses[-1])
 
+    def test_non_finite_A_after_last_batch_is_divergence(self, monkeypatch):
+        # one batch per epoch: the step that breaks A is followed by the
+        # epoch's snapshot, not by another batch loss
+        rng = rng_for(48, 0, 0, MISC_STREAM)
+        fmap = relu_feature_map(4, 8, seed=49)
+        data = Dataset(X=rng.standard_normal((30, 4)), Y=rng.standard_normal((30, 2)))
+        layer = make_learnable_layer(fmap, 2, seed=50)
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=30, loss="mse", seed=0)
+        real_grads = train_module._grads
+
+        def nan_gradient(*args, **kwargs):
+            loss, gA, gW, gb = real_grads(*args, **kwargs)
+            return loss, np.full_like(gA, math.nan), gW, gb
+
+        monkeypatch.setattr(train_module, "_grads", nan_gradient)
+        with pytest.raises(DivergenceDetected, match="A has non-finite entries at epoch 1"):
+            fit_A(layer, None, data, cfg)
+
     def test_non_finite_initial_loss_is_divergence(self):
         fmap = relu_feature_map(4, 8, seed=49)
         layer = make_learnable_layer(fmap, 2, seed=50)

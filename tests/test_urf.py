@@ -155,8 +155,9 @@ class TestSampleDraws:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             UrfConfig(m=0)
-        with pytest.raises(ValueError):
-            UrfConfig(m=4, A=0.5)
+        for A in (0.5, math.nan, -math.inf, math.inf):
+            with pytest.raises(ValueError, match="A must be finite"):
+                UrfConfig(m=4, A=A)
         with pytest.raises(ValueError):
             UrfConfig(m=4, strategy="block", block_size=3)
 
