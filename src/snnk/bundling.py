@@ -22,8 +22,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._seeds import MISC_STREAM, derive_seed, rng_for
 from .activations import Activation, UnsupportedClosedForm
-from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward
+from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward, urf_feature_map
 from .urf import UrfConfig, phi, psi_many
 
 STAGE_KEY = 777
@@ -82,8 +83,6 @@ def network(dims: Sequence[int], activations: Sequence[Activation], weights=None
             biases=None, seed: int = 0, init_std: float = 1.0) -> LayeredNetwork:
     """Build a plain network; random Gaussian init unless weights and biases
     are given, one entry per layer each."""
-    from ._seeds import MISC_STREAM, rng_for
-
     n_layers = len(dims) - 1
     if len(activations) != n_layers:
         raise ShapeMismatch("need one activation per layer")
@@ -143,17 +142,9 @@ class BundledNetwork:
 # bundling
 
 
-def _stage_seed(base: int, stage: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(base) & (2**64 - 1),
-                                spawn_key=(STAGE_KEY, stage))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _stage_feature_map(activation, dim, cfg, stage):
     # each stage gets its own derived seed so stage draws are independent
-    from .layers import urf_feature_map
-
-    staged = replace(cfg, seed=_stage_seed(cfg.seed, stage))
+    staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, stage))
     try:
         return urf_feature_map(activation, dim, staged)
     except UnsupportedClosedForm as exc:
@@ -201,8 +192,6 @@ def bundle_full(
     One config is reseeded per stage, exactly as repeated ``bundle_once``;
     a list gives each layer its own config, used as is.
     """
-    from .layers import urf_feature_map
-
     if net.phi_prefix:
         raise ValueError("bundle_full expects an unbundled network")
     if isinstance(cfgs, UrfConfig):
@@ -303,8 +292,6 @@ def bundle_pooler_classifier(
     Returns the merged head, a ``FoldedAffine``, and the storage ratio
     (d*d + d*classes) / (M*classes) of the replaced pair.
     """
-    from .layers import urf_feature_map
-
     Wp = np.asarray(Wp, dtype=float)
     bp = np.asarray(bp, dtype=float)
     Wc = np.asarray(Wc, dtype=float)

@@ -30,7 +30,7 @@ from .bundling import (
     network_forward,
     network_param_count,
 )
-from .layers import arc_cosine_exact, relu_snnk_features, urf_feature_map
+from .layers import arc_cosine_exact, relu_feature_map, relu_snnk_features, urf_feature_map
 from .train import (
     Dataset,
     DivergenceDetected,
@@ -73,6 +73,8 @@ class EstimateConfig:
     seed: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if any(p < 1 for p in self.feature_counts):
             raise ValueError("feature counts must be >= 1")
         if self.instantiations < 2:
@@ -212,20 +214,96 @@ def _estimate_csv_rows(report: EstimateReport, sweep_value: str = ""):
 
 
 # ---------------------------------------------------------------------------
+# config plumbing
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+_REQUIRED = object()
+
+
+def _as_is(value):
+    return value
+
+
+def _int_list(value) -> tuple[int, ...]:
+    # operator.index rejects floats and strings, so "816" cannot pass as (8, 1, 6)
+    return tuple(operator.index(p) for p in value)
+
+
+def _layer_kind(value) -> str:
+    if value not in ("relu", "urf"):
+        raise ValueError(value)
+    return value
+
+
+_EXPECTED = {
+    int: "an integer", float: "a number", _int_list: "a list of integers",
+    _layer_kind: "'relu' or 'urf'",
+}
+
+
+def _key_name(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+def _read(raw: dict, keys: dict, section: str = "") -> dict:
+    """The config section ``raw`` with defaults applied: ``keys`` maps each
+    key to ``(convert, default)``, ``default`` being ``_REQUIRED`` for a key
+    that must be given.  An unknown key, a missing required key or a value
+    that ``convert`` rejects raises a ValueError naming the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section or 'config'}: expected an object, got {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{_key_name(section, key)}: unknown key")
+    conf = {}
+    for key, (convert, default) in keys.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ValueError(f"{_key_name(section, key)}: missing required key")
+            conf[key] = default
+            continue
+        try:
+            conf[key] = convert(raw[key])
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+            raise ValueError(
+                f"{_key_name(section, key)}: expected {_EXPECTED[convert]}, got {raw[key]!r}"
+            ) from None
+    return conf
+
+
+# EstimateConfig's own fields and defaults; the annotation picks the conversion
+_CONVERT = {"str": _as_is, "int": int, "float": float, "tuple[int, ...]": _int_list}
+ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateConfig)}
+
+
+def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
+    cfg = EstimateConfig(**_read(raw, ESTIMATE_KEYS, section))
+    return cfg if seed_override is None else replace(cfg, seed=seed_override)
+
+
+# ---------------------------------------------------------------------------
 # subcommand drivers
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_estimate_config(args)
-    report = run_pointwise(cfg)
+    raw = _load_json(args.config) if args.config else {}
+    report = run_pointwise(_estimate_config_from(raw, args.seed))
     _write_csv(args.out, ESTIMATE_HEADER, _estimate_csv_rows(report))
     return 0
 
 
+SWEEP_KEYS = {"axis": (_as_is, _REQUIRED), "values": (_as_is, _REQUIRED), "base": (_as_is, {})}
+
+
 def _cmd_sweep(args) -> int:
-    raw = _known(_load_json(args.config), ("axis", "values", "base"))
-    base = _estimate_config_from(raw.get("base", {}), args.seed, section="base")
-    merged = run_sweep(_require(raw, "axis"), _require(raw, "values"), base)
+    conf = _read(_load_json(args.config), SWEEP_KEYS)
+    base = _estimate_config_from(conf["base"], args.seed, section="base")
+    merged = run_sweep(conf["axis"], conf["values"], base)
     rows = []
     for value, report in merged:
         rows.extend(_estimate_csv_rows(report, sweep_value=value))
@@ -236,13 +314,13 @@ def _cmd_sweep(args) -> int:
 FT_TABLE_HEADER = [
     "activation", "xi", "re", "im", "re_plus", "re_minus", "im_plus", "im_minus",
 ]
+FT_TABLE_KEYS = {"activations": (_as_is, ("sine", "cosine", "tanh", "sigmoid"))}
 
 
 def _cmd_ft_table(args) -> int:
-    raw = _known(_load_json(args.config) if args.config else {}, ("activations",))
-    names = raw.get("activations", ["sine", "cosine", "tanh", "sigmoid"])
+    conf = _read(_load_json(args.config) if args.config else {}, FT_TABLE_KEYS)
     rows = []
-    for name in names:
+    for name in conf["activations"]:
         dec = decomposition_for(Activation(name))
         # atomic rows carry atom weights; density rows carry density values
         for comp in dec.components:
@@ -276,36 +354,30 @@ BUNDLE_HEADER = [
     "layer_count_before", "layer_count_after",
     "params_before", "params_after", "probe_mae",
 ]
+BUNDLE_KEYS = {
+    "input_dim": (int, _REQUIRED), "layers": (_as_is, _REQUIRED), "weights": (_as_is, None),
+    "biases": (_as_is, None), "seed": (int, 0), "init_std": (float, 1.0), "urf": (_as_is, {}),
+    "probes": (int, 16),
+}
+BUNDLE_LAYER_KEYS = {"out_dim": (int, _REQUIRED), "activation": (_as_is, _REQUIRED)}
+BUNDLE_URF_KEYS = {"m": (int, 128), "A": (float, 0.0)}
 
 
 def _cmd_bundle(args) -> int:
-    raw = _known(_load_json(args.config), (
-        "input_dim", "layers", "weights", "biases", "seed", "init_std", "urf", "probes",
-    ))
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    dims = [_conf(raw, "input_dim", int)]
-    acts = []
-    for i, l in enumerate(_require(raw, "layers")):
-        _known(l, ("out_dim", "activation"), f"layers[{i}]")
-        dims.append(_conf(l, "out_dim", int, section=f"layers[{i}]"))
-        acts.append(Activation(_require(l, "activation", f"layers[{i}]")))
-    weights = raw.get("weights")
-    biases = raw.get("biases")
+    conf = _read(_load_json(args.config), BUNDLE_KEYS)
+    layers = [_read(l, BUNDLE_LAYER_KEYS, f"layers[{i}]") for i, l in enumerate(conf["layers"])]
+    urf_conf = _read(conf["urf"], BUNDLE_URF_KEYS, "urf")
+    seed = args.seed if args.seed is not None else conf["seed"]
     net = network(
-        dims, acts, weights=weights, biases=biases,
-        seed=seed, init_std=_conf(raw, "init_std", float, 1.0),
+        [conf["input_dim"]] + [l["out_dim"] for l in layers],
+        [Activation(l["activation"]) for l in layers],
+        weights=conf["weights"], biases=conf["biases"], seed=seed, init_std=conf["init_std"],
     )
-    urf_raw = _known(raw.get("urf", {}), ("m", "A"), "urf")
-    cfg = UrfConfig(
-        m=_conf(urf_raw, "m", int, 128, "urf"),
-        A=_conf(urf_raw, "A", float, 0.0, "urf"),
-        seed=derive_seed(seed, 500),
-    )
+    cfg = UrfConfig(m=urf_conf["m"], A=urf_conf["A"], seed=derive_seed(seed, 500))
     bundled = bundle_full(net, cfg)
 
-    n_probes = _conf(raw, "probes", int, 16)
     rng = rng_for(seed, 501, 0, MISC_STREAM)
-    probes = rng.uniform(-1.0, 1.0, (n_probes, net.input_dim))
+    probes = rng.uniform(-1.0, 1.0, (conf["probes"], net.input_dim))
     err = np.abs(bundled_forward(probes, bundled) - network_forward(probes, net))
     mae = float(np.mean(err.mean(axis=-1)))
     _write_csv(
@@ -315,14 +387,14 @@ def _cmd_bundle(args) -> int:
     )
     artifact_path = args.out + ".artifact.json"
     with open(artifact_path, "w") as fh:
-        json.dump(_bundle_artifact(bundled, raw, seed, cfg), fh)
+        json.dump(_bundle_artifact(bundled, conf, seed, cfg), fh)
     return 0
 
 
-def _bundle_artifact(bn: BundledNetwork, raw, seed, cfg) -> dict:
+def _bundle_artifact(bn: BundledNetwork, conf, seed, cfg) -> dict:
     return {
         "input_dim": bn.input_dim,
-        "network": {k: raw[k] for k in ("input_dim", "layers") if k in raw},
+        "network": {"input_dim": conf["input_dim"], "layers": conf["layers"]},
         "seed": seed,
         "urf": {"m": cfg.m, "A": cfg.A, "seed": cfg.seed},
         "stage_feature_counts": [fm.total_features for fm in bn.stages],
@@ -331,36 +403,31 @@ def _bundle_artifact(bn: BundledNetwork, raw, seed, cfg) -> dict:
 
 
 TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
+TRAIN_KEYS = {"seed": (int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
+              "train": (_as_is, {})}
+TRAIN_DATA_KEYS = {"n": (int, _REQUIRED), "d": (int, _REQUIRED), "k": (int, _REQUIRED),
+                   "separation": (float, _REQUIRED), "validation_frac": (float, 0.25)}
+TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (int, 16), "features": (int, 32),
+                    "activation": (_as_is, None), "m": (int, 16), "A": (float, 0.0)}
+TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (int, 20), "batch_size": (int, 32),
+                  "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
 
 
 def _cmd_train(args) -> int:
-    raw = _known(_load_json(args.config), ("seed", "data", "layer", "train"))
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    data_raw = _known(_require(raw, "data"), ("n", "d", "k", "separation", "validation_frac"),
-                      "data")
-    d = _conf(data_raw, "d", int, section="data")
-    k = _conf(data_raw, "k", int, section="data")
-    full = generate_blobs(
-        n=_conf(data_raw, "n", int, section="data"), d=d, k=k,
-        separation=_conf(data_raw, "separation", float, section="data"),
-        seed=derive_seed(seed, 600),
-    )
-    train_set, val_set = split_dataset(
-        full, _conf(data_raw, "validation_frac", float, 0.25, section="data"),
-        seed=derive_seed(seed, 601),
-    )
+    conf = _read(_load_json(args.config), TRAIN_KEYS)
+    data = _read(conf["data"], TRAIN_DATA_KEYS, "data")
+    layer_conf = _read(conf["layer"], TRAIN_LAYER_KEYS, "layer")
+    fit = _read(conf["train"], TRAIN_FIT_KEYS, "train")
+    if layer_conf["kind"] == "urf" and layer_conf["activation"] is None:
+        raise ValueError("layer.activation: missing required key")
+    seed = args.seed if args.seed is not None else conf["seed"]
+    cfg = TrainConfig(seed=derive_seed(seed, 606), **fit)
 
-    layer_raw = _known(_require(raw, "layer"),
-                       ("kind", "out_dim", "features", "activation", "m", "A"), "layer")
-    out_dim = _conf(layer_raw, "out_dim", int, 16, section="layer")
-    kind = layer_raw.get("kind", "relu")
-    if kind not in ("relu", "urf"):
-        raise ValueError(f"layer.kind: expected 'relu' or 'urf', got {kind!r}")
-    if kind == "relu":
-        from .layers import relu_feature_map
-
-        fmap = relu_feature_map(d, _conf(layer_raw, "features", int, 32, section="layer"),
-                                seed=derive_seed(seed, 602))
+    full = generate_blobs(n=data["n"], d=data["d"], k=data["k"],
+                          separation=data["separation"], seed=derive_seed(seed, 600))
+    train_set, val_set = split_dataset(full, data["validation_frac"], seed=derive_seed(seed, 601))
+    if layer_conf["kind"] == "relu":
+        fmap = relu_feature_map(data["d"], layer_conf["features"], seed=derive_seed(seed, 602))
     else:
         # feature magnitudes grow like exp(|x|^2 / 2) for trig maps, so
         # inputs are scaled into the unit ball first
@@ -368,110 +435,14 @@ def _cmd_train(args) -> int:
         train_set = Dataset(X=train_set.X / scale, Y=train_set.Y, split="train")
         val_set = Dataset(X=val_set.X / scale, Y=val_set.Y, split="validation")
         fmap = urf_feature_map(
-            Activation(_require(layer_raw, "activation", "layer")), d,
-            UrfConfig(
-                m=_conf(layer_raw, "m", int, 16, section="layer"),
-                A=_conf(layer_raw, "A", float, 0.0, section="layer"),
-                seed=derive_seed(seed, 603),
-            ),
+            Activation(layer_conf["activation"]), data["d"],
+            UrfConfig(m=layer_conf["m"], A=layer_conf["A"], seed=derive_seed(seed, 603)),
         )
-    layer = make_learnable_layer(fmap, out_dim, seed=derive_seed(seed, 604))
-    head = make_head(k, out_dim, seed=derive_seed(seed, 605))
-
-    t_raw = _known(raw.get("train", {}), (
-        "learning_rate", "epochs", "batch_size", "loss", "l2", "momentum",
-    ), "train")
-    cfg = TrainConfig(
-        learning_rate=_conf(t_raw, "learning_rate", float, 0.05, section="train"),
-        epochs=_conf(t_raw, "epochs", int, 20, section="train"),
-        batch_size=_conf(t_raw, "batch_size", int, 32, section="train"),
-        loss=t_raw.get("loss", "cross_entropy"),
-        seed=derive_seed(seed, 606),
-        l2=_conf(t_raw, "l2", float, 0.0, section="train"),
-        momentum=_conf(t_raw, "momentum", float, 0.0, section="train"),
-    )
+    layer = make_learnable_layer(fmap, layer_conf["out_dim"], seed=derive_seed(seed, 604))
+    head = make_head(data["k"], layer_conf["out_dim"], seed=derive_seed(seed, 605))
     _, _, history = fit_A(layer, head, train_set, cfg, validation=val_set)
     _write_csv(args.out, TRAIN_HEADER, history)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# config plumbing
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _int_list(value) -> tuple[int, ...]:
-    # operator.index rejects floats and strings, so "816" cannot pass as (8, 1, 6)
-    return tuple(operator.index(p) for p in value)
-
-
-_EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integers"}
-_REQUIRED = object()
-
-
-def _key_name(section: str, key: str) -> str:
-    return f"{section}.{key}" if section else key
-
-
-def _known(raw: dict, keys, section: str = "") -> dict:
-    """``raw``, once checked to hold no key outside ``keys``: a mistyped
-    optional key raises a ValueError naming it instead of being ignored."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{section or 'config'}: expected an object, got {raw!r}")
-    for key in raw:
-        if key not in keys:
-            raise ValueError(f"{_key_name(section, key)}: unknown key")
-    return raw
-
-
-def _require(raw: dict, key: str, section: str = ""):
-    """``raw[key]``; a missing key raises a ValueError naming it."""
-    try:
-        return raw[key]
-    except KeyError:
-        raise ValueError(f"{_key_name(section, key)}: missing required key") from None
-
-
-def _conf(raw: dict, key: str, convert, default=_REQUIRED, section: str = ""):
-    """``raw[key]`` (or ``default`` when given and the key is absent) through
-    ``convert``; a missing required key or a value that does not convert
-    raises a ValueError naming the key."""
-    value = _require(raw, key, section) if default is _REQUIRED else raw.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{_key_name(section, key)}: expected {_EXPECTED[convert]}, got {value!r}"
-        ) from None
-
-
-def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
-    _known(raw, {f.name for f in fields(EstimateConfig)}, section)
-    cfg = EstimateConfig(
-        activation=raw.get("activation", "sine"),
-        d=_conf(raw, "d", int, 200, section),
-        l=_conf(raw, "l", int, 1, section),
-        bias=_conf(raw, "bias", float, 0.5, section),
-        feature_counts=_conf(raw, "feature_counts", _int_list,
-                             (8, 16, 32, 64, 128, 256, 512), section),
-        instantiations=_conf(raw, "instantiations", int, 100, section),
-        A=_conf(raw, "A", float, 0.0, section),
-        strategy=raw.get("strategy", "iid"),
-        block_size=_conf(raw, "block_size", int, 0, section),
-        seed=_conf(raw, "seed", int, 1, section),
-    )
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
-
-
-def _load_estimate_config(args) -> EstimateConfig:
-    raw = _load_json(args.config) if args.config else {}
-    return _estimate_config_from(raw, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

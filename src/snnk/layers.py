@@ -22,7 +22,6 @@ from .activations import Activation, decomposition_for
 from .urf import (
     UrfConfig,
     UrfDraws,
-    atoms_concat_draws,
     phi,
     phi_many,
     psi_many,
@@ -89,7 +88,6 @@ class UrfFeatureMap:
     activation: Activation
     config: UrfConfig
     draws: UrfDraws
-    mode: str = "sample"  # or "atoms"
 
     @property
     def total_features(self) -> int:
@@ -128,17 +126,9 @@ class ReluFeatureMap:
         return np.maximum(0.0, np.asarray(X) @ self.G.T / math.sqrt(lp))
 
 
-def urf_feature_map(
-    activation: Activation, dim: int, cfg: UrfConfig, mode: str = "sample"
-) -> UrfFeatureMap:
-    dec = decomposition_for(activation)
-    if mode == "atoms":
-        draws = atoms_concat_draws(dec, dim, cfg)
-    elif mode == "sample":
-        draws = sample_draws(dec, dim, cfg)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return UrfFeatureMap(activation=activation, config=cfg, draws=draws, mode=mode)
+def urf_feature_map(activation: Activation, dim: int, cfg: UrfConfig) -> UrfFeatureMap:
+    draws = sample_draws(decomposition_for(activation), dim, cfg)
+    return UrfFeatureMap(activation=activation, config=cfg, draws=draws)
 
 
 def relu_feature_map(dim: int, n_features: int, seed: int) -> ReluFeatureMap:
@@ -203,15 +193,15 @@ class SnnkLayer:
         return self.A.shape[0] * self.A.shape[1]
 
 
-def snnk_from_ffl(spec: FflSpec, cfg: UrfConfig, mode: str = "sample") -> SnnkLayer:
+def snnk_from_ffl(spec: FflSpec, cfg: UrfConfig) -> SnnkLayer:
     """Derive the replacement layer: A's rows are Psi over shared draws."""
-    fmap = urf_feature_map(spec.activation, spec.in_dim, cfg, mode=mode)
+    fmap = urf_feature_map(spec.activation, spec.in_dim, cfg)
     A = psi_many(spec.W, spec.b, fmap.draws)
     return SnnkLayer(
         feature_map=fmap,
         A=A,
         learnable=False,
-        provenance={"activation": spec.activation.kind, "seed": cfg.seed, "mode": mode},
+        provenance={"activation": spec.activation.kind, "seed": cfg.seed},
     )
 
 
@@ -474,7 +464,6 @@ def layer_to_record(layer: SnnkLayer) -> dict:
                 "block_size": cfg.block_size,
                 "seed": cfg.seed,
             },
-            "mode": fm.mode,
         }
     return {
         "feature_map": fmap_rec,
@@ -504,7 +493,7 @@ def layer_from_record(rec: dict) -> SnnkLayer:
             width=fr["activation"]["width"],
         )
         cfg = UrfConfig(**fr["config"])
-        fmap = urf_feature_map(act, int(rec["in_dim"]), cfg, mode=fr["mode"])
+        fmap = urf_feature_map(act, int(rec["in_dim"]), cfg)
     A = np.array(rec["A"]["re"], dtype=float) + 1j * np.array(rec["A"]["im"], dtype=float)
     layer = SnnkLayer(
         feature_map=fmap,

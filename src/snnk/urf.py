@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seeds import G_STREAM, XI_STREAM, rng_for
-from .activations import AXES, FourierComponent, FourierDecomposition
+from .activations import AXES, AXIS_PHASE, FourierComponent, FourierDecomposition
 
 AXIS_ID = {ax: i for i, ax in enumerate(AXES)}
 
@@ -286,16 +286,12 @@ def _axis_block(component, dim, cfg, n=None, sub=0, atom=None):
     return AxisDraws(
         axis=component.axis,
         sub=sub,
-        c=complex(component.mass * _axis_phase(component.axis)),
+        c=complex(component.mass * AXIS_PHASE[component.axis]),
         xi=xi,
         g=rng_for(cfg.seed, axis_id, sub, G_STREAM).standard_normal(shape + (dim,)),
         ratio=ratio,
         atom_probs=tuple(w / component.mass for _, w in component.atoms),
     )
-
-
-def _axis_phase(axis):
-    return {"re+": 1.0, "re-": -1.0, "im+": 1j, "im-": -1j}[axis]
 
 
 def sample_draws(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import snnk
+from snnk import cli
 from snnk.cli import (
     ESTIMATE_HEADER,
     EstimateConfig,
@@ -109,6 +110,23 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: A must be finite and <= 0, got nan\n"
         assert not out.exists()
+
+    def test_non_finite_bias_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps(dict(ESTIMATE_CFG, d=8, bias=math.nan)))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: bias must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_infinite_integer_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps(dict(ESTIMATE_CFG, d=math.inf)))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: d: expected an integer, got inf\n"
+
+    def test_empty_config_reads_as_the_defaults(self):
+        assert cli._estimate_config_from({}, None) == EstimateConfig()
 
     def test_error_decays_across_octaves(self):
         report = run_pointwise(
@@ -290,6 +308,13 @@ class TestBundleCommand:
         assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: weights: need one entry per layer")
 
+    def test_malformed_seed_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, seed="eleven"))
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed: expected an integer, got 'eleven'\n"
+        assert not out.exists()
+
     def test_non_finite_w_bar_fails_cleanly(self, tmp_path, capsys):
         payload = dict(
             BUNDLE_CFG, input_dim=64, seed=4, urf={"m": 128}, probes=4,
@@ -337,6 +362,28 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_malformed_value_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "train.json",
+            dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], epochs="many")),
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: train.epochs: expected an integer, got 'many'\n"
+        )
+
+    def test_malformed_seed_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "train.json", dict(TRAIN_CFG, seed="eleven"))
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed: expected an integer, got 'eleven'\n"
+        assert not out.exists()
+
+    def test_every_section_is_read_before_the_data_is_built(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_blobs(**kwargs):
+            raise AssertionError("blobs built before the config was read")
+
+        monkeypatch.setattr(cli, "generate_blobs", no_blobs)
         cfg = write_json(
             tmp_path / "train.json",
             dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], epochs="many")),
