@@ -164,15 +164,17 @@ def run_sweep(axis: str, values: list, base: EstimateConfig):
         raise ValueError("sweep values must be nonempty")
     merged = []
     for value in values:
-        if axis == "A":
-            cfg = replace(base, A=float(value))
-        elif axis == "activation":
-            cfg = replace(base, activation=str(value))
-        else:
-            if isinstance(value, str) and value.startswith("block:"):
+        try:
+            if axis == "A":
+                cfg = replace(base, A=float(value))
+            elif axis == "activation":
+                cfg = replace(base, activation=str(value))
+            elif isinstance(value, str) and value.startswith("block:"):
                 cfg = replace(base, strategy="block", block_size=int(value.split(":")[1]))
             else:
                 cfg = replace(base, strategy=str(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"values: {value!r} is not a valid {axis} value") from None
         report = run_pointwise(cfg)
         merged.append((str(value), report))
     return merged
@@ -229,9 +231,19 @@ def _as_is(value):
     return value
 
 
+# operator.index rejects floats and strings: "d": 8.5 cannot pass as 8, nor
+# "816" as (8, 1, 6)
+_int = operator.index
+
+
 def _int_list(value) -> tuple[int, ...]:
-    # operator.index rejects floats and strings, so "816" cannot pass as (8, 1, 6)
-    return tuple(operator.index(p) for p in value)
+    return tuple(_int(p) for p in value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
 
 
 def _layer_kind(value) -> str:
@@ -241,7 +253,7 @@ def _layer_kind(value) -> str:
 
 
 _EXPECTED = {
-    int: "an integer", float: "a number", _int_list: "a list of integers",
+    _int: "an integer", float: "a number", _int_list: "a list of integers", _list: "a list",
     _layer_kind: "'relu' or 'urf'",
 }
 
@@ -277,7 +289,7 @@ def _read(raw: dict, keys: dict, section: str = "") -> dict:
 
 
 # EstimateConfig's own fields and defaults; the annotation picks the conversion
-_CONVERT = {"str": _as_is, "int": int, "float": float, "tuple[int, ...]": _int_list}
+_CONVERT = {"str": _as_is, "int": _int, "float": float, "tuple[int, ...]": _int_list}
 ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateConfig)}
 
 
@@ -297,7 +309,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-SWEEP_KEYS = {"axis": (_as_is, _REQUIRED), "values": (_as_is, _REQUIRED), "base": (_as_is, {})}
+SWEEP_KEYS = {"axis": (_as_is, _REQUIRED), "values": (_list, _REQUIRED), "base": (_as_is, {})}
 
 
 def _cmd_sweep(args) -> int:
@@ -314,7 +326,7 @@ def _cmd_sweep(args) -> int:
 FT_TABLE_HEADER = [
     "activation", "xi", "re", "im", "re_plus", "re_minus", "im_plus", "im_minus",
 ]
-FT_TABLE_KEYS = {"activations": (_as_is, ("sine", "cosine", "tanh", "sigmoid"))}
+FT_TABLE_KEYS = {"activations": (_list, ("sine", "cosine", "tanh", "sigmoid"))}
 
 
 def _cmd_ft_table(args) -> int:
@@ -355,12 +367,12 @@ BUNDLE_HEADER = [
     "params_before", "params_after", "probe_mae",
 ]
 BUNDLE_KEYS = {
-    "input_dim": (int, _REQUIRED), "layers": (_as_is, _REQUIRED), "weights": (_as_is, None),
-    "biases": (_as_is, None), "seed": (int, 0), "init_std": (float, 1.0), "urf": (_as_is, {}),
-    "probes": (int, 16),
+    "input_dim": (_int, _REQUIRED), "layers": (_list, _REQUIRED), "weights": (_as_is, None),
+    "biases": (_as_is, None), "seed": (_int, 0), "init_std": (float, 1.0), "urf": (_as_is, {}),
+    "probes": (_int, 16),
 }
-BUNDLE_LAYER_KEYS = {"out_dim": (int, _REQUIRED), "activation": (_as_is, _REQUIRED)}
-BUNDLE_URF_KEYS = {"m": (int, 128), "A": (float, 0.0)}
+BUNDLE_LAYER_KEYS = {"out_dim": (_int, _REQUIRED), "activation": (_as_is, _REQUIRED)}
+BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (float, 0.0)}
 
 
 def _cmd_bundle(args) -> int:
@@ -403,13 +415,13 @@ def _bundle_artifact(bn: BundledNetwork, conf, seed, cfg) -> dict:
 
 
 TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
-TRAIN_KEYS = {"seed": (int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
+TRAIN_KEYS = {"seed": (_int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
               "train": (_as_is, {})}
-TRAIN_DATA_KEYS = {"n": (int, _REQUIRED), "d": (int, _REQUIRED), "k": (int, _REQUIRED),
+TRAIN_DATA_KEYS = {"n": (_int, _REQUIRED), "d": (_int, _REQUIRED), "k": (_int, _REQUIRED),
                    "separation": (float, _REQUIRED), "validation_frac": (float, 0.25)}
-TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (int, 16), "features": (int, 32),
-                    "activation": (_as_is, None), "m": (int, 16), "A": (float, 0.0)}
-TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (int, 20), "batch_size": (int, 32),
+TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_int, 16), "features": (_int, 32),
+                    "activation": (_as_is, None), "m": (_int, 16), "A": (float, 0.0)}
+TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
                   "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
 
 

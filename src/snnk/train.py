@@ -2,11 +2,15 @@
 
 With the input embedding frozen, a replacement layer's output Re(A Phi(x))
 is linear in A, so gradients are exact outer products against the
-conjugated features; training A directly is what makes the layer a
-compressed stand-in for the original weights.  Phi depends only on the
-inputs and the frozen draws, so ``fit_A`` computes it once per split and
-reuses it for every SGD batch and every epoch's full-split loss.  Plain SGD
-with optional momentum; the point is validated trainability, not
+features; training A directly is what makes the layer a compressed
+stand-in for the original weights.  Training runs in real coordinates:
+complex features become the real design F = [Re Phi | Im Phi] and a
+complex A trains as A_s = [Re A | -Im A], so Re(Phi A^T) = F A_s^T and
+every product is a real GEMM; relu features and weights are real already
+and pass through.  Phi depends only on the inputs and the frozen draws, so
+``fit_A`` builds F once per split and reuses it for every SGD batch and
+every epoch's full-split loss.  Plain SGD with optional momentum and an
+``l2 (|A|^2 + |W|^2)`` penalty; the point is validated trainability, not
 leaderboard accuracy.
 """
 
@@ -129,20 +133,47 @@ def make_head(out_dim: int, in_dim: int, seed: int) -> AffineHead:
 
 
 # ---------------------------------------------------------------------------
+# real coordinates
+
+
+def real_design(feats: np.ndarray) -> np.ndarray:
+    """The real design ``[Re Phi | Im Phi]`` of a feature matrix.
+
+    Real (relu) features pass through unchanged.  With the weights stacked
+    by ``_stack_weights``, ``Re(Phi A^T) = F A_s^T`` exactly.
+    """
+    if not np.iscomplexobj(feats):
+        return feats
+    return np.concatenate((feats.real, feats.imag), axis=-1)
+
+
+def _stack_weights(A: np.ndarray, width: int) -> np.ndarray:
+    """A as the real weights of a ``width``-column design: ``[Re A | -Im A]``
+    when the design stacks complex features, a real copy of A otherwise."""
+    if A.shape[1] == width:
+        return np.array(A.real, dtype=float)
+    return np.concatenate((A.real, -A.imag), axis=1)
+
+
+def _unstack_weights(A_s: np.ndarray, M: int) -> np.ndarray:
+    """The (l, M) feature-weight matrix whose stacked form is ``A_s``."""
+    if A_s.shape[1] == M:
+        return A_s.copy()
+    A = np.empty((A_s.shape[0], M), dtype=complex)
+    A.real = A_s[:, :M]
+    A.imag = -A_s[:, M:]
+    return A
+
+
+# ---------------------------------------------------------------------------
 # losses
 
 
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward(feats, A, W, b):
-    hidden = (feats @ A.T).real  # (n, l)
-    if W is None:
-        return hidden, hidden
-    return hidden, hidden @ W.T + b
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _loss_and_grad(pred, Y, loss):
@@ -150,29 +181,35 @@ def _loss_and_grad(pred, Y, loss):
     n = len(pred)
     if loss == "mse":
         diff = pred - Y
-        return float(np.sum(diff * diff) / n), 2.0 * diff / n
+        value = float(np.sum(diff * diff) / n)
+        diff *= 2.0
+        diff /= n
+        return value, diff
     probs = _softmax(pred)
-    eps = 1e-300
-    ll = -np.log(probs[np.arange(n), Y] + eps)
-    grad = probs.copy()
-    grad[np.arange(n), Y] -= 1.0
-    return float(np.mean(ll)), grad / n
+    rows = np.arange(n)
+    ll = -np.log(probs[rows, Y] + 1e-300)
+    probs[rows, Y] -= 1.0
+    probs /= n
+    return float(ll.sum() / n), probs
 
 
 def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
     """(loss, accuracy) on the full split; accuracy is NaN for mse.
 
-    ``feats`` is ``layer.feature_map.features_many(data.X)``, computed here
-    when not given.
+    ``feats`` is the real design ``real_design(layer.feature_map.features_many(data.X))``,
+    computed here when not given.  The head is folded into the layer's
+    weights first, so the pass over the design yields the k outputs directly.
     """
     if feats is None:
-        feats = layer.feature_map.features_many(data.X)
-    W, b = (head.W, head.b) if head is not None else (None, None)
-    _, pred = _forward(feats, layer.A, W, b)
+        feats = real_design(layer.feature_map.features_many(data.X))
+    A = _stack_weights(layer.A, feats.shape[1])
+    if head is None:
+        pred = feats @ A.T
+    else:
+        pred = feats @ (head.W @ A).T + head.b
     if loss == "cross_entropy":
         value, _ = _loss_and_grad(pred, data.Y, loss)
-        acc = float(np.mean(pred.argmax(axis=1) == data.Y))
-        return value, acc
+        return value, float(np.mean(pred.argmax(axis=1) == data.Y))
     Y = data.Y if data.Y.ndim == 2 else data.Y[:, None]
     value, _ = _loss_and_grad(pred, Y, loss)
     return value, float("nan")
@@ -183,25 +220,28 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
 
 
 def _grads(feats, A, W, b, Y, loss, l2):
-    hidden, pred = _forward(feats, A, W, b)
-    value, dpred = _loss_and_grad(pred, Y, loss)
-    if W is not None:
-        gW = dpred.T @ hidden + l2 * W
-        gb = dpred.sum(axis=0)
-        dhidden = dpred @ W
-    else:
+    """Objective ``loss + l2 (|A|^2 + |W|^2)`` and its gradients in A, W, b.
+
+    ``feats`` is a real design and ``A`` its stacked weights; the output is
+    linear in A, so its gradient is an exact outer product with the design.
+    """
+    hidden = feats @ A.T  # (n, l)
+    if W is None:
+        value, dpred = _loss_and_grad(hidden, Y, loss)
+        gA = dpred.T @ feats
         gW = gb = None
-        dhidden = dpred
-    # d Re(A f) / dA = conj(f); exact because the output is linear in A
-    gA = dhidden.T @ feats.conj()
-    if not np.iscomplexobj(A):
-        gA = gA.real
-    gA = gA + l2 * A
+    else:
+        value, dpred = _loss_and_grad(hidden @ W.T + b, Y, loss)
+        gA = W.T @ (dpred.T @ feats)
+        gW = dpred.T @ hidden
+        gb = dpred.sum(axis=0)
     if l2 > 0:
-        value = value + l2 * (
-            float(np.sum(np.abs(A) ** 2))
-            + (float(np.sum(W**2)) if W is not None else 0.0)
-        )
+        penalty = float(np.sum(A * A))
+        gA += (2.0 * l2) * A
+        if W is not None:
+            penalty += float(np.sum(W * W))
+            gW += (2.0 * l2) * W
+        value += l2 * penalty
     return value, gA, gW, gb
 
 
@@ -209,8 +249,10 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
           validation: Dataset | None = None):
     """Mini-batch SGD on A (and the affine head); returns (layer, head, history).
 
-    Phi is computed once for the training split and once for the validation
-    split; the training matrix is sliced for every SGD batch, and both are
+    Training runs in real coordinates: Phi is computed once for the training
+    split and once for the validation split and turned into the real design
+    ``real_design(Phi)``, and a complex A trains as ``[Re A | -Im A]``.  The
+    training design is sliced for every SGD batch, and both designs are
     reused for every epoch's full-split loss.  History rows are (epoch,
     split, loss, accuracy), evaluated before training and after each epoch.
     Raises DivergenceDetected if the training loss is non-finite, the
@@ -225,23 +267,22 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     if cfg.loss == "cross_entropy" and head is None:
         raise ValueError("cross-entropy training expects a classification head")
 
-    A = layer.A.copy()
-    headW = head.W.copy() if head is not None else None
-    headb = head.b.copy() if head is not None else None
-    vA = np.zeros_like(A)
-    vW = np.zeros_like(headW) if headW is not None else None
-    vb = np.zeros_like(headb) if headb is not None else None
-
-    feats = layer.feature_map.features_many(data.X)
+    feats = real_design(layer.feature_map.features_many(data.X))
     val_feats = (
-        layer.feature_map.features_many(validation.X) if validation is not None else None
+        real_design(layer.feature_map.features_many(validation.X))
+        if validation is not None else None
     )
     Y = data.Y if (cfg.loss == "cross_entropy" or data.Y.ndim == 2) else data.Y[:, None]
 
+    A = _stack_weights(layer.A, feats.shape[1])
+    params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
+    W, b = params[1:] if head is not None else (None, None)
+    velocities = [np.zeros_like(p) for p in params]
+
     def snapshot():
-        lay = SnnkLayer(feature_map=layer.feature_map, A=A.copy(), learnable=True,
-                        provenance=layer.provenance)
-        hd = AffineHead(W=headW.copy(), b=headb.copy()) if head is not None else None
+        lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, layer.n_features),
+                        learnable=True, provenance=layer.provenance)
+        hd = AffineHead(W=W.copy(), b=b.copy()) if head is not None else None
         return lay, hd
 
     history = []
@@ -250,20 +291,17 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
             order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
             for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                batch_loss, gA, gW, gb = _grads(
-                    feats[idx], A, headW, headb, Y[idx], cfg.loss, cfg.l2
-                )
+                batch_loss, *grads = _grads(feats[idx], A, W, b, Y[idx], cfg.loss, cfg.l2)
                 if not math.isfinite(batch_loss):
                     raise DivergenceDetected(
                         f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
                     )
-                vA = cfg.momentum * vA - cfg.learning_rate * gA
-                A = A + vA
-                if head is not None:
-                    vW = cfg.momentum * vW - cfg.learning_rate * gW
-                    vb = cfg.momentum * vb - cfg.learning_rate * gb
-                    headW = headW + vW
-                    headb = headb + vb
+                # v <- momentum v - lr g;  p <- p + v  (the gradients are fresh arrays)
+                for p, v, g in zip(params, velocities, grads):
+                    v *= cfg.momentum
+                    g *= cfg.learning_rate
+                    v -= g
+                    p += v
         if not np.all(np.isfinite(A)):
             raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
         lay, hd = snapshot()
@@ -287,64 +325,42 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
 
 
 def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
-               step: float = 1e-5, max_entries: int = 64) -> float:
+               step: float = 1e-5, max_entries: int = 64, l2: float = 0.0) -> float:
     """Max relative error, analytic vs central finite differences.
 
-    Checks every entry of A (real and imaginary parts) and of the head up
-    to ``max_entries`` per array, scanning in a fixed order.
+    Differentiates the training objective, ``loss + l2 (|A|^2 + |W|^2)``,
+    in the real coordinates ``fit_A`` trains: the entries of the stacked
+    ``[Re A | -Im A]`` (of A itself for real features) and of the head, up
+    to ``max_entries`` per array, scanning each in a fixed order.
     """
-    if data_batch.n < 1:
-        raise ValueError("batch must be nonempty")
-    feats = layer.feature_map.features_many(data_batch.X)
+    feats = real_design(layer.feature_map.features_many(data_batch.X))
     Y = data_batch.Y
     if loss == "mse" and Y.ndim == 1 and not data_batch.is_classification:
         Y = Y[:, None]
     if loss == "mse" and data_batch.is_classification:
         raise ValueError("mse check expects real targets")
 
-    def loss_at(A, W, b):
-        _, pred = _forward(feats, A, W, b)
-        value, _ = _loss_and_grad(pred, Y, loss)
-        return value
+    A = _stack_weights(layer.A, feats.shape[1])
+    params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
+    W, b = params[1:] if head is not None else (None, None)
 
-    A0 = layer.A.copy()
-    W0 = head.W.copy() if head is not None else None
-    b0 = head.b.copy() if head is not None else None
-    _, gA, gW, gb = _grads(feats, A0, W0, b0, Y, loss, l2=0.0)
+    def objective():
+        return _grads(feats, A, W, b, Y, loss, l2)[0]
 
+    _, *grads = _grads(feats, A, W, b, Y, loss, l2)
     worst = 0.0
-
-    def compare(analytic, numeric):
-        nonlocal worst
-        scale = max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, abs(analytic - numeric) / scale)
-
-    deltas = [1.0]
-    if np.iscomplexobj(A0):
-        deltas.append(1j)
-    for delta in deltas:
-        grad_part = gA.real if delta == 1.0 else gA.imag
-        for idx in range(min(A0.size, max_entries)):
-            bump = np.zeros_like(A0).reshape(-1)
-            bump[idx] = delta * step
-            bump = bump.reshape(A0.shape)
-            up = loss_at(A0 + bump, W0, b0)
-            down = loss_at(A0 - bump, W0, b0)
-            compare(grad_part.reshape(-1)[idx], (up - down) / (2 * step))
-
-    if head is not None:
-        for arr, grad, name in ((W0, gW, "W"), (b0, gb, "b")):
-            for idx in range(min(arr.size, max_entries)):
-                bump = np.zeros_like(arr).reshape(-1)
-                bump[idx] = step
-                bump = bump.reshape(arr.shape)
-                if name == "W":
-                    up = loss_at(A0, W0 + bump, b0)
-                    down = loss_at(A0, W0 - bump, b0)
-                else:
-                    up = loss_at(A0, W0, b0 + bump)
-                    down = loss_at(A0, W0, b0 - bump)
-                compare(grad.reshape(-1)[idx], (up - down) / (2 * step))
+    for p, g in zip(params, grads):
+        flat, gflat = p.reshape(-1), g.reshape(-1)
+        for idx in range(min(p.size, max_entries)):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            up = objective()
+            flat[idx] = orig - step
+            down = objective()
+            flat[idx] = orig
+            numeric = (up - down) / (2 * step)
+            scale = max(abs(gflat[idx]), abs(numeric), 1e-6)
+            worst = max(worst, abs(gflat[idx] - numeric) / scale)
     return worst
 
 

@@ -125,6 +125,15 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: d: expected an integer, got inf\n"
 
+    @pytest.mark.parametrize("key, value", [("d", 8.5), ("seed", 11.7), ("instantiations", "12")])
+    def test_non_integer_value_of_integer_key_fails_cleanly(self, tmp_path, capsys, key, value):
+        # the value is rejected, not truncated or parsed
+        cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, **{key: value}))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key}: expected an integer, got {value!r}\n"
+        assert not out.exists()
+
     def test_empty_config_reads_as_the_defaults(self):
         assert cli._estimate_config_from({}, None) == EstimateConfig()
 
@@ -211,6 +220,25 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: base.seeds: unknown key\n"
 
+    @pytest.mark.parametrize("values, message", [
+        (5, "values: expected a list, got 5"),
+        ("iid", "values: expected a list, got 'iid'"),
+    ])
+    def test_values_must_be_a_list(self, tmp_path, capsys, values, message):
+        cfg = write_json(tmp_path / "sweep.json",
+                         {"axis": "strategy", "values": values, "base": ESTIMATE_CFG})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("axis, value", [("A", "x"), ("strategy", "block:x")])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, axis, value):
+        cfg = write_json(tmp_path / "sweep.json",
+                         {"axis": axis, "values": [value], "base": ESTIMATE_CFG})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: values: {value!r} is not a valid {axis} value\n"
+        )
+
     def test_missing_axis_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sweep.json", {"values": [1], "base": ESTIMATE_CFG})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
@@ -238,6 +266,13 @@ class TestFtTableCommand:
         assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out)
         assert {r[0] for r in rows[1:]} == {"cosine"}
+
+    def test_activations_must_be_a_list(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "ft.json", {"activations": "sine"})
+        out = tmp_path / "ft.csv"
+        assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: activations: expected a list, got 'sine'\n"
+        assert not out.exists()
 
 
 BUNDLE_CFG = {
@@ -315,6 +350,14 @@ class TestBundleCommand:
         assert capsys.readouterr().err == "error: seed: expected an integer, got 'eleven'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers", [5, {"out_dim": 2, "activation": "sine"}])
+    def test_layers_must_be_a_list(self, tmp_path, capsys, layers):
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=layers))
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: layers: expected a list, got {layers!r}\n"
+        assert not out.exists()
+
     def test_non_finite_w_bar_fails_cleanly(self, tmp_path, capsys):
         payload = dict(
             BUNDLE_CFG, input_dim=64, seed=4, urf={"m": 128}, probes=4,
@@ -376,6 +419,14 @@ class TestTrainCommand:
         out = tmp_path / "t.csv"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: seed: expected an integer, got 'eleven'\n"
+        assert not out.exists()
+
+    def test_fractional_integer_names_its_key(self, tmp_path, capsys):
+        payload = dict(TRAIN_CFG, data=dict(TRAIN_CFG["data"], d=6.5))
+        cfg = write_json(tmp_path / "train.json", payload)
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: data.d: expected an integer, got 6.5\n"
         assert not out.exists()
 
     def test_every_section_is_read_before_the_data_is_built(self, tmp_path, capsys,
