@@ -281,7 +281,7 @@ def _read(raw: dict, keys: dict, section: str = "") -> dict:
             continue
         try:
             conf[key] = convert(raw[key])
-        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+        except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
             raise ValueError(
                 f"{_key_name(section, key)}: expected {_EXPECTED[convert]}, got {raw[key]!r}"
             ) from None

@@ -147,18 +147,23 @@ def real_design(feats: np.ndarray) -> np.ndarray:
     return np.concatenate((feats.real, feats.imag), axis=-1)
 
 
-def _stack_weights(A: np.ndarray, width: int) -> np.ndarray:
-    """A as the real weights of a ``width``-column design: ``[Re A | -Im A]``
-    when the design stacks complex features, a real copy of A otherwise."""
-    if A.shape[1] == width:
-        return np.array(A.real, dtype=float)
-    return np.concatenate((A.real, -A.imag), axis=1)
+def _stack_weights(A: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """A as the real weights of ``design``: ``[Re A | -Im A]`` for a complex
+    A, a copy of a real A.  A must be complex iff the features are."""
+    if np.iscomplexobj(A):
+        A_s = np.concatenate((A.real, -A.imag), axis=1)
+    else:
+        A_s = np.array(A, dtype=float)
+    if A_s.shape[1] != design.shape[1]:
+        raise ValueError("A must be complex iff the features are complex")
+    return A_s
 
 
-def _unstack_weights(A_s: np.ndarray, M: int) -> np.ndarray:
-    """The (l, M) feature-weight matrix whose stacked form is ``A_s``."""
-    if A_s.shape[1] == M:
+def _unstack_weights(A_s: np.ndarray, complex_weights: bool) -> np.ndarray:
+    """The feature-weight matrix whose stacked form is ``A_s``."""
+    if not complex_weights:
         return A_s.copy()
+    M = A_s.shape[1] // 2
     A = np.empty((A_s.shape[0], M), dtype=complex)
     A.real = A_s[:, :M]
     A.imag = -A_s[:, M:]
@@ -196,13 +201,15 @@ def _loss_and_grad(pred, Y, loss):
 def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
     """(loss, accuracy) on the full split; accuracy is NaN for mse.
 
-    ``feats`` is the real design ``real_design(layer.feature_map.features_many(data.X))``,
-    computed here when not given.  The head is folded into the layer's
-    weights first, so the pass over the design yields the k outputs directly.
+    ``feats`` is ``layer.feature_map.features_many(data.X)`` or its real
+    design ``real_design(...)`` (the same array for real features), computed
+    here when not given.  The head is folded into the layer's weights first,
+    so the pass over the design yields the k outputs directly.
     """
     if feats is None:
-        feats = real_design(layer.feature_map.features_many(data.X))
-    A = _stack_weights(layer.A, feats.shape[1])
+        feats = layer.feature_map.features_many(data.X)
+    feats = real_design(feats)
+    A = _stack_weights(layer.A, feats)
     if head is None:
         pred = feats @ A.T
     else:
@@ -274,13 +281,15 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     )
     Y = data.Y if (cfg.loss == "cross_entropy" or data.Y.ndim == 2) else data.Y[:, None]
 
-    A = _stack_weights(layer.A, feats.shape[1])
+    A = _stack_weights(layer.A, feats)
     params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
     W, b = params[1:] if head is not None else (None, None)
     velocities = [np.zeros_like(p) for p in params]
 
+    complex_weights = np.iscomplexobj(layer.A)
+
     def snapshot():
-        lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, layer.n_features),
+        lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, complex_weights),
                         learnable=True, provenance=layer.provenance)
         hd = AffineHead(W=W.copy(), b=b.copy()) if head is not None else None
         return lay, hd
@@ -329,9 +338,10 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
     """Max relative error, analytic vs central finite differences.
 
     Differentiates the training objective, ``loss + l2 (|A|^2 + |W|^2)``,
-    in the real coordinates ``fit_A`` trains: the entries of the stacked
-    ``[Re A | -Im A]`` (of A itself for real features) and of the head, up
-    to ``max_entries`` per array, scanning each in a fixed order.
+    in the real coordinates ``fit_A`` trains: the entries of A (for complex
+    features, the Re A and the -Im A halves of the stacked ``[Re A | -Im A]``
+    as two arrays) and of the head, up to ``max_entries`` per array,
+    scanning each in a fixed order.
     """
     feats = real_design(layer.feature_map.features_many(data_batch.X))
     Y = data_batch.Y
@@ -340,27 +350,31 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
     if loss == "mse" and data_batch.is_classification:
         raise ValueError("mse check expects real targets")
 
-    A = _stack_weights(layer.A, feats.shape[1])
+    A = _stack_weights(layer.A, feats)
     params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
     W, b = params[1:] if head is not None else (None, None)
 
     def objective():
         return _grads(feats, A, W, b, Y, loss, l2)[0]
 
-    _, *grads = _grads(feats, A, W, b, Y, loss, l2)
+    _, gA, *head_grads = _grads(feats, A, W, b, Y, loss, l2)
+    M = layer.n_features
+    # views, so bumping an entry of a half bumps A
+    arrays = [(A[:, h : h + M], gA[:, h : h + M]) for h in range(0, A.shape[1], M)]
+    arrays += list(zip(params[1:], head_grads))
     worst = 0.0
-    for p, g in zip(params, grads):
-        flat, gflat = p.reshape(-1), g.reshape(-1)
-        for idx in range(min(p.size, max_entries)):
-            orig = flat[idx]
-            flat[idx] = orig + step
+    for p, g in arrays:
+        for flat_idx in range(min(p.size, max_entries)):
+            idx = np.unravel_index(flat_idx, p.shape)
+            orig = p[idx]
+            p[idx] = orig + step
             up = objective()
-            flat[idx] = orig - step
+            p[idx] = orig - step
             down = objective()
-            flat[idx] = orig
+            p[idx] = orig
             numeric = (up - down) / (2 * step)
-            scale = max(abs(gflat[idx]), abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[idx] - numeric) / scale)
+            scale = max(abs(g[idx]), abs(numeric), 1e-6)
+            worst = max(worst, abs(g[idx] - numeric) / scale)
     return worst
 
 

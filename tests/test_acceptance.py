@@ -36,6 +36,7 @@ from snnk.layers import (
     snnk_from_ffl,
     urf_feature_map,
 )
+from snnk import train
 from snnk.train import Dataset, TrainConfig, ffl_param_count, grad_check, make_head, make_learnable_layer
 from snnk.urf import (
     UrfConfig,
@@ -205,7 +206,7 @@ def test_criterion_06_closed_form_regression():
     report(6, "closed-form regression", f"grad={gnorm:.2e} <= {bound:.2e}")
 
 
-def test_criterion_07_gradient_checks():
+def test_criterion_07_gradient_checks(monkeypatch):
     rng = rng_for(707, 0, 0, MISC_STREAM)
     fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=6, seed=70))
     layer = make_learnable_layer(fmap, 3, seed=71)
@@ -217,6 +218,20 @@ def test_criterion_07_gradient_checks():
     mse_err = grad_check(layer, head, mse_batch, "mse")
     ce_err = grad_check(layer, head, ce_batch, "cross_entropy")
     assert mse_err <= 1e-4 and ce_err <= 1e-4
+    # every real coordinate of the complex A is differentiated: the Re A and
+    # -Im A halves of the stacked 3 x 24 weights, 72 entries
+    assert layer.A.shape == (3, 12) and np.iscomplexobj(layer.A)
+    stacked = np.concatenate((layer.A.real, -layer.A.imag), axis=1)
+    bumped = np.zeros(stacked.shape, dtype=bool)
+    objective = train._grads
+
+    def recording(feats, A, *args):
+        bumped[A != stacked] = True
+        return objective(feats, A, *args)
+
+    monkeypatch.setattr(train, "_grads", recording)
+    grad_check(layer, head, mse_batch, "mse")
+    assert bumped.all()
     report(7, "gradient checks", f"mse={mse_err:.1e} ce={ce_err:.1e}")
 
 

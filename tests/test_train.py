@@ -396,3 +396,32 @@ class TestRealCoordinates:
                                    rtol=1e-12, atol=1e-14)
         relu = relu_feature_map(4, 8, seed=89).features_many(X)
         assert real_design(relu) is relu
+
+    def test_evaluate_takes_features_or_their_design(self):
+        fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=6, seed=86))
+        layer = make_learnable_layer(fmap, 3, seed=87)
+        head = make_head(2, 3, seed=88)
+        rng = rng_for(89, 0, 0, MISC_STREAM)
+        data = Dataset(X=rng.uniform(-0.5, 0.5, (7, 4)), Y=rng.integers(0, 2, 7).astype(np.int64))
+        feats = fmap.features_many(data.X)
+        pred = (feats @ layer.A.T).real @ head.W.T + head.b
+        want = evaluate(layer, head, data, "cross_entropy")
+        assert want[1] == float(np.mean(pred.argmax(axis=1) == data.Y))
+        for given in (feats, real_design(feats)):
+            got = evaluate(layer, head, data, "cross_entropy", feats=given)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0) and got[1] == want[1]
+
+    def test_weights_must_match_the_features(self):
+        X = np.zeros((5, 3))
+        urf = urf_feature_map(Activation("sine"), 3, UrfConfig(m=4, seed=90))
+        relu = relu_feature_map(3, 4, seed=91)
+        real_over_complex = make_learnable_layer(urf, 2, seed=92)
+        real_over_complex.A = real_over_complex.A.real.copy()
+        complex_over_real = make_learnable_layer(relu, 2, seed=93)
+        complex_over_real.A = complex_over_real.A.astype(complex)
+        data = Dataset(X=X, Y=np.zeros((5, 2)))
+        for layer in (real_over_complex, complex_over_real):
+            with pytest.raises(ValueError, match="complex iff"):
+                evaluate(layer, None, data, "mse")
+            with pytest.raises(ValueError, match="complex iff"):
+                fit_A(layer, None, data, TrainConfig(learning_rate=0.1, epochs=1, batch_size=5))
