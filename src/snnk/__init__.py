@@ -12,7 +12,6 @@ from .activations import (
     closed_form_ft,
     decompose,
     decomposition_for,
-    eval_activation,
     numeric_decomposition,
     numeric_ft,
     validate_decomposition,
@@ -24,7 +23,6 @@ from .bundling import (
     UnsupportedActivation,
     bundle_full,
     bundle_once,
-    bundle_pooler_classifier,
     bundled_forward,
     chain_features,
     closed_form_regression,
@@ -42,7 +40,6 @@ from .layers import (
     UrfFeatureMap,
     ZeroVector,
     arc_cosine_exact,
-    arc_cosine_mc,
     ffl_forward,
     gated_residual_block,
     kar_karnick_estimate,
@@ -62,7 +59,6 @@ from .train import (
 from .urf import (
     FeatureVector,
     LayoutMismatch,
-    NotAtomic,
     ProposalMismatch,
     UrfConfig,
     UrfDraws,

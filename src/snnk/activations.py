@@ -87,11 +87,6 @@ _EVALS: dict[str, Callable] = {
 }
 
 
-def eval_activation(a: Activation, z):
-    """Evaluate ``a`` pointwise; total on all finite real inputs."""
-    return a(z)
-
-
 # ---------------------------------------------------------------------------
 # transform containers
 
@@ -206,10 +201,6 @@ class FourierDecomposition:
 
     def active(self) -> list[FourierComponent]:
         return [c for c in self.components if c.is_active]
-
-    @property
-    def all_atomic(self) -> bool:
-        return all(c.is_atomic for c in self.active())
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +518,3 @@ def decomposition_for(a: Activation) -> FourierDecomposition:
     """Closed form where vetted, tabulated numeric transform otherwise."""
     return _cached_decomposition(a)
 
-
-# angular-convention helpers: F_ang(k) = FT(k / (2 pi)) and back.  Smooth
-# values map by substitution alone; only Dirac atoms carry the 1/(2 pi)
-# change-of-variables weight.
-
-
-def angular_to_twopi(f_ang: Callable) -> Callable:
-    return lambda xi: f_ang(TWO_PI * np.asarray(xi))
-
-
-def twopi_to_angular(f_twopi: Callable) -> Callable:
-    return lambda k: f_twopi(np.asarray(k) / TWO_PI)

@@ -276,42 +276,6 @@ def fold_following_linear(layer: SnnkLayer, W2: np.ndarray, b2: np.ndarray) -> F
 
 
 # ---------------------------------------------------------------------------
-# pooler + classifier merge
-
-
-def bundle_pooler_classifier(
-    Wp: np.ndarray,
-    bp: np.ndarray,
-    Wc: np.ndarray,
-    bc: np.ndarray,
-    cfg: UrfConfig,
-    activation: Activation = Activation("tanh"),
-) -> tuple[FoldedAffine, float]:
-    """Merge tanh-pooler + classifier into one (M, classes) matrix.
-
-    Returns the merged head, a ``FoldedAffine``, and the storage ratio
-    (d*d + d*classes) / (M*classes) of the replaced pair.
-    """
-    Wp = np.asarray(Wp, dtype=float)
-    bp = np.asarray(bp, dtype=float)
-    Wc = np.asarray(Wc, dtype=float)
-    bc = np.asarray(bc, dtype=float)
-    if Wc.shape[1] != Wp.shape[0]:
-        raise ShapeMismatch("classifier must consume the pooler's outputs")
-    d = Wp.shape[1]
-    fmap = urf_feature_map(activation, d, cfg)
-    psi_mat = psi_many(Wp, bp, fmap.draws)  # (d_pool, M)
-    merged = psi_mat.T @ Wc.T  # (M, classes)
-    classes = Wc.shape[0]
-    ratio = (d * Wp.shape[0] + Wp.shape[0] * classes) / (merged.shape[0] * classes)
-    return FoldedAffine(feature_map=fmap, matrix=merged, bias=bc), float(ratio)
-
-
-def pooler_classifier_exact(Wp, bp, Wc, bc, x, activation=Activation("tanh")):
-    return Wc @ activation(Wp @ np.asarray(x) + bp) + bc
-
-
-# ---------------------------------------------------------------------------
 # closed-form least squares for the collapsed matrix
 
 

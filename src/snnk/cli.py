@@ -4,7 +4,9 @@ Subcommands: estimate, sweep, ft-table, bundle, train.  Everything reads a
 JSON config and writes RFC-4180 CSV; runs are deterministic in the seed.
 Trials run in order on one thread, each from its own derived seed; --threads
 is still accepted but cannot change the output bytes.  Exit code 0 means
-every validation passed.
+the config was read in full and no run failed loudly (non-finite parameters
+or bundled matrices, a diverging loss); accuracy such as ``bundle``'s
+``probe_mae`` is reported, not gated.
 """
 
 from __future__ import annotations
@@ -162,22 +164,21 @@ def run_sweep(axis: str, values: list, base: EstimateConfig):
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ValueError("sweep values must be nonempty")
-    merged = []
-    for value in values:
-        try:
-            if axis == "A":
-                cfg = replace(base, A=float(value))
-            elif axis == "activation":
-                cfg = replace(base, activation=str(value))
-            elif isinstance(value, str) and value.startswith("block:"):
-                cfg = replace(base, strategy="block", block_size=int(value.split(":")[1]))
-            else:
-                cfg = replace(base, strategy=str(value))
-        except (TypeError, ValueError):
-            raise ValueError(f"values: {value!r} is not a valid {axis} value") from None
-        report = run_pointwise(cfg)
-        merged.append((str(value), report))
-    return merged
+    cfgs = [_sweep_point(axis, value, base) for value in values]  # all checked before any run
+    return [(str(value), run_pointwise(cfg)) for value, cfg in zip(values, cfgs)]
+
+
+def _sweep_point(axis: str, value, base: EstimateConfig) -> EstimateConfig:
+    try:
+        if axis == "A":
+            return replace(base, A=float(value))
+        if axis == "activation":
+            return replace(base, activation=_estimate_activation(value))
+        if isinstance(value, str) and value.startswith("block:"):
+            return replace(base, strategy="block", block_size=int(value.split(":")[1]))
+        return replace(base, strategy=str(value))
+    except (TypeError, ValueError):
+        raise ValueError(f"values: {value!r} is not a valid {axis} value") from None
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +253,18 @@ def _layer_kind(value) -> str:
     return value
 
 
+def _activation(value) -> str:
+    return Activation(value).kind  # Activation rejects an unknown kind
+
+
+def _estimate_activation(value) -> str:
+    return value if value == "arccos" else _activation(value)
+
+
 _EXPECTED = {
     _int: "an integer", float: "a number", _int_list: "a list of integers", _list: "a list",
-    _layer_kind: "'relu' or 'urf'",
+    _layer_kind: "'relu' or 'urf'", _activation: "an activation kind",
+    _estimate_activation: "an activation kind or 'arccos'",
 }
 
 
@@ -278,19 +288,24 @@ def _read(raw: dict, keys: dict, section: str = "") -> dict:
             if default is _REQUIRED:
                 raise ValueError(f"{_key_name(section, key)}: missing required key")
             conf[key] = default
-            continue
-        try:
-            conf[key] = convert(raw[key])
-        except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
-            raise ValueError(
-                f"{_key_name(section, key)}: expected {_EXPECTED[convert]}, got {raw[key]!r}"
-            ) from None
+        else:
+            conf[key] = _convert(_key_name(section, key), convert, raw[key])
     return conf
 
 
-# EstimateConfig's own fields and defaults; the annotation picks the conversion
+def _convert(name: str, convert, value):
+    """``convert(value)``; a value it rejects raises a ValueError naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
+        raise ValueError(f"{name}: expected {_EXPECTED[convert]}, got {value!r}") from None
+
+
+# EstimateConfig's own fields and defaults; the annotation picks the conversion,
+# except for the activation, whose name is checked here
 _CONVERT = {"str": _as_is, "int": _int, "float": float, "tuple[int, ...]": _int_list}
 ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateConfig)}
+ESTIMATE_KEYS["activation"] = (_estimate_activation, EstimateConfig.activation)
 
 
 def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
@@ -331,8 +346,10 @@ FT_TABLE_KEYS = {"activations": (_list, ("sine", "cosine", "tanh", "sigmoid"))}
 
 def _cmd_ft_table(args) -> int:
     conf = _read(_load_json(args.config) if args.config else {}, FT_TABLE_KEYS)
+    names = [_convert(f"activations[{i}]", _activation, name)
+             for i, name in enumerate(conf["activations"])]
     rows = []
-    for name in conf["activations"]:
+    for name in names:
         dec = decomposition_for(Activation(name))
         # atomic rows carry atom weights; density rows carry density values
         for comp in dec.components:
@@ -371,7 +388,7 @@ BUNDLE_KEYS = {
     "biases": (_as_is, None), "seed": (_int, 0), "init_std": (float, 1.0), "urf": (_as_is, {}),
     "probes": (_int, 16),
 }
-BUNDLE_LAYER_KEYS = {"out_dim": (_int, _REQUIRED), "activation": (_as_is, _REQUIRED)}
+BUNDLE_LAYER_KEYS = {"out_dim": (_int, _REQUIRED), "activation": (_activation, _REQUIRED)}
 BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (float, 0.0)}
 
 
@@ -420,7 +437,7 @@ TRAIN_KEYS = {"seed": (_int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, 
 TRAIN_DATA_KEYS = {"n": (_int, _REQUIRED), "d": (_int, _REQUIRED), "k": (_int, _REQUIRED),
                    "separation": (float, _REQUIRED), "validation_frac": (float, 0.25)}
 TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_int, 16), "features": (_int, 32),
-                    "activation": (_as_is, None), "m": (_int, 16), "A": (float, 0.0)}
+                    "activation": (_activation, None), "m": (_int, 16), "A": (float, 0.0)}
 TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
                   "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
 

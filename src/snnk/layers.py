@@ -10,7 +10,6 @@ series.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,15 +155,13 @@ def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
 class SnnkLayer:
     """A feature map plus the (l, M) feature-weight matrix A.
 
-    ``A`` is either derived (rows are Psi(w_i, b_i), ``provenance`` records
-    the source layer seed) or free/learnable.  The forward pass is
-    Re(A Phi(x)) and never touches the original weights.
+    ``A`` is either derived (rows are Psi(w_i, b_i)) or free/learnable.
+    The forward pass is Re(A Phi(x)) and never touches the original weights.
     """
 
     feature_map: UrfFeatureMap | ReluFeatureMap
     A: np.ndarray  # (l, M)
     learnable: bool = False
-    provenance: dict | None = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A)
@@ -196,13 +193,7 @@ class SnnkLayer:
 def snnk_from_ffl(spec: FflSpec, cfg: UrfConfig) -> SnnkLayer:
     """Derive the replacement layer: A's rows are Psi over shared draws."""
     fmap = urf_feature_map(spec.activation, spec.in_dim, cfg)
-    A = psi_many(spec.W, spec.b, fmap.draws)
-    return SnnkLayer(
-        feature_map=fmap,
-        A=A,
-        learnable=False,
-        provenance={"activation": spec.activation.kind, "seed": cfg.seed},
-    )
+    return SnnkLayer(feature_map=fmap, A=psi_many(spec.W, spec.b, fmap.draws))
 
 
 def snnk_forward(x: np.ndarray, layer: SnnkLayer) -> np.ndarray:
@@ -263,7 +254,12 @@ def arc_cosine_mc_samples(
     seed: int,
     antithetic: bool = False,
 ) -> np.ndarray:
-    """Per-draw values 2 Gamma_n(x) Gamma_n(y); their mean estimates K_n."""
+    """Per-draw values 2 Gamma_n(x) Gamma_n(y) over omega ~ N(0, I); their
+    mean estimates K_n.
+
+    Gamma_n(v) = max(0, v.omega)^n for n >= 1 and the step function for
+    n = 0.  With ``antithetic`` each omega is paired with -omega.
+    """
     if n not in (0, 1, 2):
         raise ValueError("only orders 0, 1, 2 are implemented")
     x = np.asarray(x, dtype=float)
@@ -284,22 +280,6 @@ def arc_cosine_mc_samples(
         gx = np.maximum(0.0, tx) ** n
         gy = np.maximum(0.0, ty) ** n
     return 2.0 * gx * gy
-
-
-def arc_cosine_mc(
-    n: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    num_draws: int,
-    seed: int,
-    antithetic: bool = False,
-) -> float:
-    """2 E[Gamma_n(x) Gamma_n(y)] over omega ~ N(0, I).
-
-    Gamma_n(v) = max(0, v.omega)^n for n >= 1 and the step function for
-    n = 0.  With ``antithetic`` each omega is paired with -omega.
-    """
-    return float(np.mean(arc_cosine_mc_samples(n, x, y, num_draws, seed, antithetic)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,84 +412,3 @@ def kar_karnick_estimate(
     f1y, f2y = kar_karnick_features(k, y, D, seed, shared=shared)
     return float((np.dot(f1x, f1y) - np.dot(f2x, f2y)) / D)
 
-
-def kar_karnick_sparsity(k: TaylorSplitKernel, x: np.ndarray, D: int, seed: int) -> float:
-    """Fraction of zero entries in the concatenated feature vector."""
-    f1, f2 = kar_karnick_features(k, x, D, seed)
-    both = np.concatenate([f1, f2])
-    return float(np.mean(both == 0.0))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def layer_to_record(layer: SnnkLayer) -> dict:
-    fm = layer.feature_map
-    if isinstance(fm, ReluFeatureMap):
-        fmap_rec = {"kind": "relu", "G": fm.G.tolist()}
-    else:
-        cfg = fm.config
-        fmap_rec = {
-            "kind": "urf",
-            "activation": {
-                "kind": fm.activation.kind,
-                "beta": fm.activation.beta,
-                "width": fm.activation.width,
-            },
-            "config": {
-                "m": cfg.m,
-                "A": cfg.A,
-                "strategy": cfg.strategy,
-                "block_size": cfg.block_size,
-                "seed": cfg.seed,
-            },
-        }
-    return {
-        "feature_map": fmap_rec,
-        "in_dim": layer.in_dim,
-        "A": {"re": layer.A.real.tolist(), "im": layer.A.imag.tolist()},
-        "layout": [list(t) for t in _layer_layout(layer)],
-        "learnable": layer.learnable,
-        "provenance": layer.provenance,
-    }
-
-
-def _layer_layout(layer: SnnkLayer):
-    fm = layer.feature_map
-    if isinstance(fm, ReluFeatureMap):
-        return (("relu", 0, fm.total_features),)
-    return fm.draws.layout
-
-
-def layer_from_record(rec: dict) -> SnnkLayer:
-    fr = rec["feature_map"]
-    if fr["kind"] == "relu":
-        fmap = ReluFeatureMap(G=np.array(fr["G"], dtype=float))
-    else:
-        act = Activation(
-            fr["activation"]["kind"],
-            beta=fr["activation"]["beta"],
-            width=fr["activation"]["width"],
-        )
-        cfg = UrfConfig(**fr["config"])
-        fmap = urf_feature_map(act, int(rec["in_dim"]), cfg)
-    A = np.array(rec["A"]["re"], dtype=float) + 1j * np.array(rec["A"]["im"], dtype=float)
-    layer = SnnkLayer(
-        feature_map=fmap,
-        A=A,
-        learnable=rec["learnable"],
-        provenance=rec["provenance"],
-    )
-    stored = tuple(tuple(t) for t in rec["layout"])
-    if stored != tuple(_layer_layout(layer)):
-        raise ShapeMismatch("stored layout does not match the rebuilt feature map")
-    return layer
-
-
-def layer_to_json(layer: SnnkLayer) -> str:
-    return json.dumps(layer_to_record(layer))
-
-
-def layer_from_json(text: str) -> SnnkLayer:
-    return layer_from_record(json.loads(text))

@@ -290,7 +290,7 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
 
     def snapshot():
         lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, complex_weights),
-                        learnable=True, provenance=layer.provenance)
+                        learnable=True)
         hd = AffineHead(W=W.copy(), b=b.copy()) if head is not None else None
         return lay, hd
 

@@ -55,10 +55,6 @@ class LayoutMismatch(ValueError):
     """Feature vectors built under different layouts."""
 
 
-class NotAtomic(ValueError):
-    """Operation requires a purely atomic decomposition."""
-
-
 # ---------------------------------------------------------------------------
 # proposals
 
@@ -143,12 +139,10 @@ class AxisDraws:
     """
 
     axis: str
-    sub: int  # atom index under per-atom concatenation, else 0
     c: complex  # signed component mass
     xi: np.ndarray  # (..., m)
     g: np.ndarray  # (..., m, dim)
     ratio: np.ndarray  # (..., m), p_j(xi)/proposal(xi), >= 0
-    atom_probs: tuple[float, ...] = ()  # normalized atom probabilities, if atomic
 
     @cached_property
     def g_complex(self) -> np.ndarray:
@@ -186,8 +180,8 @@ class UrfDraws:
     blocks: tuple[AxisDraws, ...]
 
     @cached_property
-    def layout(self) -> tuple[tuple[str, int, int], ...]:
-        return tuple((b.axis, b.sub, b.xi.shape[-1]) for b in self.blocks)
+    def layout(self) -> tuple[tuple[str, int], ...]:
+        return tuple((b.axis, b.xi.shape[-1]) for b in self.blocks)
 
     @cached_property
     def terms(self) -> tuple[LambdaTerms, ...]:
@@ -217,7 +211,7 @@ class UrfDraws:
 @dataclass(frozen=True)
 class FeatureVector:
     entries: np.ndarray  # complex, (total_features,) or (..., total_features)
-    layout: tuple[tuple[str, int, int], ...]
+    layout: tuple[tuple[str, int], ...]
 
 
 def _like_layouts(a: FeatureVector, b: FeatureVector):
@@ -266,31 +260,24 @@ def _sample_xi(component, proposal, n_xi, rng):
     raise ProposalMismatch(f"unknown proposal {proposal!r}")
 
 
-def _axis_block(component, dim, cfg, n=None, sub=0, atom=None):
+def _axis_block(component, dim, cfg, n=None):
     """(xi, ratio, g) for one component: ``n`` instantiations stacked on a
-    leading axis, or one set when ``n`` is None.  ``atom=(loc, prob)`` fixes
-    every frequency at that atom (per-atom concatenation); otherwise the
-    frequencies are drawn from the component's proposal."""
+    leading axis, or one set when ``n`` is None, with the frequencies drawn
+    from the component's proposal."""
     axis_id = AXIS_ID[component.axis]
     shape = (cfg.m,) if n is None else (n, cfg.m)
-    if atom is not None:
-        xi, ratio = np.full(shape, atom[0]), np.full(shape, atom[1])
-    else:
-        reps = cfg.block_size if cfg.strategy == "block" else 1
-        rng_xi = rng_for(cfg.seed, axis_id, sub, XI_STREAM)
-        proposal = cfg.proposal_for(component)
-        drawn = _sample_xi(component, proposal, math.prod(shape) // reps, rng_xi)
-        xi, ratio = (a.reshape(shape[:-1] + (-1,)) for a in drawn)
-        if reps > 1:
-            xi, ratio = np.repeat(xi, reps, axis=-1), np.repeat(ratio, reps, axis=-1)
+    reps = cfg.block_size if cfg.strategy == "block" else 1
+    rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
+    drawn = _sample_xi(component, cfg.proposal_for(component), math.prod(shape) // reps, rng_xi)
+    xi, ratio = (a.reshape(shape[:-1] + (-1,)) for a in drawn)
+    if reps > 1:
+        xi, ratio = np.repeat(xi, reps, axis=-1), np.repeat(ratio, reps, axis=-1)
     return AxisDraws(
         axis=component.axis,
-        sub=sub,
         c=complex(component.mass * AXIS_PHASE[component.axis]),
         xi=xi,
-        g=rng_for(cfg.seed, axis_id, sub, G_STREAM).standard_normal(shape + (dim,)),
+        g=rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal(shape + (dim,)),
         ratio=ratio,
-        atom_probs=tuple(w / component.mass for _, w in component.atoms),
     )
 
 
@@ -310,26 +297,6 @@ def sample_draws(
         raise ValueError("n must be >= 1")
     blocks = tuple(_axis_block(c, dim, cfg, n) for c in decomp.active())
     return UrfDraws(dim=dim, config=cfg, blocks=blocks)
-
-
-def atoms_concat_draws(
-    decomp: FourierDecomposition, dim: int, cfg: UrfConfig
-) -> UrfDraws:
-    """Per-atom deterministic-frequency blocks, concatenated.
-
-    Each atom of each active component becomes its own block of ``m``
-    features with the frequency fixed at the atom and the importance ratio
-    equal to the atom's normalized probability; the frequency integral is
-    then handled exactly and only the Gaussian part is sampled.  With a
-    single atom per component this reproduces ``sample_draws`` bit for bit.
-    """
-    if not decomp.all_atomic:
-        raise NotAtomic("per-atom concatenation requires an atomic decomposition")
-    blocks = []
-    for comp in decomp.active():
-        for k, (loc, w) in enumerate(comp.atoms):
-            blocks.append(_axis_block(comp, dim, cfg, sub=k, atom=(loc, w / comp.mass)))
-    return UrfDraws(dim=dim, config=cfg, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +391,6 @@ def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex | n
     return complex(est) if est.ndim == 0 else est
 
 
-def atoms_concat_phi(x, decomp, cfg) -> FeatureVector:
-    return phi(np.asarray(x), atoms_concat_draws(decomp, len(np.asarray(x)), cfg))
-
-
-def atoms_concat_psi(w, b, decomp, cfg) -> FeatureVector:
-    return psi(np.asarray(w), b, atoms_concat_draws(decomp, len(np.asarray(w)), cfg))
-
-
 # ---------------------------------------------------------------------------
 # boundedness
 
@@ -470,16 +429,3 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
         for blk, t in zip(draws.blocks, draws.terms)
     ], axis=-1)
 
-
-def per_term_bound(
-    draws: UrfDraws, max_norm_x: float, max_norm_w: float
-) -> float | np.ndarray:
-    """Bound on one averaged estimator term |m * phi_i * psi_i| summed
-    over components; usable as the bounded-increment constant in
-    concentration bounds.  Batched draws give one bound per instantiation."""
-    bphi = phi_entry_bound(draws, max_norm_x)
-    bpsi = psi_entry_bound(draws, max_norm_w)
-    ends = np.cumsum([n for _, _, n in draws.layout])[:-1]
-    pieces = np.split(bphi * bpsi, ends, axis=-1)
-    bound = sum(draws.config.m * np.max(p, axis=-1) for p in pieces)
-    return float(bound) if np.ndim(bound) == 0 else bound

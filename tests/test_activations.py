@@ -14,14 +14,11 @@ from snnk.activations import (
     TabulatedFT,
     TaperWindow,
     UnsupportedClosedForm,
-    angular_to_twopi,
     closed_form_ft,
     decompose,
     decomposition_for,
-    eval_activation,
     numeric_decomposition,
     numeric_ft,
-    twopi_to_angular,
     validate_decomposition,
 )
 
@@ -30,19 +27,19 @@ XI0 = 1.0 / (2.0 * math.pi)
 
 class TestEval:
     def test_sine_at_half_pi(self):
-        assert eval_activation(Activation("sine"), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+        assert Activation("sine")(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_tanh_at_zero(self):
-        assert eval_activation(Activation("tanh"), 0.0) == 0.0
+        assert Activation("tanh")(0.0) == 0.0
 
     def test_swish_at_one(self):
         # 1 / (1 + e^-1), arbitrary-precision reference
-        assert eval_activation(Activation("swish", beta=1.0), 1.0) == pytest.approx(
+        assert Activation("swish", beta=1.0)(1.0) == pytest.approx(
             0.7310585786300049, abs=1e-14
         )
 
     def test_gelu_at_one(self):
-        assert eval_activation(Activation("gelu"), 1.0) == pytest.approx(
+        assert Activation("gelu")(1.0) == pytest.approx(
             0.8413447460685429, abs=1e-14
         )
 
@@ -273,15 +270,3 @@ class TestValidateDecomposition:
         with pytest.raises(ValueError, match="residue"):
             validate_decomposition(d, Activation("sine"), [1.0])
 
-
-class TestConvention:
-    def test_round_trip_identity(self):
-        f = lambda k: np.exp(-(k**2)) * (1 + 0.5 * k)
-        grid = np.linspace(-3, 3, 101)
-        back = twopi_to_angular(angular_to_twopi(f))
-        assert np.allclose(back(grid), f(grid), rtol=1e-12, atol=0)
-
-    def test_angular_evaluation_point(self):
-        f_ang = lambda k: k * 2.0
-        f = angular_to_twopi(f_ang)
-        assert float(f(np.array([1.0]))[0]) == pytest.approx(4.0 * math.pi)

@@ -11,7 +11,6 @@ from snnk.bundling import (
     SingularSystem,
     bundle_full,
     bundle_once,
-    bundle_pooler_classifier,
     bundled_flop_count,
     bundled_forward,
     bundled_param_count,
@@ -24,7 +23,6 @@ from snnk.bundling import (
     network_flop_count,
     network_forward,
     network_param_count,
-    pooler_classifier_exact,
     regression_gradient,
     regression_objective,
 )
@@ -233,20 +231,17 @@ class TestFoldFollowingLinear:
             fold_following_linear(layer, np.ones((16, 5)), np.zeros(16))
 
 
-class TestPoolerClassifierBundle:
-    def test_storage_ratio(self):
-        rng = rng_for(12, 0, 0, MISC_STREAM)
-        d, c = 32, 4
-        head, ratio = bundle_pooler_classifier(
-            rng.standard_normal((d, d)) / math.sqrt(d),
-            rng.standard_normal(d),
-            rng.standard_normal((c, d)),
-            rng.standard_normal(c),
-            UrfConfig(m=4, seed=13),  # two active components -> M = 8
-        )
-        assert head.matrix.shape == (8, c)
-        assert ratio == pytest.approx((32 * 32 + 32 * 4) / (8 * 4))
+def pooler_classifier_exact(Wp, bp, Wc, bc, x):
+    """The tanh pooler followed by the linear classifier, evaluated exactly."""
+    return Wc @ np.tanh(Wp @ x + bp) + bc
 
+
+def merged_pooler_classifier(Wp, bp, Wc, bc, cfg):
+    """The pooler's snnk layer with the classifier folded in: one (M, classes) matrix."""
+    return fold_following_linear(snnk_from_ffl(FflSpec(Wp, bp, Activation("tanh")), cfg), Wc, bc)
+
+
+class TestPoolerClassifierBundle:
     def test_single_class_reduces_to_kernel_estimate(self):
         from snnk.urf import kernel_estimate, phi, psi, sample_draws
         from snnk.activations import decomposition_for
@@ -258,7 +253,7 @@ class TestPoolerClassifierBundle:
         Wc = np.array([[1.0, 0.0, 0.0]])
         bc = np.array([0.25])
         cfg = UrfConfig(m=8, seed=15)
-        head, _ = bundle_pooler_classifier(Wp, bp, Wc, bc, cfg)
+        head = merged_pooler_classifier(Wp, bp, Wc, bc, cfg)
         x = rng.uniform(-0.5, 0.5, d)
         draws = sample_draws(decomposition_for(Activation("tanh")), d, cfg)
         expected = kernel_estimate(phi(x, draws), psi(Wp[0], bp[0], draws)) + 0.25
@@ -274,7 +269,7 @@ class TestPoolerClassifierBundle:
         x = rng.uniform(-0.5, 0.5, d)
         exact = pooler_classifier_exact(Wp, bp, Wc, bc, x)
         outs = np.array([
-            bundle_pooler_classifier(Wp, bp, Wc, bc, UrfConfig(m=64, seed=s))[0](x)
+            merged_pooler_classifier(Wp, bp, Wc, bc, UrfConfig(m=64, seed=s))(x)
             for s in range(300)
         ])
         se = outs.std(axis=0, ddof=1) / math.sqrt(len(outs))
@@ -359,11 +354,12 @@ class TestErrorPropagationBound:
         # the bounded-increment constant comes from the feature-entry
         # bounds rather than being assumed
         from snnk.activations import Activation, decomposition_for
-        from snnk.urf import UrfConfig, per_term_bound, sample_draws
+        from snnk.urf import UrfConfig, phi_entry_bound, psi_entry_bound, sample_draws
 
         dec = decomposition_for(Activation("sine"))
         draws = sample_draws(dec, 4, UrfConfig(m=32, A=-0.1, seed=9))
-        c = per_term_bound(draws, max_norm_x=1.0, max_norm_w=1.0)
+        # bound on one averaged estimator term |m * phi_i * psi_i|
+        c = 32 * float(np.max(phi_entry_bound(draws, 1.0) * psi_entry_bound(draws, 1.0)))
         assert c > 0
         out = error_propagation_bound(0.5, 32, c, depth=3, delta=lambda a: 1.2 * a)
         assert out.corrected_bound < out.printed_bound

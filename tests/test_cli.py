@@ -101,6 +101,15 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "error: instantiation: unknown key\n"
         assert not out.exists()
 
+    def test_unknown_activation_names_its_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, activation="sinee"))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: activation: expected an activation kind or 'arccos', got 'sinee'\n"
+        )
+        assert not out.exists()
+
     def test_non_finite_shape_parameter_fails_cleanly(self, tmp_path, capsys):
         # json reads the bare NaN token as a float
         cfg = tmp_path / "est.json"
@@ -244,6 +253,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: axis: missing required key\n"
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"axis": "activation", "values": ["sine", "sinee"], "base": ESTIMATE_CFG},
+         "values: 'sinee' is not a valid activation value"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, activation="sinee")},
+         "base.activation: expected an activation kind or 'arccos', got 'sinee'"),
+    ], ids=["values", "base"])
+    def test_unknown_activation_names_its_key_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch, payload, message):
+        def no_run(cfg):
+            raise AssertionError("a sweep point ran before every value was checked")
+
+        monkeypatch.setattr(cli, "run_pointwise", no_run)
+        cfg = write_json(tmp_path / "sweep.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFtTableCommand:
     def test_default_table(self, tmp_path):
@@ -272,6 +299,20 @@ class TestFtTableCommand:
         out = tmp_path / "ft.csv"
         assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: activations: expected a list, got 'sine'\n"
+        assert not out.exists()
+
+    def test_unknown_activation_names_its_key_before_any_table(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_table(a):
+            raise AssertionError("a table was built before every name was checked")
+
+        monkeypatch.setattr(cli, "decomposition_for", no_table)
+        cfg = write_json(tmp_path / "ft.json", {"activations": ["sine", "sinee"]})
+        out = tmp_path / "ft.csv"
+        assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: activations[1]: expected an activation kind, got 'sinee'\n"
+        )
         assert not out.exists()
 
 
@@ -329,6 +370,16 @@ class TestBundleCommand:
         cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=layers))
         assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: layers[1].activaton: unknown key\n"
+
+    def test_unknown_activation_names_its_key(self, tmp_path, capsys):
+        layers = [BUNDLE_CFG["layers"][0], {"out_dim": 2, "activation": "sinee"}]
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=layers))
+        out = tmp_path / "b.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: layers[1].activation: expected an activation kind, got 'sinee'\n"
+        )
+        assert not out.exists()
 
     def test_weights_without_biases_name_the_key(self, tmp_path, capsys):
         payload = dict(BUNDLE_CFG, weights=[np.ones((4, 3)).tolist(), np.ones((2, 4)).tolist()])
@@ -471,6 +522,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: layer.kind: expected 'relu' or 'urf', got 'rleu'\n"
         )
+
+    def test_unknown_activation_names_its_key(self, tmp_path, capsys, monkeypatch):
+        def no_blobs(**kwargs):
+            raise AssertionError("blobs built before the config was read")
+
+        monkeypatch.setattr(cli, "generate_blobs", no_blobs)
+        cfg = write_json(tmp_path / "train.json",
+                         dict(TRAIN_CFG, layer={"kind": "urf", "activation": "sinee"}))
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: layer.activation: expected an activation kind, got 'sinee'\n"
+        )
+        assert not out.exists()
 
     def test_non_object_section_fails_cleanly(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "train.json", dict(TRAIN_CFG, train=[0.05]))

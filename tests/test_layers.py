@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -16,16 +15,12 @@ from snnk.layers import (
     TaylorSplitKernel,
     ZeroVector,
     arc_cosine_exact,
-    arc_cosine_mc,
     arc_cosine_mc_samples,
     ffl_forward,
     gated_param_count,
     gated_residual_block,
     kar_karnick_estimate,
     kar_karnick_features,
-    kar_karnick_sparsity,
-    layer_from_json,
-    layer_to_json,
     relu_feature_map,
     relu_snnk_features,
     snnk_forward,
@@ -262,8 +257,10 @@ class TestArcCosine:
         x = np.array([0.4, 0.3, -0.2])
         plain, anti = [], []
         for s in range(200):
-            plain.append(arc_cosine_mc(1, x, x, 2000, seed=3000 + s))
-            anti.append(arc_cosine_mc(1, x, x, 2000, seed=3000 + s, antithetic=True))
+            plain.append(arc_cosine_mc_samples(1, x, x, 2000, seed=3000 + s).mean())
+            anti.append(
+                arc_cosine_mc_samples(1, x, x, 2000, seed=3000 + s, antithetic=True).mean()
+            )
         assert np.var(anti, ddof=1) < np.var(plain, ddof=1)
 
 
@@ -385,37 +382,10 @@ class TestKarKarnick:
     def test_sparsity_is_high(self):
         k = TaylorSplitKernel.from_tanh(9)
         x = rng_for(19, 0, 0, MISC_STREAM).standard_normal(5)
-        frac = kar_karnick_sparsity(k, x, D=512, seed=20)
-        assert frac >= 0.4
+        f1, f2 = kar_karnick_features(k, x, D=512, seed=20)
+        assert np.mean(np.concatenate([f1, f2]) == 0.0) >= 0.4
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):
             TaylorSplitKernel(coeff_pos=(0.0, -1.0), coeff_neg=(0.0, 0.0))
 
-
-class TestSerialization:
-    def test_urf_layer_round_trip(self):
-        rng = rng_for(21, 0, 0, MISC_STREAM)
-        spec = FflSpec(
-            W=rng.uniform(-0.5, 0.5, (3, 4)),
-            b=rng.uniform(-0.5, 0.5, 3),
-            activation=Activation("sine"),
-        )
-        layer = snnk_from_ffl(spec, UrfConfig(m=8, A=-0.05, seed=9))
-        back = layer_from_json(layer_to_json(layer))
-        assert np.array_equal(back.A, layer.A)
-        x = rng.uniform(-1, 1, 4)
-        assert np.array_equal(snnk_forward(x, back), snnk_forward(x, layer))
-
-    def test_relu_layer_round_trip(self):
-        layer = make_learnable_layer(relu_feature_map(4, 16, seed=3), 5, seed=4)
-        back = layer_from_json(layer_to_json(layer))
-        assert np.array_equal(back.A, layer.A)
-        assert np.array_equal(back.feature_map.G, layer.feature_map.G)
-
-    def test_layout_guard(self):
-        layer = make_learnable_layer(relu_feature_map(4, 16, seed=3), 5, seed=4)
-        rec = json.loads(layer_to_json(layer))
-        rec["layout"] = [["relu", 0, 99]]
-        with pytest.raises(ShapeMismatch):
-            layer_from_json(json.dumps(rec))
