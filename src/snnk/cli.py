@@ -52,6 +52,19 @@ REL_ERROR_FLOOR = 1e-12
 # pointwise estimation
 
 
+def _per_component(p: int, n_active: int) -> int:
+    """Features per transform component for a requested total of ``p``."""
+    return max(1, int(p) // n_active)
+
+
+class ConfigError(ValueError):
+    """A config value that fails a check; the message starts with its key."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"{key}: {problem}")
+        self.key, self.problem = key, problem
+
+
 @dataclass(frozen=True)
 class EstimateConfig:
     """Pointwise-estimation benchmark configuration.
@@ -85,6 +98,16 @@ class EstimateConfig:
             # the benchmark quantifies one output entry; wider layers are
             # covered by the layer-level tests
             raise ValueError("pointwise estimation is defined for l = 1")
+        if self.strategy not in ("iid", "block"):
+            raise ConfigError("strategy", f"expected 'iid' or 'block', got {self.strategy!r}")
+        if self.strategy == "block" and self.activation != "arccos":
+            n_active = len(decomposition_for(Activation(self.activation)).active())
+            for p in self.feature_counts:
+                m = _per_component(p, n_active)
+                if self.block_size < 1 or m % self.block_size:
+                    raise ConfigError("block_size", (
+                        f"{self.block_size} does not divide m = {m}, the features per "
+                        f"component of feature count {p} ({n_active} components)"))
 
 
 @dataclass(frozen=True)
@@ -132,10 +155,8 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
         dec = decomposition_for(act)
         exact = float(act(np.dot(w, x) + cfg.bias))
         n_active = len(dec.active())
-        plan = [
-            (pi, max(1, int(p) // n_active) * n_active)
-            for pi, p in enumerate(cfg.feature_counts)
-        ]
+        plan = [(pi, _per_component(p, n_active) * n_active)
+                for pi, p in enumerate(cfg.feature_counts)]
 
     rows = []
     aggregates = []
@@ -177,6 +198,8 @@ def _sweep_point(axis: str, value, base: EstimateConfig) -> EstimateConfig:
         if isinstance(value, str) and value.startswith("block:"):
             return replace(base, strategy="block", block_size=int(value.split(":")[1]))
         return replace(base, strategy=str(value))
+    except ConfigError as exc:
+        raise ValueError(f"values: {value!r} is not a valid {axis} value: {exc}") from None
     except (TypeError, ValueError):
         raise ValueError(f"values: {value!r} is not a valid {axis} value") from None
 
@@ -309,7 +332,10 @@ ESTIMATE_KEYS["activation"] = (_estimate_activation, EstimateConfig.activation)
 
 
 def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
-    cfg = EstimateConfig(**_read(raw, ESTIMATE_KEYS, section))
+    try:
+        cfg = EstimateConfig(**_read(raw, ESTIMATE_KEYS, section))
+    except ConfigError as exc:
+        raise ConfigError(_key_name(section, exc.key), exc.problem) from None
     return cfg if seed_override is None else replace(cfg, seed=seed_override)
 
 

@@ -15,21 +15,24 @@ with importance ratio r = p_j / proposal, the fixed policy rho(xi) =
 where z.z is the bilinear (non-conjugated) square, so Lambda extends to
 complex arguments by analytic continuation and E_g[Lambda_g(x) Lambda_g(y)]
 = exp(x.y) holds exactly.  Feature vectors are the per-draw factors of the
-summand, concatenated across active transform components; their bilinear
-dot product is an unbiased estimate of f(w.x + b).
+summand, laid out component after component; their bilinear dot product is
+an unbiased estimate of f(w.x + b).
 
-Both towers evaluate Lambda through one batch-first kernel, ``_lambda_exp``,
-over the per-block constants cached in ``UrfDraws.terms``.  It forms each
-g.z as one matrix-vector product per row of a (..., d) stack, so row i of
-``phi_many``/``psi_many`` is bit-identical to ``phi``/``psi`` of that row,
-which are the same calls without a leading axis.
+A draw set is fused: its M = components x m entries share one frequency
+vector, one ratio vector and one M x dim Gaussian matrix ``G``, and
+``UrfDraws.terms`` caches the per-entry constants.  Both towers evaluate
+Lambda over all M entries in one expression, ``_lambda_exp``, which forms
+g.z as one product per row of a (..., d) stack: row i of
+``phi_many``/``psi_many`` is bit-identical to ``phi``/``psi`` of that row.
+A complex row z (a bundled stage input, an absorbed weight row) goes
+through the real G as the pair [Re z, Im z].
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
 reads each component's frequencies and Gaussians off its own (seed, axis,
-XI/G) streams.  With ``n`` given, every block array carries a leading (n,)
-axis of instantiations; the towers and ``kernel_estimate_complex`` then
-return one row per instantiation, each equal to the single-set path over
-that instantiation's slice of the draws.
+XI/G) streams into its rows of the fused arrays.  With ``n`` given, every
+array carries a leading (n,) axis of instantiations; the towers and
+``kernel_estimate_complex`` then return one row per instantiation, each
+equal to the single-set path over that instantiation's slice of the draws.
 """
 
 from __future__ import annotations
@@ -128,15 +131,8 @@ class UrfConfig:
 
 @dataclass(frozen=True)
 class AxisDraws:
-    """Sampled (xi_i, g_i) pairs and importance ratios for one component.
-
-    The arrays may carry a leading instantiation axis (``sample_draws(..., n)``).
-    ``g_complex``, a complex copy of ``g``, is built lazily and cached on
-    the instance, only once a complex input or weight row meets this block
-    (bundled stages after the first).  The draw arrays must not be modified
-    in place after a feature map has been evaluated: the cached constants
-    here and in ``UrfDraws.terms`` would go stale.
-    """
+    """One component's rows of a draw set: views of ``UrfDraws.xi``, ``G`` and
+    ``ratio``, so reading them copies nothing."""
 
     axis: str
     c: complex  # signed component mass
@@ -144,68 +140,77 @@ class AxisDraws:
     g: np.ndarray  # (..., m, dim)
     ratio: np.ndarray  # (..., m), p_j(xi)/proposal(xi), >= 0
 
-    @cached_property
-    def g_complex(self) -> np.ndarray:
-        return self.g.astype(complex)
-
-    def g_for(self, v: np.ndarray) -> np.ndarray:
-        """g, or its cached complex copy when ``v`` is complex: numpy would
-        otherwise cast g to complex on every product with v."""
-        return self.g_complex if np.iscomplexobj(v) else self.g
-
 
 class LambdaTerms(NamedTuple):
-    """Per-block constants of Lambda for one shape A, shared by both towers."""
+    """Per-entry constants of Lambda for one shape A, shared by both towers."""
 
     agg: np.ndarray  # A |g_i|^2
     prefactor: float  # (1-4A)^(d/4)
     scale: float  # prefactor / sqrt(m), the input-side weight
     root: float  # sqrt(1-4A), the coefficient of g_i.w
+    freq: np.ndarray  # 2 pi i xi_i, the coefficient of the bias
     phase: np.ndarray  # root * 2 pi i xi_i, the coefficient of g_i.x
     quad: np.ndarray  # 2 pi^2 xi_i^2, the coefficient of x.x
+    weight: np.ndarray  # c_i / sqrt(m), the signed mass of entry i's component
 
 
 @dataclass(frozen=True)
 class UrfDraws:
-    """Draws for every active component, plus cached per-block constants.
+    """Draws for every active component, fused along one feature axis.
 
-    ``layout`` and ``terms`` (one ``LambdaTerms`` per block, read by both
-    towers) are computed once per draw set, on first use.  Block arrays may
-    carry a leading (n,) instantiation axis (``sample_draws(..., n)``); so
-    do the terms.
+    Component j (``axes[j]``) owns entries j*m to (j+1)*m - 1 of ``xi`` and
+    ``ratio`` and those rows of the one Gaussian matrix ``G``, with m =
+    ``config.m``; ``blocks`` views them per component.  The arrays may carry
+    a leading (n,) instantiation axis (``sample_draws(..., n)``); so do the
+    per-entry constants ``terms``, computed once per draw set on first use.
+    The arrays must not be modified in place after a feature map has been
+    evaluated: the cached terms would go stale.
     """
 
     dim: int
     config: UrfConfig
-    blocks: tuple[AxisDraws, ...]
-
-    @cached_property
-    def layout(self) -> tuple[tuple[str, int], ...]:
-        return tuple((b.axis, b.xi.shape[-1]) for b in self.blocks)
-
-    @cached_property
-    def terms(self) -> tuple[LambdaTerms, ...]:
-        A = self.config.A
-        root = math.sqrt(1.0 - 4.0 * A)
-        out = []
-        for blk in self.blocks:
-            m, d = blk.g.shape[-2:]
-            prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
-            out.append(
-                LambdaTerms(
-                    agg=A * np.sum(blk.g * blk.g, axis=-1),
-                    prefactor=prefactor,
-                    scale=prefactor / math.sqrt(m),
-                    root=root,
-                    phase=root * (2j * math.pi * blk.xi),
-                    quad=2.0 * math.pi**2 * blk.xi**2,
-                )
-            )
-        return tuple(out)
+    axes: tuple[tuple[str, complex], ...]  # (axis, signed mass c) per component
+    xi: np.ndarray  # (..., M)
+    G: np.ndarray  # (..., M, dim)
+    ratio: np.ndarray  # (..., M), p_j(xi)/proposal(xi), >= 0
 
     @property
     def total_features(self) -> int:
-        return sum(b.xi.shape[-1] for b in self.blocks)
+        return self.xi.shape[-1]
+
+    @cached_property
+    def layout(self) -> tuple[tuple[str, int], ...]:
+        return tuple((axis, self.config.m) for axis, _ in self.axes)
+
+    @cached_property
+    def blocks(self) -> tuple[AxisDraws, ...]:
+        m = self.config.m
+        views = []
+        for j, (axis, c) in enumerate(self.axes):
+            rows = slice(j * m, (j + 1) * m)
+            views.append(AxisDraws(axis=axis, c=c, xi=self.xi[..., rows],
+                                   g=self.G[..., rows, :], ratio=self.ratio[..., rows]))
+        return tuple(views)
+
+    @cached_property
+    def terms(self) -> LambdaTerms:
+        A, m = self.config.A, self.config.m
+        root = math.sqrt(1.0 - 4.0 * A)
+        prefactor = (1.0 - 4.0 * A) ** (self.dim / 4.0)
+        freq = 2j * math.pi * self.xi
+        # |g_i|^2 one component's rows at a time: a single G-sized temporary
+        # made this 1.6x slower at M x dim = 512 x 200 on a 2-core x86_64 VM
+        sq = np.concatenate([np.sum(b.g * b.g, axis=-1) for b in self.blocks], axis=-1)
+        return LambdaTerms(
+            agg=A * sq,
+            prefactor=prefactor,
+            scale=prefactor / math.sqrt(m),
+            root=root,
+            freq=freq,
+            phase=root * freq,
+            quad=2.0 * math.pi**2 * self.xi**2,
+            weight=np.repeat([c / math.sqrt(m) for _, c in self.axes], m),
+        )
 
 
 @dataclass(frozen=True)
@@ -260,43 +265,40 @@ def _sample_xi(component, proposal, n_xi, rng):
     raise ProposalMismatch(f"unknown proposal {proposal!r}")
 
 
-def _axis_block(component, dim, cfg, n=None):
-    """(xi, ratio, g) for one component: ``n`` instantiations stacked on a
-    leading axis, or one set when ``n`` is None, with the frequencies drawn
-    from the component's proposal."""
-    axis_id = AXIS_ID[component.axis]
-    shape = (cfg.m,) if n is None else (n, cfg.m)
-    reps = cfg.block_size if cfg.strategy == "block" else 1
-    rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
-    drawn = _sample_xi(component, cfg.proposal_for(component), math.prod(shape) // reps, rng_xi)
-    xi, ratio = (a.reshape(shape[:-1] + (-1,)) for a in drawn)
-    if reps > 1:
-        xi, ratio = np.repeat(xi, reps, axis=-1), np.repeat(ratio, reps, axis=-1)
-    return AxisDraws(
-        axis=component.axis,
-        c=complex(component.mass * AXIS_PHASE[component.axis]),
-        xi=xi,
-        g=rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal(shape + (dim,)),
-        ratio=ratio,
-    )
-
-
 def sample_draws(
     decomp: FourierDecomposition, dim: int, cfg: UrfConfig, n: int | None = None
 ) -> UrfDraws:
     """Draw (xi_i, g_i) pairs for every active component.
 
     Deterministic in ``cfg.seed``; each component uses its own derived
-    stream, so adding or removing components does not perturb the others.
-    With ``n`` given, every block array gains a leading (n,) axis of
-    independent instantiations, read off the same streams: ``n=1`` equals
+    streams, so adding or removing components does not perturb the others.
+    ``G`` is allocated once and each component's Gaussian stream fills its
+    rows in place.  With ``n`` given, every array gains a leading (n,) axis
+    of independent instantiations, read off the same streams: ``n=1`` equals
     the single set with a leading axis, and row i is an instantiation whose
     ``phi``/``psi`` rows are bit-identical to those of the sliced draws.
     """
     if n is not None and n < 1:
         raise ValueError("n must be >= 1")
-    blocks = tuple(_axis_block(c, dim, cfg, n) for c in decomp.active())
-    return UrfDraws(dim=dim, config=cfg, blocks=blocks)
+    comps = decomp.active()
+    lead, m = (() if n is None else (n,)), cfg.m
+    reps = cfg.block_size if cfg.strategy == "block" else 1
+    xi = np.empty(lead + (len(comps) * m,))
+    ratio = np.empty_like(xi)
+    G = np.empty(xi.shape + (dim,))
+    for j, comp in enumerate(comps):
+        rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
+        rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
+        drawn = _sample_xi(comp, cfg.proposal_for(comp), math.prod(lead) * m // reps, rng_xi)
+        for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
+            dest[..., rows] = np.repeat(a.reshape(lead + (-1,)), reps, axis=-1)
+        g, rng_g = G[..., rows, :], rng_for(cfg.seed, axis_id, 0, G_STREAM)
+        if g.flags.c_contiguous:
+            rng_g.standard_normal(out=g)
+        else:  # a leading instantiation axis splits the component's rows
+            g[...] = rng_g.standard_normal(g.shape)
+    axes = tuple((c.axis, complex(c.mass * AXIS_PHASE[c.axis])) for c in comps)
+    return UrfDraws(dim=dim, config=cfg, axes=axes, xi=xi, G=G, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +319,25 @@ def lambda_feature(g: np.ndarray, z: np.ndarray, A: float) -> complex:
     return prefactor * np.exp(exponent)
 
 
-def _lambda_exp(Z, blk, t, coef, quad):
-    """exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of Z (..., d).
+def _project(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """g_i.z for every row g_i of G (..., M, d) and each row z of Z (..., d).
 
-    g_i.z is one matrix-vector product per row, so every row of a stack is
-    bit-identical to that row evaluated alone; ``Z @ g.T`` would be one
-    matrix-matrix product, whose rows differ in the last bits.
+    One product per row of the stack, so every row is bit-identical to that
+    row evaluated alone; ``Z @ G.T`` would be one matrix-matrix product,
+    whose rows differ in the last bits.  A complex z goes through the real
+    G as the (d, 2) pair [Re z, Im z], one real matrix product per row.
     """
-    gz = (blk.g_for(Z) @ Z[..., None])[..., 0]
+    if np.iscomplexobj(Z):
+        Z = np.ascontiguousarray(Z, dtype=complex)
+        return (G @ Z.view(float).reshape(*Z.shape, 2)).view(complex)[..., 0]
+    return (G @ Z[..., None])[..., 0]
+
+
+def _lambda_exp(Z, draws, coef, quad):
+    """exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of Z (..., d)
+    and every entry i of the draw set."""
     zz = (Z * Z).sum(axis=-1, keepdims=True)  # bilinear; complex-safe
-    return np.exp(t.agg + coef * gz + quad * zz)
+    return np.exp(draws.terms.agg + coef * _project(draws.G, Z) + quad * zz)
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
@@ -351,9 +362,8 @@ def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; row i equals ``phi(X[i], draws)`` bit for bit.
     """
-    X = np.asarray(X)
-    return np.concatenate([t.scale * _lambda_exp(X, blk, t, t.phase, t.quad)
-                           for blk, t in zip(draws.blocks, draws.terms)], axis=-1)
+    t = draws.terms
+    return t.scale * _lambda_exp(np.asarray(X), draws, t.phase, t.quad)
 
 
 def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
@@ -363,14 +373,10 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
     Any leading axes are allowed; row i equals ``psi(W[i], b[i], draws)`` bit
     for bit, so A and W_bar are the row-by-row constructions.
     """
-    W = np.asarray(W)
+    t = draws.terms
     b = np.asarray(b)[..., None]
-    return np.concatenate([
-        blk.c / math.sqrt(blk.xi.shape[-1])
-        * (blk.ratio * np.exp(2j * math.pi * blk.xi * b))
-        * (t.prefactor * _lambda_exp(W, blk, t, t.root, -0.5))
-        for blk, t in zip(draws.blocks, draws.terms)
-    ], axis=-1)
+    return (t.weight * (draws.ratio * np.exp(t.freq * b))
+            * (t.prefactor * _lambda_exp(np.asarray(W), draws, t.root, -0.5)))
 
 
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
@@ -403,12 +409,10 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
     prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.  Draws from
     ``sample_draws(..., n)`` give one row of bounds per instantiation.
     """
-    A = draws.config.A
-    if A > 0:
+    if draws.config.A > 0:
         raise ValueError("bound requires A <= 0")
-    return np.concatenate(
-        [t.scale * np.exp(t.quad * max_norm_x**2) for t in draws.terms], axis=-1
-    )
+    t = draws.terms
+    return t.scale * np.exp(t.quad * max_norm_x**2)
 
 
 def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
@@ -424,8 +428,5 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
         raise ValueError("parameter-side bound requires A < 0")
     R = max_norm_w
     exponent = (1.0 - 4.0 * A) * R * R / (4.0 * abs(A)) - R * R / 2.0
-    return np.concatenate([
-        t.scale * abs(blk.c) * blk.ratio * math.exp(exponent)
-        for blk, t in zip(draws.blocks, draws.terms)
-    ], axis=-1)
-
+    mass = np.repeat([abs(c) for _, c in draws.axes], draws.config.m)
+    return draws.terms.scale * mass * draws.ratio * math.exp(exponent)

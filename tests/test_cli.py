@@ -101,6 +101,28 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "error: instantiation: unknown key\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"strategy": "bogus"}, "strategy: expected 'iid' or 'block', got 'bogus'"),
+        # tanh has two components: p=8 gives m=4, but p=12 gives m=6
+        ({"activation": "tanh", "feature_counts": [8, 12], "strategy": "block", "block_size": 4},
+         "block_size: 4 does not divide m = 6, the features per component of feature "
+         "count 12 (2 components)"),
+        ({"strategy": "block"},
+         "block_size: 0 does not divide m = 4, the features per component of feature "
+         "count 8 (2 components)"),
+    ], ids=["strategy", "block_size", "no-block-size"])
+    def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                    change, message):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(cli, "_urf_trial", no_trial)
+        cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, **change))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_activation_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, activation="sinee"))
         out = tmp_path / "o.csv"
@@ -252,6 +274,33 @@ class TestSweepCommand:
         cfg = write_json(tmp_path / "sweep.json", {"values": [1], "base": ESTIMATE_CFG})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == "error: axis: missing required key\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"axis": "strategy", "values": ["iid", "bogus"], "base": ESTIMATE_CFG},
+         "values: 'bogus' is not a valid strategy value: "
+         "strategy: expected 'iid' or 'block', got 'bogus'"),
+        ({"axis": "strategy", "values": ["iid", "block:4"],
+          "base": dict(ESTIMATE_CFG, activation="tanh", feature_counts=[8, 12])},
+         "values: 'block:4' is not a valid strategy value: block_size: 4 does not divide "
+         "m = 6, the features per component of feature count 12 (2 components)"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, strategy="bogus")},
+         "base.strategy: expected 'iid' or 'block', got 'bogus'"),
+        ({"axis": "A", "values": [0.0],
+          "base": dict(ESTIMATE_CFG, strategy="block", block_size=3)},
+         "base.block_size: 3 does not divide m = 4, the features per component of "
+         "feature count 8 (2 components)"),
+    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size"])
+    def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                  payload, message):
+        def no_run(cfg):
+            raise AssertionError("a sweep point ran before every value was checked")
+
+        monkeypatch.setattr(cli, "run_pointwise", no_run)
+        cfg = write_json(tmp_path / "sweep.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload, message", [
         ({"axis": "activation", "values": ["sine", "sinee"], "base": ESTIMATE_CFG},

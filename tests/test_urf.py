@@ -34,15 +34,11 @@ XI0 = 1.0 / (2.0 * math.pi)
 
 def instantiation(bd, i):
     """Draw set i of a batched draw set, as a single set."""
-    blocks = tuple(
-        dataclasses.replace(b, xi=b.xi[i], g=b.g[i], ratio=b.ratio[i]) for b in bd.blocks
-    )
-    return UrfDraws(dim=bd.dim, config=bd.config, blocks=blocks)
+    return dataclasses.replace(bd, xi=bd.xi[i], G=bd.G[i], ratio=bd.ratio[i])
 
 
 def zeroed_g(draws):
-    blocks = tuple(dataclasses.replace(b, g=np.zeros_like(b.g)) for b in draws.blocks)
-    return dataclasses.replace(draws, blocks=blocks)
+    return dataclasses.replace(draws, G=np.zeros_like(draws.G))
 
 
 # sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config, n)
@@ -142,6 +138,18 @@ class TestSampleDraws:
             assert (b_blk.axis, b_blk.c) == (s_blk.axis, s_blk.c)
             for name in ("xi", "g", "ratio"):
                 assert np.array_equal(getattr(b_blk, name), getattr(s_blk, name)[None])
+
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_blocks_view_the_single_gaussian_matrix(self, n):
+        dec = decomposition_for(Activation("sigmoid"))
+        draws = sample_draws(dec, 3, UrfConfig(m=5, seed=6), n)
+        assert draws.G.shape == draws.xi.shape + (3,) == draws.ratio.shape + (3,)
+        for j, blk in enumerate(draws.blocks):
+            rows = slice(5 * j, 5 * (j + 1))
+            for name, fused in (("g", draws.G[..., rows, :]), ("xi", draws.xi[..., rows]),
+                                ("ratio", draws.ratio[..., rows])):
+                view = getattr(blk, name)
+                assert np.shares_memory(view, fused) and np.array_equal(view, fused)
 
     def test_instantiation_count_must_be_positive(self):
         dec = decomposition_for(Activation("sine"))
@@ -284,23 +292,50 @@ class TestFeatureMaps:
                 assert np.array_equal(many[i], phi(X[i], draws).entries)
 
 
-def direct_phi(x, draws):
-    """Lambda written out per block, re-deriving every constant per call."""
+def split_project(g, z):
+    """g z with a complex z taken as the real pair [Re z, Im z], as the kernel does."""
+    if not np.iscomplexobj(z):
+        return g @ z
+    pair = g @ np.stack([z.real, z.imag], axis=-1)
+    return pair[:, 0] + 1j * pair[:, 1]
+
+
+def complex_project(g, z):
+    return g.astype(complex) @ z
+
+
+def direct_lambda(z, draws, coef, quad, project):
+    """(prefactor, exp(...)) of Lambda for each block's entries, re-deriving
+    every constant per call."""
     A = draws.config.A
     out = []
     for blk in draws.blocks:
-        m, d = blk.g.shape
-        g = blk.g.astype(complex) if np.iscomplexobj(x) else blk.g
-        gx = g @ x
-        xx = np.sum(x * x)
-        prefactor = (1.0 - 4.0 * A) ** (d / 4.0)
         exponent = (
             A * np.sum(blk.g * blk.g, axis=1)
-            + math.sqrt(1.0 - 4.0 * A) * (2j * math.pi * blk.xi) * gx
-            + 2.0 * math.pi**2 * blk.xi**2 * xx
+            + coef(blk) * project(blk.g, z)
+            + quad(blk) * np.sum(z * z)
         )
-        out.append(prefactor / math.sqrt(m) * np.exp(exponent))
-    return np.concatenate(out)
+        out.append(np.exp(exponent))
+    return (1.0 - 4.0 * A) ** (draws.dim / 4.0), out
+
+
+def direct_phi(x, draws, project=split_project):
+    """Phi written out per block."""
+    root = math.sqrt(1.0 - 4.0 * draws.config.A)
+    prefactor, exps = direct_lambda(x, draws, lambda blk: root * (2j * math.pi * blk.xi),
+                                    lambda blk: 2.0 * math.pi**2 * blk.xi**2, project)
+    return np.concatenate([prefactor / math.sqrt(draws.config.m) * e for e in exps])
+
+
+def direct_psi(w, b, draws, project):
+    """Psi written out per block."""
+    root = math.sqrt(1.0 - 4.0 * draws.config.A)
+    prefactor, exps = direct_lambda(w, draws, lambda blk: root, lambda blk: -0.5, project)
+    return np.concatenate([
+        blk.c / math.sqrt(draws.config.m) * (blk.ratio * np.exp(2j * math.pi * blk.xi * b))
+        * (prefactor * e)
+        for blk, e in zip(draws.blocks, exps)
+    ])
 
 
 class TestCachedConstants:
@@ -311,7 +346,6 @@ class TestCachedConstants:
         assert "terms" not in draws.__dict__
         cold = phi(x, draws).entries
         assert "terms" in draws.__dict__
-        assert all("g_complex" not in blk.__dict__ for blk in draws.blocks)
         warm = phi(x, draws).entries
         assert np.array_equal(cold, direct_phi(x, draws))
         assert np.array_equal(warm, direct_phi(x, draws))
@@ -322,16 +356,45 @@ class TestCachedConstants:
         x = rng_for(9, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 5)
         z = phi(x, bn.stages[0].draws).entries  # the stage-1 input of bundled_forward
         assert np.iscomplexobj(z)
-        built = bn.stages[1].draws  # bundle_full has already filled its caches
-        draws = dataclasses.replace(
-            built, blocks=tuple(dataclasses.replace(b) for b in built.blocks)
-        )
-        assert all("g_complex" not in blk.__dict__ for blk in draws.blocks)
+        draws = dataclasses.replace(bn.stages[1].draws)  # bundle_full has filled the caches
+        assert "terms" not in draws.__dict__
         cold = phi(z, draws).entries
-        assert all("g_complex" in blk.__dict__ for blk in draws.blocks)
+        assert "terms" in draws.__dict__
         warm = phi(z, draws).entries
         assert np.array_equal(cold, direct_phi(z, draws))
         assert np.array_equal(warm, direct_phi(z, draws))
+
+
+class TestComplexProjection:
+    """Complex rows (bundled stage inputs, absorbed weights) are projected
+    through the real G: a stack equals its rows bit for bit, and the result
+    equals the product with a complex copy of g."""
+
+    NET = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
+
+    @pytest.mark.parametrize("m", [5, 7, 16])
+    def test_stage_inputs(self, m):
+        bn = bundle_full(self.NET, UrfConfig(m=m, A=-0.1, seed=8))
+        X = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
+        Z = phi_many(X, bn.stages[0].draws)
+        draws = bn.stages[1].draws
+        many = phi_many(Z, draws)
+        for i, z in enumerate(Z):
+            assert np.array_equal(many[i], phi(z, draws).entries)
+            np.testing.assert_allclose(many[i], direct_phi(z, draws, complex_project),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [5, 7, 16])
+    def test_absorbed_weights(self, m):
+        absorbed = bundle_once(self.NET, UrfConfig(m=m, A=-0.1, seed=8)).layers[0]
+        assert np.iscomplexobj(absorbed.W)
+        draws = sample_draws(decomposition_for(Activation("sine")), absorbed.W.shape[1],
+                             UrfConfig(m=m, A=-0.1, seed=9))
+        mat = psi_many(absorbed.W, absorbed.b, draws)
+        for i, (w, b) in enumerate(zip(absorbed.W, absorbed.b)):
+            assert np.array_equal(mat[i], psi(w, b, draws).entries)
+            np.testing.assert_allclose(mat[i], direct_psi(w, b, draws, complex_project),
+                                       rtol=1e-12, atol=0)
 
 
 class TestKernelEstimate:
