@@ -57,6 +57,7 @@ from .train import (
     grad_check,
 )
 from .urf import (
+    ConfigError,
     FeatureVector,
     LayoutMismatch,
     ProposalMismatch,

@@ -43,7 +43,7 @@ from .train import (
     make_learnable_layer,
     split_dataset,
 )
-from .urf import UrfConfig, kernel_estimate, phi, psi, sample_draws
+from .urf import ConfigError, UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 REL_ERROR_FLOOR = 1e-12
 
@@ -55,14 +55,6 @@ REL_ERROR_FLOOR = 1e-12
 def _per_component(p: int, n_active: int) -> int:
     """Features per transform component for a requested total of ``p``."""
     return max(1, int(p) // n_active)
-
-
-class ConfigError(ValueError):
-    """A config value that fails a check; the message starts with its key."""
-
-    def __init__(self, key: str, problem: str):
-        super().__init__(f"{key}: {problem}")
-        self.key, self.problem = key, problem
 
 
 @dataclass(frozen=True)
@@ -98,16 +90,22 @@ class EstimateConfig:
             # the benchmark quantifies one output entry; wider layers are
             # covered by the layer-level tests
             raise ValueError("pointwise estimation is defined for l = 1")
-        if self.strategy not in ("iid", "block"):
-            raise ConfigError("strategy", f"expected 'iid' or 'block', got {self.strategy!r}")
-        if self.strategy == "block" and self.activation != "arccos":
-            n_active = len(decomposition_for(Activation(self.activation)).active())
-            for p in self.feature_counts:
-                m = _per_component(p, n_active)
-                if self.block_size < 1 or m % self.block_size:
-                    raise ConfigError("block_size", (
-                        f"{self.block_size} does not divide m = {m}, the features per "
-                        f"component of feature count {p} ({n_active} components)"))
+        if self.activation == "arccos":
+            # the relu map draws no frequencies, so it ignores A and block_size;
+            # the strategy name is still checked
+            UrfConfig(m=1, strategy=self.strategy, block_size=1)
+            return
+        n_active = len(decomposition_for(Activation(self.activation)).active())
+        for p in self.feature_counts:  # the trials' own sampling config, built before any runs
+            try:
+                UrfConfig(m=_per_component(p, n_active), A=self.A,
+                          strategy=self.strategy, block_size=self.block_size)
+            except ConfigError as exc:
+                if exc.key != "block_size":
+                    raise
+                raise ConfigError("block_size", (
+                    f"{exc.problem}, the features per component of feature count {p} "
+                    f"({n_active} components)")) from None
 
 
 @dataclass(frozen=True)

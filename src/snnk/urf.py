@@ -58,6 +58,14 @@ class LayoutMismatch(ValueError):
     """Feature vectors built under different layouts."""
 
 
+class ConfigError(ValueError):
+    """A config value that fails a check; the message starts with its key."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"{key}: {problem}")
+        self.key, self.problem = key, problem
+
+
 # ---------------------------------------------------------------------------
 # proposals
 
@@ -117,10 +125,9 @@ class UrfConfig:
         if not (math.isfinite(self.A) and self.A <= 0):
             raise ValueError(f"A must be finite and <= 0, got {self.A}")
         if self.strategy not in ("iid", "block"):
-            raise ValueError("strategy must be 'iid' or 'block'")
-        if self.strategy == "block":
-            if self.block_size < 1 or self.m % self.block_size != 0:
-                raise ValueError("block_size must divide m")
+            raise ConfigError("strategy", f"expected 'iid' or 'block', got {self.strategy!r}")
+        if self.strategy == "block" and (self.block_size < 1 or self.m % self.block_size):
+            raise ConfigError("block_size", f"{self.block_size} does not divide m = {self.m}")
 
     def proposal_for(self, component: FourierComponent):
         for axis, prop in self.proposals:
@@ -272,8 +279,8 @@ def sample_draws(
 
     Deterministic in ``cfg.seed``; each component uses its own derived
     streams, so adding or removing components does not perturb the others.
-    ``G`` is allocated once and each component's Gaussian stream fills its
-    rows in place.  With ``n`` given, every array gains a leading (n,) axis
+    ``G`` is allocated once and each component's Gaussian stream is copied
+    into its rows.  With ``n`` given, every array gains a leading (n,) axis
     of independent instantiations, read off the same streams: ``n=1`` equals
     the single set with a leading axis, and row i is an instantiation whose
     ``phi``/``psi`` rows are bit-identical to those of the sliced draws.
@@ -292,11 +299,8 @@ def sample_draws(
         drawn = _sample_xi(comp, cfg.proposal_for(comp), math.prod(lead) * m // reps, rng_xi)
         for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
             dest[..., rows] = np.repeat(a.reshape(lead + (-1,)), reps, axis=-1)
-        g, rng_g = G[..., rows, :], rng_for(cfg.seed, axis_id, 0, G_STREAM)
-        if g.flags.c_contiguous:
-            rng_g.standard_normal(out=g)
-        else:  # a leading instantiation axis splits the component's rows
-            g[...] = rng_g.standard_normal(g.shape)
+        g = G[..., rows, :]
+        g[...] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal(g.shape)
     axes = tuple((c.axis, complex(c.mass * AXIS_PHASE[c.axis])) for c in comps)
     return UrfDraws(dim=dim, config=cfg, axes=axes, xi=xi, G=G, ratio=ratio)
 

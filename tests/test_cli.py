@@ -110,7 +110,10 @@ class TestEstimateCommand:
         ({"strategy": "block"},
          "block_size: 0 does not divide m = 4, the features per component of feature "
          "count 8 (2 components)"),
-    ], ids=["strategy", "block_size", "no-block-size"])
+        ({"A": 0.5}, "A must be finite and <= 0, got 0.5"),
+        ({"activation": "arccos", "strategy": "bogus"},
+         "strategy: expected 'iid' or 'block', got 'bogus'"),
+    ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy"])
     def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     change, message):
         def no_trial(*args):
@@ -122,6 +125,9 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_arccos_ignores_A_and_block_size(self):
+        cli.EstimateConfig(activation="arccos", A=0.5, strategy="block", block_size=5)
 
     def test_unknown_activation_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, activation="sinee"))
@@ -289,7 +295,9 @@ class TestSweepCommand:
           "base": dict(ESTIMATE_CFG, strategy="block", block_size=3)},
          "base.block_size: 3 does not divide m = 4, the features per component of "
          "feature count 8 (2 components)"),
-    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size"])
+        ({"axis": "A", "values": [0.0, 0.5], "base": ESTIMATE_CFG},
+         "values: 0.5 is not a valid A value"),
+    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A"])
     def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         def no_run(cfg):

@@ -10,6 +10,7 @@ from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
+    ConfigError,
     ExactProposal,
     GaussianProposal,
     GridProposal,
@@ -199,8 +200,10 @@ class TestSampleDraws:
         for A in (0.5, math.nan, -math.inf, math.inf):
             with pytest.raises(ValueError, match="A must be finite"):
                 UrfConfig(m=4, A=A)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^block_size: 3 does not divide m = 4$"):
             UrfConfig(m=4, strategy="block", block_size=3)
+        with pytest.raises(ConfigError, match="^strategy: expected 'iid' or 'block', got 'x'$"):
+            UrfConfig(m=4, strategy="x")
 
     def test_determinism(self):
         dec = decomposition_for(Activation("sigmoid"))
