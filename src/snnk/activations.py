@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -106,6 +106,14 @@ class TabulatedFT:
     values: np.ndarray
 
 
+class GridCells(NamedTuple):
+    """The tabulation cells a grid proposal draws from."""
+
+    mass: np.ndarray  # trapezoid mass of each cell
+    total: float
+    cdf: np.ndarray  # cumulative cell probabilities; empty when total <= 0
+
+
 @dataclass(frozen=True)
 class FourierComponent:
     """One nonnegative part of a transform.
@@ -142,6 +150,19 @@ class FourierComponent:
             return self.density_fn(xi)
         out = np.interp(xi, self.grid, self.values, left=0.0, right=0.0)
         return out
+
+    @cached_property
+    def cells(self) -> GridCells:
+        """The tabulation cells, with the CDF formed as ``Generator.choice``
+        forms it from p = mass / total, so that searching it draws the same
+        cells from the same stream."""
+        mass = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
+        total = mass.sum()
+        if total <= 0:
+            return GridCells(mass, total, np.empty(0))
+        cdf = (mass / total).cumsum()
+        cdf /= cdf[-1]
+        return GridCells(mass, total, cdf)
 
     def second_moment(self) -> float:
         """E[xi^2] under the normalized component distribution."""

@@ -66,6 +66,14 @@ class EstimateConfig:
     feature mechanism.  ``feature_counts`` requests total feature lengths;
     the achieved length (reported in the CSV) is the nearest multiple of
     the number of active transform components.
+
+    A trial draws its Gaussians in k = min(d, 2) dimensions, in the
+    coordinates of an orthonormal basis of span{x, w} (``_span_coords``):
+    the estimator reads g only through g.x, g.w and |g|^2, and the
+    isotropic Gaussian is rotation invariant, so the estimate has the law
+    of the d-dimensional one.  For A != 0 and d > k, each entry's
+    remaining d - k coordinates enter as the factor (1-4A)^((d-k)/2) *
+    exp(2A chi^2_(d-k)), with the chi^2 drawn from the trial's own stream.
     """
 
     activation: str = "sine"
@@ -122,22 +130,39 @@ def _draw_inputs(cfg: EstimateConfig):
     return x, w
 
 
-def _urf_trial(cfg, dec, x, w, m, p_index, trial):
-    trial_cfg = UrfConfig(
-        m=m,
-        A=cfg.A,
-        strategy=cfg.strategy,
-        block_size=cfg.block_size,
-        seed=derive_seed(cfg.seed, 401, p_index, trial),
-    )
-    draws = sample_draws(dec, cfg.d, trial_cfg)
-    return kernel_estimate(phi(x, draws), psi(w, cfg.bias, draws))
+def _span_coords(x, w):
+    """x and w in an orthonormal basis of span{x, w}, in k = min(d, 2)
+    coordinates: x' = (|x|, 0) and w' = (x.w/|x|, |w - (x.w/|x|^2) x|).
+    Every inner product and norm among x and w is kept."""
+    k = min(len(x), 2)
+    nx = np.linalg.norm(x)
+    along = np.dot(x, w) / nx
+    across = np.linalg.norm(w - (along / nx) * x)
+    return np.array([nx, 0.0][:k]), np.array([along, across][:k])
 
 
-def _arccos_trial(cfg, x, w, p, p_index, trial):
+def _urf_trial(cfg, dec, xk, wk, m, p_index, trial):
+    """One estimate from draws in the k dimensions of ``_span_coords``."""
+    seed = derive_seed(cfg.seed, 401, p_index, trial)
+    trial_cfg = UrfConfig(m=m, A=cfg.A, strategy=cfg.strategy, block_size=cfg.block_size,
+                          seed=seed)
+    k = len(xk)
+    draws = sample_draws(dec, k, trial_cfg)
+    px = phi(xk, draws)
+    if cfg.A != 0 and cfg.d > k:
+        # each g_i's d - k coordinates off span{x, w} enter Lambda only through
+        # the prefactor and A|g_i|^2, once per tower
+        chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.total_features)
+        rest = np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
+        px = replace(px, entries=px.entries * rest)
+    return kernel_estimate(px, psi(wk, cfg.bias, draws))
+
+
+def _arccos_trial(cfg, xk, wk, p, p_index, trial):
+    """One relu-feature estimate; like ``_urf_trial`` it draws in span{x, w}."""
     rng = rng_for(derive_seed(cfg.seed, 402, p_index, trial), 0, 0, MISC_STREAM)
-    G = rng.standard_normal((p, cfg.d))
-    return float(np.dot(relu_snnk_features(x, G), relu_snnk_features(w, G)))
+    G = rng.standard_normal((p, len(xk)))
+    return float(np.dot(relu_snnk_features(xk, G), relu_snnk_features(wk, G)))
 
 
 def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
@@ -156,6 +181,7 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
         plan = [(pi, _per_component(p, n_active) * n_active)
                 for pi, p in enumerate(cfg.feature_counts)]
 
+    xk, wk = _span_coords(x, w)
     rows = []
     aggregates = []
     denom = max(abs(exact), REL_ERROR_FLOOR)
@@ -163,9 +189,9 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
         errs = []
         for trial in range(cfg.instantiations):
             if cfg.activation == "arccos":
-                est = _arccos_trial(cfg, x, w, p, pi, trial)
+                est = _arccos_trial(cfg, xk, wk, p, pi, trial)
             else:
-                est = _urf_trial(cfg, dec, x, w, p // len(dec.active()), pi, trial)
+                est = _urf_trial(cfg, dec, xk, wk, p // len(dec.active()), pi, trial)
             rel = abs(est - exact) / denom
             errs.append(rel)
             rows.append((cfg.activation, cfg.d, p, trial, est, exact, rel))

@@ -151,7 +151,7 @@ class AxisDraws:
 class LambdaTerms(NamedTuple):
     """Per-entry constants of Lambda for one shape A, shared by both towers."""
 
-    agg: np.ndarray  # A |g_i|^2
+    agg: np.ndarray | float  # A |g_i|^2; 0.0 when A = 0
     prefactor: float  # (1-4A)^(d/4)
     scale: float  # prefactor / sqrt(m), the input-side weight
     root: float  # sqrt(1-4A), the coefficient of g_i.w
@@ -205,11 +205,14 @@ class UrfDraws:
         root = math.sqrt(1.0 - 4.0 * A)
         prefactor = (1.0 - 4.0 * A) ** (self.dim / 4.0)
         freq = 2j * math.pi * self.xi
-        # |g_i|^2 one component's rows at a time: a single G-sized temporary
-        # made this 1.6x slower at M x dim = 512 x 200 on a 2-core x86_64 VM
-        sq = np.concatenate([np.sum(b.g * b.g, axis=-1) for b in self.blocks], axis=-1)
+        if A == 0:  # the default shape: skip the pass over G
+            agg = 0.0
+        else:
+            # |g_i|^2 one component's rows at a time: a single G-sized temporary
+            # made this 1.6x slower at M x dim = 512 x 200 on a 2-core x86_64 VM
+            agg = A * np.concatenate([np.sum(b.g * b.g, axis=-1) for b in self.blocks], axis=-1)
         return LambdaTerms(
-            agg=A * sq,
+            agg=agg,
             prefactor=prefactor,
             scale=prefactor / math.sqrt(m),
             root=root,
@@ -258,15 +261,14 @@ def _sample_xi(component, proposal, n_xi, rng):
         ratio = component.density(xi) / component.mass / pbar
         return xi, ratio
     if isinstance(proposal, GridProposal):
-        grid, vals = component.grid, component.values
-        cell_mass = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-        total = cell_mass.sum()
-        if total <= 0:
+        grid, cells = component.grid, component.cells
+        if cells.total <= 0:
             raise ProposalMismatch("grid proposal over an empty tabulation")
-        idx = rng.choice(len(cell_mass), size=n_xi, p=cell_mass / total)
+        # rng.choice(p=mass / total) without rebuilding the CDF per call
+        idx = cells.cdf.searchsorted(rng.random(n_xi), side="right")
         u = rng.random(n_xi)
         xi = grid[idx] + u * (grid[idx + 1] - grid[idx])
-        pbar = cell_mass[idx] / total / (grid[idx + 1] - grid[idx])
+        pbar = cells.mass[idx] / cells.total / (grid[idx + 1] - grid[idx])
         ratio = component.density(xi) / component.mass / pbar
         return xi, ratio
     raise ProposalMismatch(f"unknown proposal {proposal!r}")

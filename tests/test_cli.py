@@ -7,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import snnk
 from snnk import cli
+from snnk._seeds import MISC_STREAM, rng_for
+from snnk.activations import Activation, decomposition_for
 from snnk.cli import (
     ESTIMATE_HEADER,
     EstimateConfig,
@@ -17,6 +20,7 @@ from snnk.cli import (
     run_pointwise,
     run_sweep,
 )
+from snnk.urf import UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 
 def write_json(path, payload):
@@ -197,6 +201,76 @@ class TestEstimateCommand:
         )
         # two active components: nearest achievable length is 8
         assert report.aggregates[0][0] == 8
+
+
+# Each law-equivalence case compares KS_N trial estimates of run_pointwise, whose
+# Gaussians live in span{x, w}, with KS_N estimates of the estimator that draws
+# all d coordinates, by a two-sample KS test at level KS_ALPHA.  For a random
+# seed a correct sampler fails one case with odds 1e-3, and any of the eight
+# cases with odds under 1%; the seeds here are fixed.
+KS_N = 2000
+KS_ALPHA = 1e-3
+
+
+def span_estimates(cfg):
+    return np.array([row[4] for row in run_pointwise(cfg).rows])
+
+
+def direct_estimates(cfg, x, w, seed):
+    """KS_N estimates whose Gaussians have all d coordinates, from one batched draw."""
+    if cfg.activation == "arccos":
+        p = cfg.feature_counts[0]
+        G = rng_for(seed, 0, 0, MISC_STREAM).standard_normal((KS_N, p, cfg.d))
+        return (np.maximum(0.0, G @ x) * np.maximum(0.0, G @ w)).sum(axis=-1) / p
+    dec = decomposition_for(Activation(cfg.activation))
+    m = cli._per_component(cfg.feature_counts[0], len(dec.active()))
+    draws = sample_draws(dec, cfg.d, UrfConfig(m=m, A=cfg.A, seed=seed), KS_N)
+    return kernel_estimate(phi(x, draws), psi(w, cfg.bias, draws))
+
+
+def ks_config(activation, d, A=0.0):
+    return EstimateConfig(activation=activation, d=d, feature_counts=(8,),
+                          instantiations=KS_N, A=A, seed=31)
+
+
+class TestSpanSampling:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_span_coordinates_keep_norms_and_inner_product(self, d):
+        x, w = rng_for(40 + d, 0, 0, MISC_STREAM).standard_normal((2, d))
+        xk, wk = cli._span_coords(x, w)
+        assert xk.shape == wk.shape == (min(d, 2),)
+        assert np.all(xk[1:] == 0.0)
+        for got, want in ((xk @ xk, x @ x), (wk @ wk, w @ w), (xk @ wk, x @ w)):
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("activation, A", [
+        ("sine", 0.0), ("sine", -0.5), ("tanh", 0.0), ("tanh", -0.5),
+    ])
+    def test_estimates_have_the_law_of_the_d_dimensional_estimator(self, activation, A):
+        cfg = ks_config(activation, 16, A)
+        x, w = cli._draw_inputs(cfg)
+        assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 32)).pvalue > KS_ALPHA
+
+    @pytest.mark.parametrize("d", [1, 2])  # k = d: no chi^2 factor
+    def test_no_dimension_off_the_span(self, d):
+        cfg = ks_config("sine", d, -0.5)
+        x, w = cli._draw_inputs(cfg)
+        assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 33)).pvalue > KS_ALPHA
+
+    def test_weights_parallel_to_the_input(self):
+        cfg = ks_config("sine", 16, -0.5)
+        x, _ = cli._draw_inputs(cfg)
+        w = -1.5 * x
+        xk, wk = cli._span_coords(x, w)
+        assert abs(wk[1]) <= 1e-15 * abs(wk[0])
+        span = [cli._urf_trial(cfg, decomposition_for(Activation("sine")), xk, wk, 4, 0, t)
+                for t in range(KS_N)]
+        assert ks_2samp(span, direct_estimates(cfg, x, w, 34)).pvalue > KS_ALPHA
+
+    def test_arccos_trial(self):
+        cfg = ks_config("arccos", 16)
+        x, w = cli._draw_inputs(cfg)
+        assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 35)).pvalue > KS_ALPHA
 
 
 class TestSweepCommand:

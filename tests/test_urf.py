@@ -184,6 +184,19 @@ class TestSampleDraws:
             assert np.all(blk.ratio > 0.0)
             assert np.median(np.abs(blk.ratio - 1.0)) < 0.2
 
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "gelu"])
+    def test_cached_grid_cells_draw_what_generator_choice_draws(self, kind):
+        densities = [c for c in decomposition_for(Activation(kind)).active() if not c.is_atomic]
+        assert densities
+        for comp in densities:
+            cells = comp.cells
+            assert comp.cells is cells
+            searched, chosen = rng_for(21, 0, 0, MISC_STREAM), rng_for(21, 0, 0, MISC_STREAM)
+            idx = cells.cdf.searchsorted(searched.random(5000), side="right")
+            ref = chosen.choice(len(cells.mass), size=5000, p=cells.mass / cells.total)
+            assert np.array_equal(idx, ref)
+            assert searched.random() == chosen.random()  # both consumed the same stream
+
     def test_proposal_mismatch(self):
         sine = decomposition_for(Activation("sine"))
         with pytest.raises(ProposalMismatch):
@@ -352,6 +365,15 @@ class TestCachedConstants:
         warm = phi(x, draws).entries
         assert np.array_equal(cold, direct_phi(x, draws))
         assert np.array_equal(warm, direct_phi(x, draws))
+
+    def test_zero_shape_skips_the_gaussian_pass(self):
+        dec = decomposition_for(Activation("tanh"))
+        draws = sample_draws(dec, 6, UrfConfig(m=16, A=0.0, seed=5))
+        x = rng_for(6, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
+        w = rng_for(7, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
+        assert draws.terms.agg == 0.0
+        assert np.array_equal(phi(x, draws).entries, direct_phi(x, draws))
+        assert np.array_equal(psi(w, 0.3, draws).entries, direct_psi(w, 0.3, draws, split_project))
 
     def test_complex_stage_input_matches_direct_lambda(self):
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
