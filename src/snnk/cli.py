@@ -2,11 +2,11 @@
 
 Subcommands: estimate, sweep, ft-table, bundle, train.  Everything reads a
 JSON config and writes RFC-4180 CSV; runs are deterministic in the seed.
-Trials run in order on one thread, each from its own derived seed; --threads
-is still accepted but cannot change the output bytes.  Exit code 0 means
-the config was read in full and no run failed loudly (non-finite parameters
-or bundled matrices, a diverging loss); accuracy such as ``bundle``'s
-``probe_mae`` is reported, not gated.
+Each feature count draws all of its trials at once, from one derived seed
+per count, on one thread; --threads is still accepted but cannot change the
+output bytes.  Exit code 0 means the config was read in full and no run
+failed loudly (non-finite parameters or bundled matrices, a diverging loss);
+accuracy such as ``bundle``'s ``probe_mae`` is reported, not gated.
 """
 
 from __future__ import annotations
@@ -63,9 +63,11 @@ class EstimateConfig:
 
     One (x, w) pair is drawn per run with entries from (1/sqrt(d)) *
     Uniform(0, 1); each trial is a fresh instantiation of the random
-    feature mechanism.  ``feature_counts`` requests total feature lengths;
-    the achieved length (reported in the CSV) is the nearest multiple of
-    the number of active transform components.
+    feature mechanism.  The ``instantiations`` trials of a feature count
+    come from one draw set with a leading (instantiations,) axis, drawn
+    from one seed per count.  ``feature_counts`` requests total feature
+    lengths; the achieved length (reported in the CSV) is the nearest
+    multiple of the number of active transform components.
 
     A trial draws its Gaussians in k = min(d, 2) dimensions, in the
     coordinates of an orthonormal basis of span{x, w} (``_span_coords``):
@@ -73,7 +75,7 @@ class EstimateConfig:
     isotropic Gaussian is rotation invariant, so the estimate has the law
     of the d-dimensional one.  For A != 0 and d > k, each entry's
     remaining d - k coordinates enter as the factor (1-4A)^((d-k)/2) *
-    exp(2A chi^2_(d-k)), with the chi^2 drawn from the trial's own stream.
+    exp(2A chi^2_(d-k)), with the chi^2 drawn from the count's own stream.
     """
 
     activation: str = "sine"
@@ -104,7 +106,7 @@ class EstimateConfig:
             UrfConfig(m=1, strategy=self.strategy, block_size=1)
             return
         n_active = len(decomposition_for(Activation(self.activation)).active())
-        for p in self.feature_counts:  # the trials' own sampling config, built before any runs
+        for p in self.feature_counts:  # each instantiation's sampling config, before any runs
             try:
                 UrfConfig(m=_per_component(p, n_active), A=self.A,
                           strategy=self.strategy, block_size=self.block_size)
@@ -141,33 +143,37 @@ def _span_coords(x, w):
     return np.array([nx, 0.0][:k]), np.array([along, across][:k])
 
 
-def _urf_trial(cfg, dec, xk, wk, m, p_index, trial):
-    """One estimate from draws in the k dimensions of ``_span_coords``."""
-    seed = derive_seed(cfg.seed, 401, p_index, trial)
-    trial_cfg = UrfConfig(m=m, A=cfg.A, strategy=cfg.strategy, block_size=cfg.block_size,
+def _urf_count(cfg, dec, xk, wk, m, p_index):
+    """The (instantiations,) estimates of one feature count, from one draw set
+    in the k dimensions of ``_span_coords``."""
+    n, k = cfg.instantiations, len(xk)
+    seed = derive_seed(cfg.seed, 401, p_index)
+    count_cfg = UrfConfig(m=n * m, A=cfg.A, strategy=cfg.strategy, block_size=cfg.block_size,
                           seed=seed)
-    k = len(xk)
-    draws = sample_draws(dec, k, trial_cfg)
+    # the draws of sample_draws(dec, k, replace(count_cfg, m=m), n), drawn as the
+    # flat set that perfbench's draw counter reads
+    draws = sample_draws(dec, k, count_cfg).split(n)
     px = phi(xk, draws)
     if cfg.A != 0 and cfg.d > k:
         # each g_i's d - k coordinates off span{x, w} enter Lambda only through
         # the prefactor and A|g_i|^2, once per tower
-        chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.total_features)
+        chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.xi.shape)
         rest = np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
         px = replace(px, entries=px.entries * rest)
     return kernel_estimate(px, psi(wk, cfg.bias, draws))
 
 
-def _arccos_trial(cfg, xk, wk, p, p_index, trial):
-    """One relu-feature estimate; like ``_urf_trial`` it draws in span{x, w}."""
-    rng = rng_for(derive_seed(cfg.seed, 402, p_index, trial), 0, 0, MISC_STREAM)
-    G = rng.standard_normal((p, len(xk)))
-    return float(np.dot(relu_snnk_features(xk, G), relu_snnk_features(wk, G)))
+def _arccos_count(cfg, xk, wk, p, p_index):
+    """The relu-feature estimates of one feature count; like ``_urf_count``,
+    one (instantiations, p, k) Gaussian stack drawn in span{x, w}."""
+    rng = rng_for(derive_seed(cfg.seed, 402, p_index), 0, 0, MISC_STREAM)
+    G = rng.standard_normal((cfg.instantiations, p, len(xk)))
+    return np.sum(relu_snnk_features(xk, G) * relu_snnk_features(wk, G), axis=-1)
 
 
 def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     """The pointwise benchmark: relative estimation error vs feature count.
-    ``threads`` is ignored: the trials run in order on one thread."""
+    ``threads`` is ignored: the counts run in order on one thread."""
     x, w = _draw_inputs(cfg)
     if cfg.activation == "arccos":
         exact = 0.5 * arc_cosine_exact(1, w, x)
@@ -186,16 +192,14 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     aggregates = []
     denom = max(abs(exact), REL_ERROR_FLOOR)
     for pi, p in plan:
-        errs = []
-        for trial in range(cfg.instantiations):
-            if cfg.activation == "arccos":
-                est = _arccos_trial(cfg, xk, wk, p, pi, trial)
-            else:
-                est = _urf_trial(cfg, dec, xk, wk, p // len(dec.active()), pi, trial)
-            rel = abs(est - exact) / denom
-            errs.append(rel)
-            rows.append((cfg.activation, cfg.d, p, trial, est, exact, rel))
-        errs = np.array(errs)
+        if dec is None:
+            est = _arccos_count(cfg, xk, wk, p, pi)
+        else:
+            est = _urf_count(cfg, dec, xk, wk, p // len(dec.active()), pi)
+        errs = np.abs(est - exact) / denom
+        # tolist: the CSV writes Python floats by repr
+        rows.extend((cfg.activation, cfg.d, p, trial, e, exact, rel)
+                    for trial, (e, rel) in enumerate(zip(est.tolist(), errs.tolist())))
         aggregates.append((p, float(errs.mean()), float(errs.std(ddof=1))))
     return EstimateReport(rows=rows, aggregates=aggregates)
 

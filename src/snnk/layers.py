@@ -137,14 +137,15 @@ def relu_feature_map(dim: int, n_features: int, seed: int) -> ReluFeatureMap:
 
 
 def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """max(0, G v / sqrt(l')) for v or each row of a (..., d) stack; the same
-    map serves inputs and weights.  G v is one matrix-vector product per row,
-    so a row of a stack is bit-identical to that row alone."""
+    """max(0, G v / sqrt(l')) for v or each row of a (..., d) stack, with G
+    (l', d) or a stack (..., l', d) of such matrices; the same map serves
+    inputs and weights.  G v is one matrix-vector product per row, so a row
+    of a stack is bit-identical to that row alone."""
     v = np.asarray(v, dtype=float)
     G = np.asarray(G, dtype=float)
-    if v.shape[-1:] != (G.shape[1],):
-        raise ShapeMismatch(f"expected input of dim {G.shape[1]}, got {v.shape}")
-    return np.maximum(0.0, (G @ v[..., None])[..., 0] / math.sqrt(G.shape[0]))
+    if v.shape[-1:] != G.shape[-1:]:
+        raise ShapeMismatch(f"expected input of dim {G.shape[-1]}, got {v.shape}")
+    return np.maximum(0.0, (G @ v[..., None])[..., 0] / math.sqrt(G.shape[-2]))
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,17 @@ through the real G as the pair [Re z, Im z].
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
 reads each component's frequencies and Gaussians off its own (seed, axis,
-XI/G) streams into its rows of the fused arrays.  With ``n`` given, every
-array carries a leading (n,) axis of instantiations; the towers and
-``kernel_estimate_complex`` then return one row per instantiation, each
+XI/G) streams into its rows of the fused arrays.  With ``n`` given, it draws
+one flat set of n*m features per component and ``UrfDraws.split`` regroups
+it, so every array carries a leading (n,) axis of instantiations; the towers
+and ``kernel_estimate_complex`` then return one row per instantiation, each
 equal to the single-set path over that instantiation's slice of the draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -168,8 +169,9 @@ class UrfDraws:
     Component j (``axes[j]``) owns entries j*m to (j+1)*m - 1 of ``xi`` and
     ``ratio`` and those rows of the one Gaussian matrix ``G``, with m =
     ``config.m``; ``blocks`` views them per component.  The arrays may carry
-    a leading (n,) instantiation axis (``sample_draws(..., n)``); so do the
-    per-entry constants ``terms``, computed once per draw set on first use.
+    a leading (n,) instantiation axis (``split``, ``sample_draws(..., n)``);
+    so do the per-entry constants ``terms``, computed once per draw set on
+    first use.
     The arrays must not be modified in place after a feature map has been
     evaluated: the cached terms would go stale.
     """
@@ -198,6 +200,28 @@ class UrfDraws:
             views.append(AxisDraws(axis=axis, c=c, xi=self.xi[..., rows],
                                    g=self.G[..., rows, :], ratio=self.ratio[..., rows]))
         return tuple(views)
+
+    def split(self, n: int) -> UrfDraws:
+        """This flat set as ``n`` instantiations of m / n features per component.
+
+        The arrays gain a leading (n,) axis: instantiation t takes entries
+        t*m/n to (t+1)*m/n - 1 of each component's run of m.  ``n`` must
+        divide m, and under the block strategy the block size must divide
+        m / n, so that no block of shared frequencies spans two
+        instantiations.
+        """
+        m = self.config.m
+        if n < 1 or m % n:
+            raise ValueError(f"n must be >= 1 and divide m = {m}, got {n}")
+        cfg = replace(self.config, m=m // n)  # checks the block size against m / n
+
+        def regroup(a):  # (C*m, ...) -> (n, C*m/n, ...)
+            tail = a.shape[1:]
+            a = a.reshape((len(self.axes), n, m // n) + tail).swapaxes(0, 1)
+            return a.reshape((n, -1) + tail)
+
+        return UrfDraws(dim=self.dim, config=cfg, axes=self.axes, xi=regroup(self.xi),
+                        G=regroup(self.G), ratio=regroup(self.ratio))
 
     @cached_property
     def terms(self) -> LambdaTerms:
@@ -282,27 +306,29 @@ def sample_draws(
     Deterministic in ``cfg.seed``; each component uses its own derived
     streams, so adding or removing components does not perturb the others.
     ``G`` is allocated once and each component's Gaussian stream is copied
-    into its rows.  With ``n`` given, every array gains a leading (n,) axis
-    of independent instantiations, read off the same streams: ``n=1`` equals
-    the single set with a leading axis, and row i is an instantiation whose
-    ``phi``/``psi`` rows are bit-identical to those of the sliced draws.
+    into its rows.  With ``n`` given, the flat set of n*m features per
+    component is regrouped by ``UrfDraws.split`` into a leading (n,) axis of
+    independent instantiations: ``n=1`` equals the single set with a leading
+    axis, and row i is an instantiation whose ``phi``/``psi`` rows are
+    bit-identical to those of the sliced draws.
     """
-    if n is not None and n < 1:
-        raise ValueError("n must be >= 1")
+    if n is not None:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return sample_draws(decomp, dim, replace(cfg, m=n * cfg.m)).split(n)
     comps = decomp.active()
-    lead, m = (() if n is None else (n,)), cfg.m
+    m = cfg.m
     reps = cfg.block_size if cfg.strategy == "block" else 1
-    xi = np.empty(lead + (len(comps) * m,))
+    xi = np.empty(len(comps) * m)
     ratio = np.empty_like(xi)
     G = np.empty(xi.shape + (dim,))
     for j, comp in enumerate(comps):
         rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
         rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
-        drawn = _sample_xi(comp, cfg.proposal_for(comp), math.prod(lead) * m // reps, rng_xi)
+        drawn = _sample_xi(comp, cfg.proposal_for(comp), m // reps, rng_xi)
         for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
-            dest[..., rows] = np.repeat(a.reshape(lead + (-1,)), reps, axis=-1)
-        g = G[..., rows, :]
-        g[...] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal(g.shape)
+            dest[rows] = np.repeat(a, reps)
+        G[rows] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((m, dim))
     axes = tuple((c.axis, complex(c.mass * AXIS_PHASE[c.axis])) for c in comps)
     return UrfDraws(dim=dim, config=cfg, axes=axes, xi=xi, G=G, ratio=ratio)
 

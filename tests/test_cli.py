@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import ks_2samp
 
 import snnk
 from snnk import cli
-from snnk._seeds import MISC_STREAM, rng_for
+from snnk._seeds import MISC_STREAM, derive_seed, rng_for
 from snnk.activations import Activation, decomposition_for
 from snnk.cli import (
     ESTIMATE_HEADER,
@@ -123,7 +124,7 @@ class TestEstimateCommand:
         def no_trial(*args):
             raise AssertionError("a trial ran before the config was checked")
 
-        monkeypatch.setattr(cli, "_urf_trial", no_trial)
+        monkeypatch.setattr(cli, "_urf_count", no_trial)
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, **change))
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
@@ -263,14 +264,83 @@ class TestSpanSampling:
         w = -1.5 * x
         xk, wk = cli._span_coords(x, w)
         assert abs(wk[1]) <= 1e-15 * abs(wk[0])
-        span = [cli._urf_trial(cfg, decomposition_for(Activation("sine")), xk, wk, 4, 0, t)
-                for t in range(KS_N)]
+        span = cli._urf_count(cfg, decomposition_for(Activation("sine")), xk, wk, 4, 0)
+        assert span.shape == (KS_N,)
         assert ks_2samp(span, direct_estimates(cfg, x, w, 34)).pvalue > KS_ALPHA
 
     def test_arccos_trial(self):
         cfg = ks_config("arccos", 16)
         x, w = cli._draw_inputs(cfg)
         assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 35)).pvalue > KS_ALPHA
+
+
+class TestPerCountDraws:
+    """Each feature count draws all of its instantiations from one seed."""
+
+    @pytest.mark.parametrize("activation, d, A, strategy, block_size", [
+        ("sine", 16, 0.0, "iid", 0),
+        ("sine", 16, -0.1, "iid", 0),  # the chi^2 factor
+        ("tanh", 16, 0.0, "block", 2),
+        ("sigmoid", 2, -0.1, "iid", 0),  # k = d: no chi^2 factor
+    ])
+    def test_trials_are_rows_of_one_batched_computation(self, activation, d, A, strategy,
+                                                        block_size):
+        cfg = EstimateConfig(activation=activation, d=d, feature_counts=(12, 24),
+                             instantiations=5, A=A, strategy=strategy,
+                             block_size=block_size, seed=9)
+        x, w = cli._draw_inputs(cfg)
+        xk, wk = cli._span_coords(x, w)
+        dec = decomposition_for(Activation(activation))
+        rows = run_pointwise(cfg).rows
+        for pi, p in enumerate(cfg.feature_counts):
+            seed = derive_seed(cfg.seed, 401, pi)
+            m = cli._per_component(p, len(dec.active()))
+            draws = sample_draws(dec, len(xk), UrfConfig(m=m, A=A, strategy=strategy,
+                                                         block_size=block_size, seed=seed), 5)
+            px = phi(xk, draws)
+            if A != 0 and d > len(xk):
+                chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(d - len(xk), draws.xi.shape)
+                px = replace(px, entries=px.entries * np.exp(
+                    0.5 * (d - len(xk)) * math.log1p(-4.0 * A) + 2.0 * A * chi2))
+            want = kernel_estimate(px, psi(wk, cfg.bias, draws))
+            got = [row for row in rows if row[2] == m * len(dec.active())]
+            assert [row[3] for row in got] == list(range(5))
+            assert [row[4] for row in got] == want.tolist()
+            assert all(type(row[4]) is float and type(row[6]) is float for row in got)
+
+    def test_arccos_trials_are_rows_of_one_gaussian_stack(self):
+        cfg = EstimateConfig(activation="arccos", d=16, feature_counts=(8, 32),
+                             instantiations=5, seed=9)
+        x, w = cli._draw_inputs(cfg)
+        xk, wk = cli._span_coords(x, w)
+        rows = run_pointwise(cfg).rows
+        for pi, p in enumerate(cfg.feature_counts):
+            G = rng_for(derive_seed(cfg.seed, 402, pi), 0, 0, MISC_STREAM).standard_normal(
+                (5, p, 2))
+            want = [float(np.sum(np.maximum(0.0, G[t] @ xk) * np.maximum(0.0, G[t] @ wk)) / p)
+                    for t in range(5)]
+            got = [row[4] for row in rows if row[2] == p]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert all(type(e) is float for e in got)
+
+    @pytest.mark.parametrize("activation", ["sine", "sigmoid"])
+    def test_one_draw_per_count_and_no_shared_gaussian_rows(self, monkeypatch, activation):
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(sample_draws(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "sample_draws", recording)
+        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(6, 24, 96),
+                             instantiations=7, seed=3)
+        run_pointwise(cfg)
+        assert len(drawn) == len(cfg.feature_counts)
+        for draws in drawn:
+            split = draws.split(cfg.instantiations)
+            rows = split.G.reshape(-1, split.dim)
+            assert len(np.unique(rows, axis=0)) == len(rows) == cfg.instantiations * len(
+                split.axes) * split.config.m
 
 
 class TestSweepCommand:

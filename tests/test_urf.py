@@ -152,6 +152,43 @@ class TestSampleDraws:
                 view = getattr(blk, name)
                 assert np.shares_memory(view, fused) and np.array_equal(view, fused)
 
+    @pytest.mark.parametrize("kind, cfg", [
+        ("sine", UrfConfig(m=4, seed=41)),
+        ("cosine", UrfConfig(m=4, seed=42)),
+        ("tanh", UrfConfig(m=4, seed=43)),  # grid proposal
+        ("tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=44)),
+        ("sigmoid", UrfConfig(m=4, seed=45)),  # an atomic DC and two density components
+        ("sine", UrfConfig(m=4, A=-0.1, seed=46)),
+    ], ids=["sine", "cosine", "tanh", "tanh-block4", "sigmoid", "sine-A-0.1"])
+    def test_split_of_a_flat_set_is_the_batched_set(self, kind, cfg):
+        dec, n = decomposition_for(Activation(kind)), 3
+        flat = sample_draws(dec, 2, dataclasses.replace(cfg, m=n * cfg.m))
+        split = flat.split(n)
+        batch = sample_draws(dec, 2, cfg, n)
+        assert split.config == batch.config == cfg
+        assert (split.dim, split.axes, split.layout) == (batch.dim, batch.axes, batch.layout)
+        for name in ("xi", "G", "ratio"):
+            assert np.array_equal(getattr(split, name), getattr(batch, name))
+        # instantiation t holds run t of each component's flat entries
+        m = cfg.m
+        for t in range(n):
+            for f_blk, s_blk in zip(flat.blocks, split.blocks, strict=True):
+                rows = slice(t * m, (t + 1) * m)
+                assert np.array_equal(s_blk.g[t], f_blk.g[rows])
+                assert np.array_equal(s_blk.xi[t], f_blk.xi[rows])
+                assert np.array_equal(s_blk.ratio[t], f_blk.ratio[rows])
+        x = np.array([0.3, -0.2])
+        assert np.array_equal(phi(x, split).entries, phi(x, batch).entries)
+        assert np.array_equal(psi(x, 0.4, split).entries, psi(x, 0.4, batch).entries)
+
+    def test_split_keeps_blocks_inside_an_instantiation(self):
+        dec = decomposition_for(Activation("tanh"))
+        flat = sample_draws(dec, 2, UrfConfig(m=8, strategy="block", block_size=4, seed=47))
+        with pytest.raises(ConfigError, match="^block_size: 4 does not divide m = 2$"):
+            flat.split(4)
+        with pytest.raises(ValueError, match="divide m = 8, got 3"):
+            flat.split(3)
+
     def test_instantiation_count_must_be_positive(self):
         dec = decomposition_for(Activation("sine"))
         with pytest.raises(ValueError, match="n must be >= 1"):
