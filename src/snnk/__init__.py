@@ -2,11 +2,9 @@
 
 from .activations import (
     Activation,
-    AtomicFT,
     FourierComponent,
     FourierDecomposition,
     QuadratureNonConvergent,
-    TabulatedFT,
     TaperWindow,
     UnsupportedClosedForm,
     closed_form_ft,

@@ -10,10 +10,12 @@ A transform is split into four nonnegative parts,
 
     FT_f = R+ - R- + i*I+ - i*I-,
 
-each stored as a ``FourierComponent`` (a list of Dirac atoms, or a tabulated
-density with an optional analytic evaluator).  The split is what the random
-feature sampler consumes: each part provides a sampling density and a signed
-complex mass.
+each stored as a ``FourierComponent``: a list of Dirac atoms, or a tabulated
+density with an optional analytic evaluator.  ``closed_form_ft`` builds its
+atoms and densities directly; ``decompose(grid, values)`` splits a numeric
+transform tabulated on a grid.  The split is what the random feature sampler
+consumes: each part provides a sampling distribution (its atoms, or its
+tabulation cells) and a signed complex mass.
 """
 
 from __future__ import annotations
@@ -88,22 +90,7 @@ _EVALS: dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# transform containers
-
-
-@dataclass(frozen=True)
-class AtomicFT:
-    """A purely atomic transform: ((frequency, complex weight), ...)."""
-
-    atoms: tuple[tuple[float, complex], ...]
-
-
-@dataclass(frozen=True)
-class TabulatedFT:
-    """Complex transform values on a strictly increasing frequency grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
+# transform components
 
 
 class GridCells(NamedTuple):
@@ -148,8 +135,7 @@ class FourierComponent:
             raise ValueError("atomic component has no density")
         if self.density_fn is not None:
             return self.density_fn(xi)
-        out = np.interp(xi, self.grid, self.values, left=0.0, right=0.0)
-        return out
+        return np.interp(xi, self.grid, self.values, left=0.0, right=0.0)
 
     @cached_property
     def cells(self) -> GridCells:
@@ -163,24 +149,6 @@ class FourierComponent:
         cdf = (mass / total).cumsum()
         cdf /= cdf[-1]
         return GridCells(mass, total, cdf)
-
-    def second_moment(self) -> float:
-        """E[xi^2] under the normalized component distribution."""
-        if not self.is_active:
-            return 0.0
-        if self.is_atomic:
-            w = np.array([w for _, w in self.atoms])
-            x = np.array([x for x, _ in self.atoms])
-            return float(np.sum(w * x * x) / np.sum(w))
-        return float(np.trapezoid(self.grid**2 * self.values, self.grid) / self.mass)
-
-    def support(self) -> tuple[float, float]:
-        if self.is_atomic:
-            if not self.atoms:
-                return (0.0, 0.0)
-            xs = [x for x, _ in self.atoms]
-            return (min(xs), max(xs))
-        return (float(self.grid[0]), float(self.grid[-1]))
 
 
 def _atomic_component(axis, atoms) -> FourierComponent:
@@ -203,7 +171,6 @@ def _density_component(axis, grid, values, density_fn=None) -> FourierComponent:
 class FourierDecomposition:
     """The four-way split of one activation's transform."""
 
-    label: str
     components: tuple[FourierComponent, ...]  # ordered as AXES
 
     def __post_init__(self):
@@ -251,7 +218,7 @@ def _pv_grid(xi_min, xi_max, n_half):
     return np.concatenate([left, right])
 
 
-def _pv_odd_imag_decomposition(label, rate, xi_min=XI_MIN) -> FourierDecomposition:
+def _pv_odd_imag_decomposition(rate, xi_min=XI_MIN) -> FourierDecomposition:
     """Split of an odd transform  -i*pi*csch(rate*xi)  (principal value).
 
     Im is negative for xi > 0, so 'im-' lives on (xi_min, inf) and 'im+'
@@ -275,7 +242,6 @@ def _pv_odd_imag_decomposition(label, rate, xi_min=XI_MIN) -> FourierDecompositi
         "im+", neg_grid, neg_vals, density_fn=lambda xi: half_density(-np.asarray(xi))
     )
     return FourierDecomposition(
-        label=label,
         components=(
             _atomic_component("re+", ()),
             _atomic_component("re-", ()),
@@ -300,7 +266,6 @@ def closed_form_ft(a: Activation) -> FourierDecomposition:
     xi0 = 1.0 / TWO_PI
     if a.kind == "sine":
         return FourierDecomposition(
-            label="sine",
             components=(
                 _atomic_component("re+", ()),
                 _atomic_component("re-", ()),
@@ -310,7 +275,6 @@ def closed_form_ft(a: Activation) -> FourierDecomposition:
         )
     if a.kind == "cosine":
         return FourierDecomposition(
-            label="cosine",
             components=(
                 _atomic_component("re+", [(-xi0, 0.5), (+xi0, 0.5)]),
                 _atomic_component("re-", ()),
@@ -319,17 +283,11 @@ def closed_form_ft(a: Activation) -> FourierDecomposition:
             ),
         )
     if a.kind == "tanh":
-        return _pv_odd_imag_decomposition("tanh", rate=math.pi**2)
+        return _pv_odd_imag_decomposition(rate=math.pi**2)
     if a.kind == "sigmoid":
-        d = _pv_odd_imag_decomposition("sigmoid", rate=2.0 * math.pi**2)
+        d = _pv_odd_imag_decomposition(rate=2.0 * math.pi**2)
         return FourierDecomposition(
-            label="sigmoid",
-            components=(
-                _atomic_component("re+", [(0.0, 0.5)]),
-                d.components[1],
-                d.components[2],
-                d.components[3],
-            ),
+            components=(_atomic_component("re+", [(0.0, 0.5)]),) + d.components[1:]
         )
     raise UnsupportedClosedForm(
         f"no closed-form transform for {a.kind}; use numeric_decomposition"
@@ -367,7 +325,7 @@ class TaperWindow:
 
 
 def numeric_ft(
-    a,
+    a: Callable,
     grid: np.ndarray,
     window: TaperWindow = TaperWindow(),
     step: float = 1.0 / 128.0,
@@ -375,7 +333,7 @@ def numeric_ft(
 ) -> np.ndarray:
     """Windowed trapezoid quadrature of the transform on ``grid``.
 
-    ``a`` is an Activation or any callable of a real array.  The integrand
+    ``a`` is an Activation or any other callable of a real array.  The integrand
     f(z) w(z) exp(-2 pi i xi z) is summed at steps ``step`` and ``step/2``
     and Richardson-extrapolated; if the two levels disagree by more than
     ``rtol`` relative to the transform's peak magnitude, raises
@@ -392,7 +350,7 @@ def numeric_ft(
     half = window.cutoff
     n = int(round(2 * half / (step / 2))) + 1
     z = np.linspace(-half, half, n)
-    fz = (a(z) if callable(a) else np.asarray(a)) * window(z)
+    fz = a(z) * window(z)
 
     fine = _trapezoid_ft(z, fz, grid)
     coarse = _trapezoid_ft(z[::2], fz[::2], grid)
@@ -435,31 +393,14 @@ def _trapezoid_ft(z, fz, grid):
 # decomposition and validation
 
 
-def decompose(ft: AtomicFT | TabulatedFT, label: str = "custom") -> FourierDecomposition:
-    """Split a transform into its four nonnegative parts.
+def decompose(grid: np.ndarray, values: np.ndarray) -> FourierDecomposition:
+    """Split a transform tabulated as complex ``values`` on a strictly
+    increasing frequency ``grid`` into its four nonnegative parts.
 
     The split is the pointwise sign split max(+-Re, 0), max(+-Im, 0), so
     reassembling  R+ - R- + i I+ - i I-  reproduces the input exactly.
     """
-    if isinstance(ft, AtomicFT):
-        buckets: dict[str, list] = {ax: [] for ax in AXES}
-        for x, w in ft.atoms:
-            w = complex(w)
-            if w.real > 0:
-                buckets["re+"].append((x, w.real))
-            elif w.real < 0:
-                buckets["re-"].append((x, -w.real))
-            if w.imag > 0:
-                buckets["im+"].append((x, w.imag))
-            elif w.imag < 0:
-                buckets["im-"].append((x, -w.imag))
-        return FourierDecomposition(
-            label=label,
-            components=tuple(_atomic_component(ax, buckets[ax]) for ax in AXES),
-        )
-
-    grid = np.asarray(ft.grid, dtype=float)
-    vals = np.asarray(ft.values, dtype=complex)
+    vals = np.asarray(values, dtype=complex)
     parts = {
         "re+": np.maximum(vals.real, 0.0),
         "re-": np.maximum(-vals.real, 0.0),
@@ -467,7 +408,6 @@ def decompose(ft: AtomicFT | TabulatedFT, label: str = "custom") -> FourierDecom
         "im-": np.maximum(-vals.imag, 0.0),
     }
     return FourierDecomposition(
-        label=label,
         components=tuple(_density_component(ax, grid, parts[ax]) for ax in AXES),
     )
 
@@ -483,7 +423,7 @@ def _component_inverse(c: FourierComponent, zs: np.ndarray) -> np.ndarray:
         # imported here: scipy.integrate dominates the package's import time
         from scipy.integrate import quad
 
-        lo, hi = c.support()
+        lo, hi = c.grid[0], c.grid[-1]
         out = np.empty(len(zs), dtype=complex)
         for i, z in enumerate(zs):
             re = quad(lambda xi: c.density_fn(xi) * math.cos(TWO_PI * xi * z),
@@ -524,18 +464,14 @@ _NUMERIC_KINDS = ("gelu", "swish", "smoothed_relu")
 
 def numeric_decomposition(a: Activation) -> FourierDecomposition:
     grid = np.linspace(-GRID_MAX, GRID_MAX, GRID_POINTS)
-    values = numeric_ft(a, grid)
-    return decompose(TabulatedFT(grid, values), label=a.kind)
+    return decompose(grid, numeric_ft(a, grid))
 
 
 @lru_cache(maxsize=32)
-def _cached_decomposition(a: Activation) -> FourierDecomposition:
+def decomposition_for(a: Activation) -> FourierDecomposition:
+    """Closed form where vetted, tabulated numeric transform otherwise;
+    computed once per activation."""
     if a.kind in _NUMERIC_KINDS:
         return numeric_decomposition(a)
     return closed_form_ft(a)
-
-
-def decomposition_for(a: Activation) -> FourierDecomposition:
-    """Closed form where vetted, tabulated numeric transform otherwise."""
-    return _cached_decomposition(a)
 

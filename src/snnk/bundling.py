@@ -184,25 +184,16 @@ def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
     return _absorb(net, _stage_feature_map(net.layers[0].activation, net.in_width, cfg, stage))
 
 
-def bundle_full(
-    net: LayeredNetwork, cfgs: UrfConfig | Sequence[UrfConfig]
-) -> BundledNetwork:
+def bundle_full(net: LayeredNetwork, cfg: UrfConfig) -> BundledNetwork:
     """Collapse every layer: W_bar is the nested Psi/W product.
 
-    One config is reseeded per stage, exactly as repeated ``bundle_once``;
-    a list gives each layer its own config, used as is.
+    Repeated ``bundle_once``: each stage draws under ``cfg`` reseeded for
+    that stage.
     """
     if net.phi_prefix:
         raise ValueError("bundle_full expects an unbundled network")
-    if isinstance(cfgs, UrfConfig):
-        while isinstance(net, LayeredNetwork):
-            net = bundle_once(net, cfgs)
-        return net
-    cfg_list = list(cfgs)
-    if len(cfg_list) != net.n_layers:
-        raise ShapeMismatch("need one config per layer")
-    for cfg in cfg_list:
-        net = _absorb(net, urf_feature_map(net.layers[0].activation, net.in_width, cfg))
+    while isinstance(net, LayeredNetwork):
+        net = bundle_once(net, cfg)
     return net
 
 

@@ -42,6 +42,7 @@ from .train import (
     make_head,
     make_learnable_layer,
     split_dataset,
+    validation_count,
 )
 from .urf import ConfigError, UrfConfig, kernel_estimate, phi, psi, sample_draws
 
@@ -359,11 +360,16 @@ ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateC
 ESTIMATE_KEYS["activation"] = (_estimate_activation, EstimateConfig.activation)
 
 
-def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
+def _in_section(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ConfigError it raises is re-keyed into ``section``."""
     try:
-        cfg = EstimateConfig(**_read(raw, ESTIMATE_KEYS, section))
+        return make(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(_key_name(section, exc.key), exc.problem) from None
+
+
+def _estimate_config_from(raw: dict, seed_override, section: str = "") -> EstimateConfig:
+    cfg = _in_section(section, EstimateConfig, **_read(raw, ESTIMATE_KEYS, section))
     return cfg if seed_override is None else replace(cfg, seed=seed_override)
 
 
@@ -407,9 +413,7 @@ def _cmd_ft_table(args) -> int:
         dec = decomposition_for(Activation(name))
         # atomic rows carry atom weights; density rows carry density values
         for comp in dec.components:
-            if not comp.is_atomic or not comp.atoms:
-                continue
-            for xi, wgt in comp.atoms:
+            for xi, wgt in comp.atoms:  # a density component has none
                 cell = {ax: 0.0 for ax in AXES}
                 cell[comp.axis] = wgt
                 rows.append(_ft_row(name, xi, cell))
@@ -417,11 +421,8 @@ def _cmd_ft_table(args) -> int:
         if grids:
             union = np.unique(np.concatenate(grids))
             for xi in union:
-                cell = {}
-                for comp, ax in zip(dec.components, AXES):
-                    cell[ax] = (
-                        0.0 if comp.is_atomic else float(comp.density([xi])[0])
-                    )
+                cell = {c.axis: 0.0 if c.is_atomic else float(c.density([xi])[0])
+                        for c in dec.components}
                 rows.append(_ft_row(name, float(xi), cell))
     _write_csv(args.out, FT_TABLE_HEADER, rows)
     return 0
@@ -449,14 +450,17 @@ BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (float, 0.0)}
 def _cmd_bundle(args) -> int:
     conf = _read(_load_json(args.config), BUNDLE_KEYS)
     layers = [_read(l, BUNDLE_LAYER_KEYS, f"layers[{i}]") for i, l in enumerate(conf["layers"])]
+    if not layers:
+        raise ValueError("layers: expected at least one layer, got []")
     urf_conf = _read(conf["urf"], BUNDLE_URF_KEYS, "urf")
     seed = args.seed if args.seed is not None else conf["seed"]
+    cfg = _in_section("urf", UrfConfig, m=urf_conf["m"], A=urf_conf["A"],
+                      seed=derive_seed(seed, 500))
     net = network(
         [conf["input_dim"]] + [l["out_dim"] for l in layers],
         [Activation(l["activation"]) for l in layers],
         weights=conf["weights"], biases=conf["biases"], seed=seed, init_std=conf["init_std"],
     )
-    cfg = UrfConfig(m=urf_conf["m"], A=urf_conf["A"], seed=derive_seed(seed, 500))
     bundled = bundle_full(net, cfg)
 
     rng = rng_for(seed, 501, 0, MISC_STREAM)
@@ -501,10 +505,14 @@ def _cmd_train(args) -> int:
     data = _read(conf["data"], TRAIN_DATA_KEYS, "data")
     layer_conf = _read(conf["layer"], TRAIN_LAYER_KEYS, "layer")
     fit = _read(conf["train"], TRAIN_FIT_KEYS, "train")
-    if layer_conf["kind"] == "urf" and layer_conf["activation"] is None:
-        raise ValueError("layer.activation: missing required key")
     seed = args.seed if args.seed is not None else conf["seed"]
-    cfg = TrainConfig(seed=derive_seed(seed, 606), **fit)
+    if layer_conf["kind"] == "urf":
+        if layer_conf["activation"] is None:
+            raise ValueError("layer.activation: missing required key")
+        urf_cfg = _in_section("layer", UrfConfig, m=layer_conf["m"], A=layer_conf["A"],
+                              seed=derive_seed(seed, 603))
+    cfg = _in_section("train", TrainConfig, seed=derive_seed(seed, 606), **fit)
+    _in_section("data", validation_count, data["n"], data["validation_frac"])
 
     full = generate_blobs(n=data["n"], d=data["d"], k=data["k"],
                           separation=data["separation"], seed=derive_seed(seed, 600))
@@ -517,10 +525,7 @@ def _cmd_train(args) -> int:
         scale = float(np.max(np.linalg.norm(train_set.X, axis=1)))
         train_set = Dataset(X=train_set.X / scale, Y=train_set.Y, split="train")
         val_set = Dataset(X=val_set.X / scale, Y=val_set.Y, split="validation")
-        fmap = urf_feature_map(
-            Activation(layer_conf["activation"]), data["d"],
-            UrfConfig(m=layer_conf["m"], A=layer_conf["A"], seed=derive_seed(seed, 603)),
-        )
+        fmap = urf_feature_map(Activation(layer_conf["activation"]), data["d"], urf_cfg)
     layer = make_learnable_layer(fmap, layer_conf["out_dim"], seed=derive_seed(seed, 604))
     head = make_head(data["k"], layer_conf["out_dim"], seed=derive_seed(seed, 605))
     _, _, history = fit_A(layer, head, train_set, cfg, validation=val_set)

@@ -82,10 +82,8 @@ def ffl_forward(X: np.ndarray, spec: FflSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UrfFeatureMap:
-    """Input embedding Phi built from an activation's transform split."""
+    """Input embedding Phi over the draws of an activation's transform split."""
 
-    activation: Activation
-    config: UrfConfig
     draws: UrfDraws
 
     @property
@@ -126,8 +124,7 @@ class ReluFeatureMap:
 
 
 def urf_feature_map(activation: Activation, dim: int, cfg: UrfConfig) -> UrfFeatureMap:
-    draws = sample_draws(decomposition_for(activation), dim, cfg)
-    return UrfFeatureMap(activation=activation, config=cfg, draws=draws)
+    return UrfFeatureMap(draws=sample_draws(decomposition_for(activation), dim, cfg))
 
 
 def relu_feature_map(dim: int, n_features: int, seed: int) -> ReluFeatureMap:

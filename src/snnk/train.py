@@ -23,6 +23,7 @@ import numpy as np
 
 from ._seeds import MISC_STREAM, rng_for
 from .layers import SnnkLayer
+from .urf import ConfigError
 
 
 class DivergenceDetected(RuntimeError):
@@ -69,10 +70,19 @@ def generate_blobs(n: int, d: int, k: int, separation: float, seed: int) -> Data
     return Dataset(X=X, Y=labels.astype(np.int64))
 
 
+def validation_count(n: int, validation_frac: float) -> int:
+    """Validation rows of ``n`` in ``split_dataset``; a ConfigError if a split would be empty."""
+    n_val = int(round(validation_frac * n)) if 0.0 < validation_frac < 1.0 else 0
+    if not 0 < n_val < n:
+        raise ConfigError("validation_frac", f"must leave at least one of the {n} rows in "
+                          f"each split, got {validation_frac}")
+    return n_val
+
+
 def split_dataset(data: Dataset, validation_frac: float, seed: int):
+    n_val = validation_count(data.n, validation_frac)
     rng = rng_for(seed, 301, 0, MISC_STREAM)
     perm = rng.permutation(data.n)
-    n_val = int(round(validation_frac * data.n))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     return (
         Dataset(X=data.X[train_idx], Y=data.Y[train_idx], split="train"),
@@ -86,6 +96,8 @@ def split_dataset(data: Dataset, validation_frac: float, seed: int):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings for ``fit_A``; a failing value raises a ConfigError naming its field."""
+
     learning_rate: float
     epochs: int
     batch_size: int
@@ -95,12 +107,16 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate", f"must be > 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.loss not in ("mse", "cross_entropy"):
-            raise ValueError("loss must be 'mse' or 'cross_entropy'")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+            raise ConfigError("loss", f"expected 'mse' or 'cross_entropy', got {self.loss!r}")
+        if not self.l2 >= 0:
+            raise ConfigError("l2", f"must be >= 0, got {self.l2}")
 
 
 @dataclass

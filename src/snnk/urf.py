@@ -29,7 +29,9 @@ through the real G as the pair [Re z, Im z].
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
 reads each component's frequencies and Gaussians off its own (seed, axis,
-XI/G) streams into its rows of the fused arrays.  With ``n`` given, it draws
+XI/G) streams into its rows of the fused arrays.  The proposal follows the
+component type: atoms are drawn exactly (ratio 1), and a tabulated density
+piecewise-uniformly over its tabulation cells.  With ``n`` given, it draws
 one flat set of n*m features per component and ``UrfDraws.split`` regroups
 it, so every array carries a leading (n,) axis of instantiations; the towers
 and ``kernel_estimate_complex`` then return one row per instantiation, each
@@ -52,7 +54,7 @@ AXIS_ID = {ax: i for i, ax in enumerate(AXES)}
 
 
 class ProposalMismatch(ValueError):
-    """Proposal distribution cannot cover the component's support."""
+    """A density component whose tabulation has no mass to draw from."""
 
 
 class LayoutMismatch(ValueError):
@@ -68,38 +70,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# proposals
-
-
-@dataclass(frozen=True)
-class ExactProposal:
-    """Sample atoms from their own categorical distribution (ratio 1)."""
-
-
-@dataclass(frozen=True)
-class GaussianProposal:
-    """Centered Gaussian; sigma=None scales to the component's second moment."""
-
-    sigma: float | None = None
-
-
-@dataclass(frozen=True)
-class GridProposal:
-    """Piecewise-uniform proposal over the component's tabulation cells."""
-
-
-def default_proposal(component: FourierComponent):
-    """Exact atoms; grid-categorical for densities.
-
-    A moment-matched Gaussian proposal is available per-axis but loses to
-    the exponential tails of the principal-value densities (the importance
-    ratio is unbounded, giving a heavy-tailed estimator); the cell-based
-    proposal keeps every ratio within a few percent of one.
-    """
-    return ExactProposal() if component.is_atomic else GridProposal()
-
-
-# ---------------------------------------------------------------------------
 # configuration and draws
 
 
@@ -110,7 +80,8 @@ class UrfConfig:
     ``m`` random features per active transform component, shape parameter
     ``A <= 0`` (more negative trades variance for tighter boundedness),
     ``strategy`` either "iid" or "block" (one frequency shared inside each
-    block of ``block_size`` Gaussians), and per-axis proposal overrides.
+    block of ``block_size`` Gaussians).  A value that fails a check raises a
+    ConfigError naming its field.
     """
 
     m: int
@@ -118,23 +89,16 @@ class UrfConfig:
     strategy: str = "iid"
     block_size: int = 0
     seed: int = 0
-    proposals: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ConfigError("m", f"must be >= 1, got {self.m}")
         if not (math.isfinite(self.A) and self.A <= 0):
-            raise ValueError(f"A must be finite and <= 0, got {self.A}")
+            raise ConfigError("A", f"must be finite and <= 0, got {self.A}")
         if self.strategy not in ("iid", "block"):
             raise ConfigError("strategy", f"expected 'iid' or 'block', got {self.strategy!r}")
         if self.strategy == "block" and (self.block_size < 1 or self.m % self.block_size):
             raise ConfigError("block_size", f"{self.block_size} does not divide m = {self.m}")
-
-    def proposal_for(self, component: FourierComponent):
-        for axis, prop in self.proposals:
-            if axis == component.axis:
-                return prop
-        return default_proposal(component)
 
 
 @dataclass(frozen=True)
@@ -262,11 +226,16 @@ def _like_layouts(a: FeatureVector, b: FeatureVector):
 # sampling
 
 
-def _sample_xi(component, proposal, n_xi, rng):
-    """Frequencies plus importance ratios for one component."""
-    if isinstance(proposal, ExactProposal):
-        if not component.is_atomic:
-            raise ProposalMismatch("exact proposal requires an atomic component")
+def _sample_xi(component: FourierComponent, n_xi: int, rng):
+    """Frequencies plus importance ratios p_j(xi)/proposal(xi) for one component.
+
+    Atoms are drawn from their own categorical distribution (ratio 1).  A
+    density is drawn piecewise-uniformly over its tabulation cells, which
+    keeps every ratio within a few percent of one; a moment-matched Gaussian
+    proposal loses to the exponential tails of the principal-value densities
+    (its importance ratio is unbounded, giving a heavy-tailed estimator).
+    """
+    if component.is_atomic:
         locs = np.array([x for x, _ in component.atoms])
         probs = np.array([w for _, w in component.atoms]) / component.mass
         if len(locs) == 1:
@@ -274,28 +243,16 @@ def _sample_xi(component, proposal, n_xi, rng):
         else:
             xi = locs[rng.choice(len(locs), size=n_xi, p=probs)]
         return xi, np.ones(n_xi)
-    if component.is_atomic:
-        raise ProposalMismatch("density proposal on an atomic component")
-    if isinstance(proposal, GaussianProposal):
-        sigma = proposal.sigma
-        if sigma is None:
-            sigma = math.sqrt(component.second_moment())
-        xi = sigma * rng.standard_normal(n_xi)
-        pbar = np.exp(-0.5 * (xi / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        ratio = component.density(xi) / component.mass / pbar
-        return xi, ratio
-    if isinstance(proposal, GridProposal):
-        grid, cells = component.grid, component.cells
-        if cells.total <= 0:
-            raise ProposalMismatch("grid proposal over an empty tabulation")
-        # rng.choice(p=mass / total) without rebuilding the CDF per call
-        idx = cells.cdf.searchsorted(rng.random(n_xi), side="right")
-        u = rng.random(n_xi)
-        xi = grid[idx] + u * (grid[idx + 1] - grid[idx])
-        pbar = cells.mass[idx] / cells.total / (grid[idx + 1] - grid[idx])
-        ratio = component.density(xi) / component.mass / pbar
-        return xi, ratio
-    raise ProposalMismatch(f"unknown proposal {proposal!r}")
+    grid, cells = component.grid, component.cells
+    if cells.total <= 0:
+        raise ProposalMismatch("grid proposal over an empty tabulation")
+    # rng.choice(p=mass / total) without rebuilding the CDF per call
+    idx = cells.cdf.searchsorted(rng.random(n_xi), side="right")
+    u = rng.random(n_xi)
+    xi = grid[idx] + u * (grid[idx + 1] - grid[idx])
+    pbar = cells.mass[idx] / cells.total / (grid[idx + 1] - grid[idx])
+    ratio = component.density(xi) / component.mass / pbar
+    return xi, ratio
 
 
 def sample_draws(
@@ -325,7 +282,7 @@ def sample_draws(
     for j, comp in enumerate(comps):
         rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
         rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
-        drawn = _sample_xi(comp, cfg.proposal_for(comp), m // reps, rng_xi)
+        drawn = _sample_xi(comp, m // reps, rng_xi)
         for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
             dest[rows] = np.repeat(a, reps)
         G[rows] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((m, dim))

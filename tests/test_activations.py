@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from snnk.activations import (
     _trapezoid_ft,
-    AtomicFT,
     Activation,
     QuadratureNonConvergent,
-    TabulatedFT,
     TaperWindow,
     UnsupportedClosedForm,
     closed_form_ft,
@@ -189,7 +187,7 @@ class TestNumericFT:
 class TestDecompose:
     def test_nonnegative_real_input(self):
         grid = np.linspace(-1, 1, 11)
-        d = decompose(TabulatedFT(grid, np.full(11, 2.0 + 0j)))
+        d = decompose(grid, np.full(11, 2.0 + 0j))
         assert d.component("re-").mass == 0.0
         assert d.component("im+").mass == 0.0
         assert d.component("im-").mass == 0.0
@@ -198,7 +196,7 @@ class TestDecompose:
     def test_sign_split_pointwise(self):
         grid = np.array([-1.0, 0.0, 1.0])
         vals = np.array([-2.0 + 0j, 0.0, 3.0])
-        d = decompose(TabulatedFT(grid, vals))
+        d = decompose(grid, vals)
         assert d.component("re-").values[0] == 2.0
         assert d.component("re+").values[0] == 0.0
         assert d.component("re+").values[2] == 3.0
@@ -214,7 +212,7 @@ class TestDecompose:
     def test_reassembly_is_exact(self, values):
         grid = np.linspace(-1, 1, len(values))
         vals = np.array(values)
-        d = decompose(TabulatedFT(grid, vals))
+        d = decompose(grid, vals)
         parts = {c.axis: c.values for c in d.components}
         back = parts["re+"] - parts["re-"] + 1j * parts["im+"] - 1j * parts["im-"]
         assert np.array_equal(back, vals)
@@ -225,17 +223,11 @@ class TestDecompose:
         xis = xis[np.abs(xis) > 0.05]
         xis = np.unique(np.concatenate([-xis, xis]))
         ft = numeric_ft(Activation("tanh"), xis)
-        d = decompose(TabulatedFT(xis, ft))
+        d = decompose(xis, ft)
         imp, imm = d.component("im+"), d.component("im-")
         assert np.all(imp.values[xis > 0.05] < 1e-10)
         assert np.all(imm.values[xis < -0.05] < 1e-10)
         assert imp.mass > 0.1 and imm.mass > 0.1
-
-    def test_atomic_split(self):
-        d = decompose(AtomicFT(atoms=((0.5, -1.0 + 2.0j), (-0.5, 0.25))))
-        assert d.component("re-").atoms == ((0.5, 1.0),)
-        assert d.component("im+").atoms == ((0.5, 2.0),)
-        assert d.component("re+").atoms == ((-0.5, 0.25),)
 
 
 class TestValidateDecomposition:
@@ -265,8 +257,9 @@ class TestValidateDecomposition:
         assert validate_decomposition(decomposition_for(a), a, zs) <= 1e-3
 
     def test_imaginary_residue_rejected(self):
-        # a lone atom off the origin cannot reconstruct a real function
-        d = decompose(AtomicFT(atoms=((0.3, 1j),)))
+        # a transform supported on xi > 0 alone cannot reconstruct a real function
+        grid = np.linspace(0.1, 0.5, 41)
+        d = decompose(grid, np.ones(41, dtype=complex))
         with pytest.raises(ValueError, match="residue"):
             validate_decomposition(d, Activation("sine"), [1.0])
 

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from snnk._seeds import MISC_STREAM, rng_for
+from snnk._seeds import MISC_STREAM, derive_seed, rng_for
 from snnk.activations import Activation
 from snnk.bundling import (
+    STAGE_KEY,
     BundledNetwork,
     LayeredNetwork,
     SingularSystem,
@@ -78,8 +80,10 @@ class TestBundleFull:
         b = rng.uniform(-0.5, 0.5, 3)
         net = network([4, 3], [Activation("sine")], weights=[W], biases=[b])
         cfg = UrfConfig(m=16, seed=8)
-        bn = bundle_full(net, [cfg])  # explicit per-layer config, no reseeding
-        layer = snnk_from_ffl(FflSpec(W=W, b=b, activation=Activation("sine")), cfg)
+        bn = bundle_full(net, cfg)
+        # the one stage draws under the config reseeded for stage 0
+        staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, 0))
+        layer = snnk_from_ffl(FflSpec(W=W, b=b, activation=Activation("sine")), staged)
         assert np.array_equal(bn.W_bar, layer.A)
 
     def test_determinism(self):

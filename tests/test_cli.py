@@ -115,7 +115,7 @@ class TestEstimateCommand:
         ({"strategy": "block"},
          "block_size: 0 does not divide m = 4, the features per component of feature "
          "count 8 (2 components)"),
-        ({"A": 0.5}, "A must be finite and <= 0, got 0.5"),
+        ({"A": 0.5}, "A: must be finite and <= 0, got 0.5"),
         ({"activation": "arccos", "strategy": "bogus"},
          "strategy: expected 'iid' or 'block', got 'bogus'"),
     ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy"])
@@ -150,7 +150,7 @@ class TestEstimateCommand:
         assert "NaN" in cfg.read_text()
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: A must be finite and <= 0, got nan\n"
+        assert capsys.readouterr().err == "error: A: must be finite and <= 0, got nan\n"
         assert not out.exists()
 
     def test_non_finite_bias_fails_cleanly(self, tmp_path, capsys):
@@ -440,7 +440,7 @@ class TestSweepCommand:
          "base.block_size: 3 does not divide m = 4, the features per component of "
          "feature count 8 (2 components)"),
         ({"axis": "A", "values": [0.0, 0.5], "base": ESTIMATE_CFG},
-         "values: 0.5 is not a valid A value"),
+         "values: 0.5 is not a valid A value: A: must be finite and <= 0, got 0.5"),
     ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A"])
     def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
@@ -602,6 +602,28 @@ class TestBundleCommand:
         assert capsys.readouterr().err == "error: seed: expected an integer, got 'eleven'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("urf, message", [
+        ({"m": 0}, "urf.m: must be >= 1, got 0"),
+        ({"A": 0.5}, "urf.A: must be finite and <= 0, got 0.5"),
+    ], ids=["m", "A"])
+    def test_sampling_key_names_its_section(self, tmp_path, capsys, monkeypatch, urf, message):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the network was built before the config was checked")
+
+        monkeypatch.setattr(cli, "network", no_network)
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, urf=urf))
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_no_layers_names_the_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=[]))
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: layers: expected at least one layer, got []\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("layers", [5, {"out_dim": 2, "activation": "sine"}])
     def test_layers_must_be_a_list(self, tmp_path, capsys, layers):
         cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=layers))
@@ -695,6 +717,30 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: train.epochs: expected an integer, got 'many'\n"
         )
+
+    @pytest.mark.parametrize("section, change, message", [
+        ("train", {"epochs": -1}, "train.epochs: must be >= 0, got -1"),
+        ("train", {"batch_size": 0}, "train.batch_size: must be >= 1, got 0"),
+        ("data", {"validation_frac": 1.0},
+         "data.validation_frac: must leave at least one of the 300 rows in each split, got 1.0"),
+        ("data", {"validation_frac": 0.0},
+         "data.validation_frac: must leave at least one of the 300 rows in each split, got 0.0"),
+        ("layer", {"kind": "urf", "activation": "sine", "m": 0}, "layer.m: must be >= 1, got 0"),
+        ("layer", {"kind": "urf", "activation": "sine", "A": 0.5},
+         "layer.A: must be finite and <= 0, got 0.5"),
+    ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A"])
+    def test_bad_value_names_its_key_before_the_data_is_built(
+            self, tmp_path, capsys, monkeypatch, section, change, message):
+        def no_blobs(**kwargs):
+            raise AssertionError("blobs built before the config was checked")
+
+        monkeypatch.setattr(cli, "generate_blobs", no_blobs)
+        cfg = write_json(tmp_path / "train.json",
+                         dict(TRAIN_CFG, **{section: dict(TRAIN_CFG[section], **change)}))
+        out = tmp_path / "t.csv"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         data = {k: v for k, v in TRAIN_CFG["data"].items() if k != "n"}

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 from snnk._seeds import MISC_STREAM, rng_for
-from snnk.activations import Activation, decomposition_for
+from snnk.activations import Activation, _density_component, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ConfigError,
-    ExactProposal,
-    GaussianProposal,
-    GridProposal,
     LayoutMismatch,
     ProposalMismatch,
     UrfConfig,
     UrfDraws,
+    _sample_xi,
     kernel_estimate,
     kernel_estimate_complex,
     lambda_feature,
@@ -48,9 +46,6 @@ PINNED_DRAWS = [
     ("cosine-iid", "cosine", UrfConfig(m=4, seed=12), None),
     ("tanh-iid", "tanh", UrfConfig(m=4, seed=13), None),
     ("tanh-block4", "tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=14), None),
-    ("tanh-gaussian", "tanh", UrfConfig(m=4, seed=15, proposals=(
-        ("im+", GaussianProposal()), ("im-", GaussianProposal(0.5)),
-    )), None),
     ("cosine-n3", "cosine", UrfConfig(m=4, seed=16), 3),
     ("tanh-n3", "tanh", UrfConfig(m=4, seed=17), 3),
 ]
@@ -126,7 +121,7 @@ class TestSampleDraws:
     @pytest.mark.parametrize("kind, cfg", [
         ("tanh", UrfConfig(m=8, seed=3)),  # density components, grid proposal
         ("tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=3)),
-        ("tanh", UrfConfig(m=8, seed=3, proposals=(("im+", GaussianProposal(1.0)),))),
+        ("sigmoid", UrfConfig(m=8, seed=3)),  # an atomic DC and two density components
         ("cosine", UrfConfig(m=8, seed=4)),  # two atoms, categorical draw
         ("sine", UrfConfig(m=8, seed=4)),  # one atom per component
     ])
@@ -201,22 +196,10 @@ class TestSampleDraws:
             assert len(np.unique(blk.xi)) == 2
             assert np.all(blk.xi[:4] == blk.xi[0])
 
-    def test_tanh_gaussian_proposal_ratios(self):
-        dec = decomposition_for(Activation("tanh"))
-        cfg = UrfConfig(m=64, seed=5, proposals=(
-            ("im+", GaussianProposal(1.0)), ("im-", GaussianProposal(1.0)),
-        ))
-        draws = sample_draws(dec, 2, cfg)
-        for blk in draws.blocks:
-            assert np.all(np.isfinite(blk.ratio))
-            assert np.all(blk.ratio >= 0.0)
-
     def test_grid_proposal_ratios_near_one(self):
+        # a density component is drawn over its tabulation cells
         dec = decomposition_for(Activation("tanh"))
-        cfg = UrfConfig(m=256, seed=5, proposals=(
-            ("im+", GridProposal()), ("im-", GridProposal()),
-        ))
-        draws = sample_draws(dec, 2, cfg)
+        draws = sample_draws(dec, 2, UrfConfig(m=256, seed=5))
         for blk in draws.blocks:
             assert np.all(blk.ratio > 0.0)
             assert np.median(np.abs(blk.ratio - 1.0)) < 0.2
@@ -234,21 +217,16 @@ class TestSampleDraws:
             assert np.array_equal(idx, ref)
             assert searched.random() == chosen.random()  # both consumed the same stream
 
-    def test_proposal_mismatch(self):
-        sine = decomposition_for(Activation("sine"))
-        with pytest.raises(ProposalMismatch):
-            sample_draws(sine, 2, UrfConfig(m=4, seed=0, proposals=(
-                ("im+", GaussianProposal(1.0)),)))
-        tanh = decomposition_for(Activation("tanh"))
-        with pytest.raises(ProposalMismatch):
-            sample_draws(tanh, 2, UrfConfig(m=4, seed=0, proposals=(
-                ("im+", ExactProposal()),)))
+    def test_empty_tabulation_is_refused(self):
+        empty = _density_component("im+", [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ProposalMismatch, match="empty tabulation"):
+            _sample_xi(empty, 4, rng_for(0, 0, 0, MISC_STREAM))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^m: must be >= 1, got 0$"):
             UrfConfig(m=0)
         for A in (0.5, math.nan, -math.inf, math.inf):
-            with pytest.raises(ValueError, match="A must be finite"):
+            with pytest.raises(ConfigError, match="^A: must be finite and <= 0, got "):
                 UrfConfig(m=4, A=A)
         with pytest.raises(ConfigError, match="^block_size: 3 does not divide m = 4$"):
             UrfConfig(m=4, strategy="block", block_size=3)
