@@ -18,7 +18,6 @@ from .bundling import (
     BundledNetwork,
     LayeredNetwork,
     SingularSystem,
-    UnsupportedActivation,
     bundle_full,
     bundle_once,
     bundled_forward,
@@ -57,7 +56,6 @@ from .train import (
 from .urf import (
     ConfigError,
     FeatureVector,
-    LayoutMismatch,
     ProposalMismatch,
     UrfConfig,
     UrfDraws,

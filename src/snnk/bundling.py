@@ -23,15 +23,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._seeds import MISC_STREAM, derive_seed, rng_for
-from .activations import Activation, UnsupportedClosedForm
+from .activations import Activation
 from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward, urf_feature_map
 from .urf import UrfConfig, phi, psi_many
 
 STAGE_KEY = 777
-
-
-class UnsupportedActivation(ValueError):
-    pass
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -142,15 +138,6 @@ class BundledNetwork:
 # bundling
 
 
-def _stage_feature_map(activation, dim, cfg, stage):
-    # each stage gets its own derived seed so stage draws are independent
-    staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, stage))
-    try:
-        return urf_feature_map(activation, dim, staged)
-    except UnsupportedClosedForm as exc:
-        raise UnsupportedActivation(str(exc)) from exc
-
-
 def _absorb(net: LayeredNetwork, fmap):
     """Replace the leading layer by the embedding ``fmap``: the next layer's
     W absorbs Psi(W0, b0), or Psi(W0, b0) is W_bar once no layer is left;
@@ -180,8 +167,9 @@ def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
     or a BundledNetwork once the last one is absorbed."""
     if net.n_layers < 1:
         raise ValueError("nothing left to bundle")
-    stage = len(net.phi_prefix)
-    return _absorb(net, _stage_feature_map(net.layers[0].activation, net.in_width, cfg, stage))
+    # each stage gets its own derived seed so stage draws are independent
+    staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, len(net.phi_prefix)))
+    return _absorb(net, urf_feature_map(net.layers[0].activation, net.in_width, staged))
 
 
 def bundle_full(net: LayeredNetwork, cfg: UrfConfig) -> BundledNetwork:

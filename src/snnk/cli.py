@@ -37,6 +37,7 @@ from .train import (
     Dataset,
     DivergenceDetected,
     TrainConfig,
+    check_blobs,
     fit_A,
     generate_blobs,
     make_head,
@@ -289,6 +290,13 @@ def _as_is(value):
 _int = operator.index
 
 
+def _positive_int(value) -> int:
+    value = _int(value)
+    if value < 1:
+        raise ConfigError("", f"must be >= 1, got {value}")  # _convert names the key
+    return value
+
+
 def _int_list(value) -> tuple[int, ...]:
     return tuple(_int(p) for p in value)
 
@@ -314,7 +322,8 @@ def _estimate_activation(value) -> str:
 
 
 _EXPECTED = {
-    _int: "an integer", float: "a number", _int_list: "a list of integers", _list: "a list",
+    _int: "an integer", _positive_int: "an integer", float: "a number",
+    _int_list: "a list of integers", _list: "a list",
     _layer_kind: "'relu' or 'urf'", _activation: "an activation kind",
     _estimate_activation: "an activation kind or 'arccos'",
 }
@@ -349,6 +358,8 @@ def _convert(name: str, convert, value):
     """``convert(value)``; a value it rejects raises a ValueError naming ``name``."""
     try:
         return convert(value)
+    except ConfigError as exc:
+        raise ConfigError(name, exc.problem) from None
     except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
         raise ValueError(f"{name}: expected {_EXPECTED[convert]}, got {value!r}") from None
 
@@ -439,11 +450,11 @@ BUNDLE_HEADER = [
     "params_before", "params_after", "probe_mae",
 ]
 BUNDLE_KEYS = {
-    "input_dim": (_int, _REQUIRED), "layers": (_list, _REQUIRED), "weights": (_as_is, None),
-    "biases": (_as_is, None), "seed": (_int, 0), "init_std": (float, 1.0), "urf": (_as_is, {}),
-    "probes": (_int, 16),
+    "input_dim": (_positive_int, _REQUIRED), "layers": (_list, _REQUIRED),
+    "weights": (_as_is, None), "biases": (_as_is, None), "seed": (_int, 0),
+    "init_std": (float, 1.0), "urf": (_as_is, {}), "probes": (_positive_int, 16),
 }
-BUNDLE_LAYER_KEYS = {"out_dim": (_int, _REQUIRED), "activation": (_activation, _REQUIRED)}
+BUNDLE_LAYER_KEYS = {"out_dim": (_positive_int, _REQUIRED), "activation": (_activation, _REQUIRED)}
 BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (float, 0.0)}
 
 
@@ -492,10 +503,11 @@ def _bundle_artifact(bn: BundledNetwork, conf, seed, cfg) -> dict:
 TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
 TRAIN_KEYS = {"seed": (_int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
               "train": (_as_is, {})}
-TRAIN_DATA_KEYS = {"n": (_int, _REQUIRED), "d": (_int, _REQUIRED), "k": (_int, _REQUIRED),
+TRAIN_DATA_KEYS = {"n": (_int, _REQUIRED), "d": (_positive_int, _REQUIRED), "k": (_int, _REQUIRED),
                    "separation": (float, _REQUIRED), "validation_frac": (float, 0.25)}
-TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_int, 16), "features": (_int, 32),
-                    "activation": (_activation, None), "m": (_int, 16), "A": (float, 0.0)}
+TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_positive_int, 16),
+                    "features": (_positive_int, 32), "activation": (_activation, None),
+                    "m": (_int, 16), "A": (float, 0.0)}
 TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
                   "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
 
@@ -512,7 +524,14 @@ def _cmd_train(args) -> int:
         urf_cfg = _in_section("layer", UrfConfig, m=layer_conf["m"], A=layer_conf["A"],
                               seed=derive_seed(seed, 603))
     cfg = _in_section("train", TrainConfig, seed=derive_seed(seed, 606), **fit)
-    _in_section("data", validation_count, data["n"], data["validation_frac"])
+    if cfg.loss == "mse":
+        raise ConfigError("train.loss", "'mse' needs real targets and the blobs have class "
+                          "labels; use 'cross_entropy'")
+    _in_section("data", check_blobs, data["k"], data["separation"])
+    n_train = data["n"] - _in_section("data", validation_count, data["n"], data["validation_frac"])
+    if cfg.batch_size > n_train:
+        raise ConfigError("train.batch_size", f"must be <= the {n_train} training rows, "
+                          f"got {cfg.batch_size}")
 
     full = generate_blobs(n=data["n"], d=data["d"], k=data["k"],
                           separation=data["separation"], seed=derive_seed(seed, 600))

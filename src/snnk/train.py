@@ -55,10 +55,17 @@ class Dataset:
         return self.Y.ndim == 1 and np.issubdtype(self.Y.dtype, np.integer)
 
 
+def check_blobs(k: int, separation: float):
+    """A ConfigError naming ``k`` or ``separation`` if ``generate_blobs`` cannot use it."""
+    if k < 2:
+        raise ConfigError("k", f"must be >= 2, got {k}")
+    if not separation > 0:
+        raise ConfigError("separation", f"must be > 0, got {separation}")
+
+
 def generate_blobs(n: int, d: int, k: int, separation: float, seed: int) -> Dataset:
     """k unit-variance Gaussian clusters with pairwise mean distance >= separation."""
-    if k < 2 or separation <= 0:
-        raise ValueError("need k >= 2 and separation > 0")
+    check_blobs(k, separation)
     rng = rng_for(seed, 300, 0, MISC_STREAM)
     means = rng.standard_normal((k, d))
     dists = [
@@ -289,6 +296,8 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         raise ValueError("batch_size exceeds dataset size")
     if cfg.loss == "cross_entropy" and head is None:
         raise ValueError("cross-entropy training expects a classification head")
+    if cfg.loss == "mse" and data.is_classification:
+        raise ValueError("mse training expects real targets, got class labels")
 
     feats = real_design(layer.feature_map.features_many(data.X))
     val_feats = (

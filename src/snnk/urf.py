@@ -20,12 +20,16 @@ an unbiased estimate of f(w.x + b).
 
 A draw set is fused: its M = components x m entries share one frequency
 vector, one ratio vector and one M x dim Gaussian matrix ``G``, and
-``UrfDraws.terms`` caches the per-entry constants.  Both towers evaluate
-Lambda over all M entries in one expression, ``_lambda_exp``, which forms
-g.z as one product per row of a (..., d) stack: row i of
-``phi_many``/``psi_many`` is bit-identical to ``phi``/``psi`` of that row.
-A complex row z (a bundled stage input, an absorbed weight row) goes
-through the real G as the pair [Re z, Im z].
+``UrfDraws.terms`` caches the per-entry constants.  Lambda of either side is
+one function, ``_tower``: scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z)
+over all M entries, with one ``Tower(coef, quad, scale)`` triple per side.
+Under the fixed policy the input tower (z = x) is (sqrt(1-4A) 2 pi i xi_i,
+2 pi^2 xi_i^2, prefactor / sqrt(m)) and the parameter tower (z = w) is
+(sqrt(1-4A), -1/2, prefactor); ``psi_many`` puts the weight, ratio and
+bias phase of each entry in front.  ``_tower`` forms g.z as one product per
+row of a (..., d) stack: row i of ``phi_many``/``psi_many`` is bit-identical
+to ``phi``/``psi`` of that row.  A complex row z (a bundled stage input, an
+absorbed weight row) goes through the real G as the pair [Re z, Im z].
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
 reads each component's frequencies and Gaussians off its own (seed, axis,
@@ -55,10 +59,6 @@ AXIS_ID = {ax: i for i, ax in enumerate(AXES)}
 
 class ProposalMismatch(ValueError):
     """A density component whose tabulation has no mass to draw from."""
-
-
-class LayoutMismatch(ValueError):
-    """Feature vectors built under different layouts."""
 
 
 class ConfigError(ValueError):
@@ -113,17 +113,23 @@ class AxisDraws:
     ratio: np.ndarray  # (..., m), p_j(xi)/proposal(xi), >= 0
 
 
+class Tower(NamedTuple):
+    """One side's constants of Lambda: scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z)."""
+
+    coef: np.ndarray | float  # the coefficient of g_i.z
+    quad: np.ndarray | float  # the coefficient of z.z
+    scale: float  # the factor in front of the exponential
+
+
 class LambdaTerms(NamedTuple):
-    """Per-entry constants of Lambda for one shape A, shared by both towers."""
+    """Per-entry constants of Lambda for one shape A: shared by both towers,
+    then one triple per tower."""
 
     agg: np.ndarray | float  # A |g_i|^2; 0.0 when A = 0
-    prefactor: float  # (1-4A)^(d/4)
-    scale: float  # prefactor / sqrt(m), the input-side weight
-    root: float  # sqrt(1-4A), the coefficient of g_i.w
     freq: np.ndarray  # 2 pi i xi_i, the coefficient of the bias
-    phase: np.ndarray  # root * 2 pi i xi_i, the coefficient of g_i.x
-    quad: np.ndarray  # 2 pi^2 xi_i^2, the coefficient of x.x
     weight: np.ndarray  # c_i / sqrt(m), the signed mass of entry i's component
+    input: Tower  # rho(xi) x: (sqrt(1-4A) 2 pi i xi_i, 2 pi^2 xi_i^2, (1-4A)^(d/4) / sqrt(m))
+    param: Tower  # eta(xi) w: (sqrt(1-4A), -1/2, (1-4A)^(d/4))
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,6 @@ class UrfDraws:
     @property
     def total_features(self) -> int:
         return self.xi.shape[-1]
-
-    @cached_property
-    def layout(self) -> tuple[tuple[str, int], ...]:
-        return tuple((axis, self.config.m) for axis, _ in self.axes)
 
     @cached_property
     def blocks(self) -> tuple[AxisDraws, ...]:
@@ -201,25 +203,16 @@ class UrfDraws:
             agg = A * np.concatenate([np.sum(b.g * b.g, axis=-1) for b in self.blocks], axis=-1)
         return LambdaTerms(
             agg=agg,
-            prefactor=prefactor,
-            scale=prefactor / math.sqrt(m),
-            root=root,
             freq=freq,
-            phase=root * freq,
-            quad=2.0 * math.pi**2 * self.xi**2,
             weight=np.repeat([c / math.sqrt(m) for _, c in self.axes], m),
+            input=Tower(root * freq, 2.0 * math.pi**2 * self.xi**2, prefactor / math.sqrt(m)),
+            param=Tower(root, -0.5, prefactor),
         )
 
 
 @dataclass(frozen=True)
 class FeatureVector:
     entries: np.ndarray  # complex, (total_features,) or (..., total_features)
-    layout: tuple[tuple[str, int], ...]
-
-
-def _like_layouts(a: FeatureVector, b: FeatureVector):
-    if a.layout != b.layout:
-        raise LayoutMismatch(f"layouts differ: {a.layout} vs {b.layout}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +315,12 @@ def _project(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (G @ Z[..., None])[..., 0]
 
 
-def _lambda_exp(Z, draws, coef, quad):
-    """exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of Z (..., d)
-    and every entry i of the draw set."""
+def _tower(Z, draws, tower: Tower):
+    """scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of
+    Z (..., d) and every entry i of the draw set."""
     zz = (Z * Z).sum(axis=-1, keepdims=True)  # bilinear; complex-safe
-    return np.exp(draws.terms.agg + coef * _project(draws.G, Z) + quad * zz)
+    return tower.scale * np.exp(draws.terms.agg + tower.coef * _project(draws.G, Z)
+                                + tower.quad * zz)
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
@@ -335,7 +329,7 @@ def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
     x = np.asarray(x)
     if x.shape[-1:] != (draws.dim,):
         raise ValueError(f"expected input of dim {draws.dim}, got {x.shape}")
-    return FeatureVector(entries=phi_many(x, draws), layout=draws.layout)
+    return FeatureVector(entries=phi_many(x, draws))
 
 
 def psi(w: np.ndarray, b: float, draws: UrfDraws) -> FeatureVector:
@@ -343,7 +337,7 @@ def psi(w: np.ndarray, b: float, draws: UrfDraws) -> FeatureVector:
     w = np.asarray(w)
     if w.shape != (draws.dim,):
         raise ValueError(f"expected weights of dim {draws.dim}, got {w.shape}")
-    return FeatureVector(entries=psi_many(w, b, draws), layout=draws.layout)
+    return FeatureVector(entries=psi_many(w, b, draws))
 
 
 def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
@@ -351,8 +345,7 @@ def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; row i equals ``phi(X[i], draws)`` bit for bit.
     """
-    t = draws.terms
-    return t.scale * _lambda_exp(np.asarray(X), draws, t.phase, t.quad)
+    return _tower(np.asarray(X), draws, draws.terms.input)
 
 
 def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
@@ -364,8 +357,7 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
     """
     t = draws.terms
     b = np.asarray(b)[..., None]
-    return (t.weight * (draws.ratio * np.exp(t.freq * b))
-            * (t.prefactor * _lambda_exp(np.asarray(W), draws, t.root, -0.5)))
+    return t.weight * (draws.ratio * np.exp(t.freq * b)) * _tower(np.asarray(W), draws, t.param)
 
 
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
@@ -381,7 +373,6 @@ def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex | n
     (1, M) @ (M, 1) product, so a row equals that pair alone bit for bit.
     One pair gives a Python complex.
     """
-    _like_layouts(px, pw)
     est = (pw.entries[..., None, :] @ px.entries[..., None])[..., 0, 0]
     return complex(est) if est.ndim == 0 else est
 
@@ -400,7 +391,7 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
     """
     if draws.config.A > 0:
         raise ValueError("bound requires A <= 0")
-    t = draws.terms
+    t = draws.terms.input
     return t.scale * np.exp(t.quad * max_norm_x**2)
 
 
@@ -418,4 +409,4 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
     R = max_norm_w
     exponent = (1.0 - 4.0 * A) * R * R / (4.0 * abs(A)) - R * R / 2.0
     mass = np.repeat([abs(c) for _, c in draws.axes], draws.config.m)
-    return draws.terms.scale * mass * draws.ratio * math.exp(exponent)
+    return draws.terms.input.scale * mass * draws.ratio * math.exp(exponent)

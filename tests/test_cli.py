@@ -617,6 +617,28 @@ class TestBundleCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"input_dim": 0}, "input_dim: must be >= 1, got 0"),
+        ({"layers": [{"out_dim": 0, "activation": "sine"}, {"out_dim": 2, "activation": "sine"}]},
+         "layers[0].out_dim: must be >= 1, got 0"),
+        ({"layers": [{"out_dim": 4, "activation": "sine"}, {"out_dim": 0, "activation": "sine"}]},
+         "layers[1].out_dim: must be >= 1, got 0"),
+        ({"layers": [{"out_dim": 0, "activation": "sine"}]},
+         "layers[0].out_dim: must be >= 1, got 0"),
+        ({"probes": 0}, "probes: must be >= 1, got 0"),
+    ], ids=["input_dim", "first-out_dim", "last-out_dim", "single-out_dim", "probes"])
+    def test_bad_size_names_its_key_before_the_network_is_built(
+            self, tmp_path, capsys, monkeypatch, change, message):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the network was built before the config was checked")
+
+        monkeypatch.setattr(cli, "network", no_network)
+        cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, **change))
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_no_layers_names_the_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, layers=[]))
         out = tmp_path / "o.csv"
@@ -728,7 +750,17 @@ class TestTrainCommand:
         ("layer", {"kind": "urf", "activation": "sine", "m": 0}, "layer.m: must be >= 1, got 0"),
         ("layer", {"kind": "urf", "activation": "sine", "A": 0.5},
          "layer.A: must be finite and <= 0, got 0.5"),
-    ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A"])
+        ("data", {"d": 0}, "data.d: must be >= 1, got 0"),
+        ("data", {"k": 1}, "data.k: must be >= 2, got 1"),
+        ("data", {"separation": 0.0}, "data.separation: must be > 0, got 0.0"),
+        ("layer", {"out_dim": 0}, "layer.out_dim: must be >= 1, got 0"),
+        ("layer", {"features": 0}, "layer.features: must be >= 1, got 0"),
+        ("train", {"batch_size": 226},
+         "train.batch_size: must be <= the 225 training rows, got 226"),
+        ("train", {"loss": "mse"}, "train.loss: 'mse' needs real targets and the blobs have class "
+                                   "labels; use 'cross_entropy'"),
+    ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A", "d", "k",
+            "separation", "out_dim", "features", "batch_size-rows", "mse"])
     def test_bad_value_names_its_key_before_the_data_is_built(
             self, tmp_path, capsys, monkeypatch, section, change, message):
         def no_blobs(**kwargs):

@@ -173,6 +173,14 @@ class TestFitA:
         with pytest.raises(DivergenceDetected, match="epoch 0"):
             fit_A(layer, None, data, cfg)
 
+    def test_mse_on_class_labels_is_refused(self):
+        # the (n, 1) label column would broadcast against the (n, k) head outputs
+        data = generate_blobs(n=40, d=3, k=3, separation=4.0, seed=51)
+        layer = make_learnable_layer(relu_feature_map(3, 8, seed=53), 4, seed=54)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, loss="mse", seed=0)
+        with pytest.raises(ValueError, match="mse training expects real targets"):
+            fit_A(layer, make_head(3, 4, seed=55), data, cfg)
+
     def test_blob_classification_with_relu_layer(self):
         full = generate_blobs(n=600, d=6, k=3, separation=10.0, seed=51)
         train_set, val_set = split_dataset(full, 0.25, seed=52)

@@ -11,7 +11,6 @@ from snnk.activations import Activation, _density_component, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ConfigError,
-    LayoutMismatch,
     ProposalMismatch,
     UrfConfig,
     UrfDraws,
@@ -129,7 +128,8 @@ class TestSampleDraws:
         dec = decomposition_for(Activation(kind))
         single = sample_draws(dec, 3, cfg)
         batch = sample_draws(dec, 3, cfg, 1)
-        assert batch.layout == single.layout
+        assert batch.axes == single.axes
+        assert batch.total_features == single.total_features
         for s_blk, b_blk in zip(single.blocks, batch.blocks, strict=True):
             assert (b_blk.axis, b_blk.c) == (s_blk.axis, s_blk.c)
             for name in ("xi", "g", "ratio"):
@@ -161,7 +161,8 @@ class TestSampleDraws:
         split = flat.split(n)
         batch = sample_draws(dec, 2, cfg, n)
         assert split.config == batch.config == cfg
-        assert (split.dim, split.axes, split.layout) == (batch.dim, batch.axes, batch.layout)
+        assert (split.dim, split.axes) == (batch.dim, batch.axes)
+        assert split.xi.shape == batch.xi.shape
         for name in ("xi", "G", "ratio"):
             assert np.array_equal(getattr(split, name), getattr(batch, name))
         # instantiation t holds run t of each component's flat entries
@@ -269,8 +270,8 @@ class TestFeatureMaps:
             dec = decomposition_for(Activation(kind))
             draws = sample_draws(dec, 3, UrfConfig(m=8, seed=1))
             fv = phi(np.zeros(3), draws)
+            assert len(draws.axes) == n_axes
             assert len(fv.entries) == n_axes * 8
-            assert sum(length for _, length in fv.layout) == n_axes * 8
 
     def test_psi_at_zero_with_zero_g(self):
         dec = decomposition_for(Activation("sine"))
@@ -444,15 +445,6 @@ class TestKernelEstimate:
         px = phi(np.zeros(2), draws)
         pw = dataclasses.replace(px, entries=np.zeros_like(px.entries))
         assert kernel_estimate(px, pw) == 0.0
-
-    def test_layout_mismatch(self):
-        sine = decomposition_for(Activation("sine"))
-        cosine = decomposition_for(Activation("cosine"))
-        cfg = UrfConfig(m=4, seed=1)
-        px = phi(np.zeros(2), sample_draws(sine, 2, cfg))
-        pw = phi(np.zeros(2), sample_draws(cosine, 2, cfg))
-        with pytest.raises(LayoutMismatch):
-            kernel_estimate(px, pw)
 
     def test_unbiasedness_probe_at_half_pi(self):
         dec = decomposition_for(Activation("sine"))
