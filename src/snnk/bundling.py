@@ -80,6 +80,9 @@ def network(dims: Sequence[int], activations: Sequence[Activation], weights=None
     """Build a plain network; random Gaussian init unless weights and biases
     are given, one entry per layer each."""
     n_layers = len(dims) - 1
+    for i, dim in enumerate(dims):
+        if dim < 1:
+            raise ShapeMismatch(f"dims[{i}]: must be >= 1, got {dim}")
     if len(activations) != n_layers:
         raise ShapeMismatch("need one activation per layer")
     if (weights is None) != (biases is None):

@@ -2,11 +2,11 @@
 
 Subcommands: estimate, sweep, ft-table, bundle, train.  Everything reads a
 JSON config and writes RFC-4180 CSV; runs are deterministic in the seed.
-Each feature count draws all of its trials at once, from one derived seed
-per count, on one thread; --threads is still accepted but cannot change the
-output bytes.  Exit code 0 means the config was read in full and no run
-failed loudly (non-finite parameters or bundled matrices, a diverging loss);
-accuracy such as ``bundle``'s ``probe_mae`` is reported, not gated.
+An estimate run draws the trials of all its feature counts at once, from
+one derived seed, on one thread; --threads is still accepted but cannot
+change the output bytes.  Exit code 0 means the config was read in full and
+no run failed loudly (non-finite parameters or bundled matrices, a diverging
+loss); accuracy such as ``bundle``'s ``probe_mae`` is reported, not gated.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .train import (
     split_dataset,
     validation_count,
 )
-from .urf import ConfigError, UrfConfig, kernel_estimate, phi, psi, sample_draws
+from .urf import ConfigError, FeatureVector, UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 REL_ERROR_FLOOR = 1e-12
 
@@ -65,11 +65,14 @@ class EstimateConfig:
 
     One (x, w) pair is drawn per run with entries from (1/sqrt(d)) *
     Uniform(0, 1); each trial is a fresh instantiation of the random
-    feature mechanism.  The ``instantiations`` trials of a feature count
-    come from one draw set with a leading (instantiations,) axis, drawn
-    from one seed per count.  ``feature_counts`` requests total feature
-    lengths; the achieved length (reported in the CSV) is the nearest
-    multiple of the number of active transform components.
+    feature mechanism.  A run draws one flat set from one seed and gives
+    each feature count its own disjoint run of it, regrouped into
+    ``instantiations`` trials (``_urf_run``): n instantiations of counts
+    with m_c features per component hold n * sum(m_c) features per
+    component at once, under twice the largest count's n * m_c for a
+    doubling ladder.  ``feature_counts`` requests total feature lengths;
+    the achieved length (reported in the CSV) is the nearest multiple of
+    the number of active transform components.
 
     A trial draws its Gaussians in k = min(d, 2) dimensions, in the
     coordinates of an orthonormal basis of span{x, w} (``_span_coords``):
@@ -77,7 +80,7 @@ class EstimateConfig:
     isotropic Gaussian is rotation invariant, so the estimate has the law
     of the d-dimensional one.  For A != 0 and d > k, each entry's
     remaining d - k coordinates enter as the factor (1-4A)^((d-k)/2) *
-    exp(2A chi^2_(d-k)), with the chi^2 drawn from the count's own stream.
+    exp(2A chi^2_(d-k)), with the chi^2 drawn from the run seed's own stream.
     """
 
     activation: str = "sine"
@@ -145,59 +148,74 @@ def _span_coords(x, w):
     return np.array([nx, 0.0][:k]), np.array([along, across][:k])
 
 
-def _urf_count(cfg, dec, xk, wk, m, p_index):
-    """The (instantiations,) estimates of one feature count, from one draw set
-    in the k dimensions of ``_span_coords``."""
-    n, k = cfg.instantiations, len(xk)
-    seed = derive_seed(cfg.seed, 401, p_index)
-    count_cfg = UrfConfig(m=n * m, A=cfg.A, strategy=cfg.strategy, block_size=cfg.block_size,
-                          seed=seed)
-    # the draws of sample_draws(dec, k, replace(count_cfg, m=m), n), drawn as the
-    # flat set that perfbench's draw counter reads
-    draws = sample_draws(dec, k, count_cfg).split(n)
-    px = phi(xk, draws)
+def _urf_run(cfg, dec, xk, wk, ms):
+    """The (instantiations,) estimates of each feature count, m_c = ``ms[c]``
+    features per component, from one flat draw set of T = n * sum(ms)
+    features per component in the k dimensions of ``_span_coords``.
+
+    Count c owns the run [n*off_c, n*(off_c + m_c)) of each component, with
+    off_c = sum(ms[:c]); ``UrfDraws.split`` regroups such a run into n
+    instantiations of m_c; under the block strategy ``EstimateConfig`` has
+    checked that the block size divides every m_c, so no block spans two
+    trials.  The towers of the flat set carry 1/sqrt(T) each, so each
+    count's products are rescaled by T / m_c.
+    """
+    n, k, C = cfg.instantiations, len(xk), len(dec.active())
+    T = n * sum(ms)
+    seed = derive_seed(cfg.seed, 401)
+    draws = sample_draws(dec, k, UrfConfig(m=T, A=cfg.A, strategy=cfg.strategy,
+                                           block_size=cfg.block_size, seed=seed))
+    px = phi(xk, draws).entries
     if cfg.A != 0 and cfg.d > k:
         # each g_i's d - k coordinates off span{x, w} enter Lambda only through
         # the prefactor and A|g_i|^2, once per tower
         chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.xi.shape)
-        rest = np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
-        px = replace(px, entries=px.entries * rest)
-    return kernel_estimate(px, psi(wk, cfg.bias, draws))
+        px = px * np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
+    runs = px.reshape(C, T), psi(wk, cfg.bias, draws).entries.reshape(C, T)
+    estimates, start = [], 0
+    for m in ms:
+        # (C, n*m) -> (n, C*m): instantiation t takes entries t*m to (t+1)*m - 1
+        # of each component's run, as in UrfDraws.split
+        px_c, pw_c = (FeatureVector(a[:, start:start + n * m].reshape(C, n, m)
+                                    .swapaxes(0, 1).reshape(n, C * m)) for a in runs)
+        estimates.append(kernel_estimate(px_c, pw_c) * (T / m))
+        start += n * m
+    return estimates
 
 
-def _arccos_count(cfg, xk, wk, p, p_index):
-    """The relu-feature estimates of one feature count; like ``_urf_count``,
-    one (instantiations, p, k) Gaussian stack drawn in span{x, w}."""
-    rng = rng_for(derive_seed(cfg.seed, 402, p_index), 0, 0, MISC_STREAM)
-    G = rng.standard_normal((cfg.instantiations, p, len(xk)))
-    return np.sum(relu_snnk_features(xk, G) * relu_snnk_features(wk, G), axis=-1)
+def _arccos_run(cfg, xk, wk, ps):
+    """The relu-feature estimates of each feature count p = ``ps[c]``; like
+    ``_urf_run``, one (instantiations, sum(ps), k) Gaussian stack drawn in
+    span{x, w}, of which count c takes the columns off_c to off_c + p - 1."""
+    rng = rng_for(derive_seed(cfg.seed, 402), 0, 0, MISC_STREAM)
+    G = rng.standard_normal((cfg.instantiations, sum(ps), len(xk)))
+    offsets = np.cumsum((0,) + tuple(ps))
+    return [np.sum(relu_snnk_features(xk, G[:, a:b]) * relu_snnk_features(wk, G[:, a:b]),
+                   axis=-1) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     """The pointwise benchmark: relative estimation error vs feature count.
-    ``threads`` is ignored: the counts run in order on one thread."""
+    ``threads`` is ignored: the run draws once, on one thread."""
     x, w = _draw_inputs(cfg)
+    xk, wk = _span_coords(x, w)
     if cfg.activation == "arccos":
         exact = 0.5 * arc_cosine_exact(1, w, x)
-        dec = None
-        plan = [(pi, int(p)) for pi, p in enumerate(cfg.feature_counts)]
+        plan = [int(p) for p in cfg.feature_counts]
+        estimates = _arccos_run(cfg, xk, wk, plan)
     else:
         act = Activation(cfg.activation)
         dec = decomposition_for(act)
         exact = float(act(np.dot(w, x) + cfg.bias))
         n_active = len(dec.active())
-        plan = [(pi, _per_component(p, n_active) * n_active)
-                for pi, p in enumerate(cfg.feature_counts)]
+        ms = [_per_component(p, n_active) for p in cfg.feature_counts]
+        plan = [m * n_active for m in ms]
+        estimates = _urf_run(cfg, dec, xk, wk, ms)
 
-    xk, wk = _span_coords(x, w)
     rows = []
     aggregates = []
     denom = max(abs(exact), REL_ERROR_FLOOR)
-    for pi, p in plan:
-        if dec is None:
-            est = _arccos_count(cfg, xk, wk, p, pi)
-        else:
-            est = _urf_count(cfg, dec, xk, wk, p // len(dec.active()), pi)
+    for p, est in zip(plan, estimates):
         errs = np.abs(est - exact) / denom
         # tolist: the CSV writes Python floats by repr
         rows.extend((cfg.activation, cfg.d, p, trial, e, exact, rel)

@@ -65,6 +65,9 @@ def check_blobs(k: int, separation: float):
 
 def generate_blobs(n: int, d: int, k: int, separation: float, seed: int) -> Dataset:
     """k unit-variance Gaussian clusters with pairwise mean distance >= separation."""
+    for key, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise ConfigError(key, f"must be >= 1, got {size}")
     check_blobs(k, separation)
     rng = rng_for(seed, 300, 0, MISC_STREAM)
     means = rng.standard_normal((k, d))

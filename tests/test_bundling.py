@@ -177,6 +177,15 @@ class TestNetworkWeights:
         with pytest.raises(ShapeMismatch, match=f"^{key}: "):
             self._net(weights, biases)
 
+    @pytest.mark.parametrize("dims, message", [
+        ([0, 2], "dims[0]: must be >= 1, got 0"),
+        ([3, 0, 2], "dims[1]: must be >= 1, got 0"),
+    ])
+    def test_empty_dimension_is_refused(self, dims, message):
+        with pytest.raises(ShapeMismatch) as err:
+            network(dims, [Activation("sine")] * (len(dims) - 1))
+        assert str(err.value) == message
+
 
 class TestBundledForward:
     def test_zero_matrix(self):

@@ -21,7 +21,16 @@ from snnk.cli import (
     run_pointwise,
     run_sweep,
 )
-from snnk.urf import UrfConfig, kernel_estimate, phi, psi, sample_draws
+from snnk.layers import relu_snnk_features
+from snnk.urf import (
+    FeatureVector,
+    UrfConfig,
+    UrfDraws,
+    kernel_estimate,
+    phi,
+    psi,
+    sample_draws,
+)
 
 
 def write_json(path, payload):
@@ -124,7 +133,8 @@ class TestEstimateCommand:
         def no_trial(*args):
             raise AssertionError("a trial ran before the config was checked")
 
-        monkeypatch.setattr(cli, "_urf_count", no_trial)
+        monkeypatch.setattr(cli, "_urf_run", no_trial)
+        monkeypatch.setattr(cli, "_arccos_run", no_trial)
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, **change))
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
@@ -264,7 +274,7 @@ class TestSpanSampling:
         w = -1.5 * x
         xk, wk = cli._span_coords(x, w)
         assert abs(wk[1]) <= 1e-15 * abs(wk[0])
-        span = cli._urf_count(cfg, decomposition_for(Activation("sine")), xk, wk, 4, 0)
+        span, = cli._urf_run(cfg, decomposition_for(Activation("sine")), xk, wk, [4])
         assert span.shape == (KS_N,)
         assert ks_2samp(span, direct_estimates(cfg, x, w, 34)).pvalue > KS_ALPHA
 
@@ -274,8 +284,30 @@ class TestSpanSampling:
         assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 35)).pvalue > KS_ALPHA
 
 
+def run_indices(n, C, ms, c):
+    """Entries of a flat set of T = n * sum(ms) features per component that
+    feature count c owns, as an (n, C * ms[c]) array: instantiation t takes
+    entries t*m to (t+1)*m - 1 of each component's run of n*m."""
+    T, m, off = n * sum(ms), ms[c], n * sum(ms[:c])
+    return np.array([[j * T + off + t * m + i for j in range(C) for i in range(m)]
+                     for t in range(n)])
+
+
 class TestPerCountDraws:
-    """Each feature count draws all of its instantiations from one seed."""
+    """Each feature count's trials are its own run of the one flat draw set
+    of an estimate run."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The draw sets that ``cli.sample_draws`` returns, in call order."""
+        sets = []
+
+        def recording(*args, **kwargs):
+            sets.append(sample_draws(*args, **kwargs))
+            return sets[-1]
+
+        monkeypatch.setattr(cli, "sample_draws", recording)
+        return sets
 
     @pytest.mark.parametrize("activation, d, A, strategy, block_size", [
         ("sine", 16, 0.0, "iid", 0),
@@ -285,62 +317,92 @@ class TestPerCountDraws:
     ])
     def test_trials_are_rows_of_one_batched_computation(self, activation, d, A, strategy,
                                                         block_size):
-        cfg = EstimateConfig(activation=activation, d=d, feature_counts=(12, 24),
-                             instantiations=5, A=A, strategy=strategy,
+        n = 5
+        cfg = EstimateConfig(activation=activation, d=d, feature_counts=(24, 12, 24),
+                             instantiations=n, A=A, strategy=strategy,
                              block_size=block_size, seed=9)
         x, w = cli._draw_inputs(cfg)
         xk, wk = cli._span_coords(x, w)
         dec = decomposition_for(Activation(activation))
+        C = len(dec.active())
+        ms = [cli._per_component(p, C) for p in cfg.feature_counts]
+        T = n * sum(ms)
+        seed = derive_seed(cfg.seed, 401)
+        draws = sample_draws(dec, len(xk), UrfConfig(m=T, A=A, strategy=strategy,
+                                                     block_size=block_size, seed=seed))
+        px = phi(xk, draws).entries
+        if A != 0 and d > len(xk):
+            chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(d - len(xk), C * T)
+            px = px * np.exp(0.5 * (d - len(xk)) * math.log1p(-4.0 * A) + 2.0 * A * chi2)
+        pw = psi(wk, cfg.bias, draws).entries
         rows = run_pointwise(cfg).rows
-        for pi, p in enumerate(cfg.feature_counts):
-            seed = derive_seed(cfg.seed, 401, pi)
-            m = cli._per_component(p, len(dec.active()))
-            draws = sample_draws(dec, len(xk), UrfConfig(m=m, A=A, strategy=strategy,
-                                                         block_size=block_size, seed=seed), 5)
-            px = phi(xk, draws)
-            if A != 0 and d > len(xk):
-                chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(d - len(xk), draws.xi.shape)
-                px = replace(px, entries=px.entries * np.exp(
-                    0.5 * (d - len(xk)) * math.log1p(-4.0 * A) + 2.0 * A * chi2))
-            want = kernel_estimate(px, psi(wk, cfg.bias, draws))
-            got = [row for row in rows if row[2] == m * len(dec.active())]
-            assert [row[3] for row in got] == list(range(5))
+        owned = []
+        for c, m in enumerate(ms):
+            idx = run_indices(n, C, ms, c)
+            owned.extend(idx.ravel())
+            # the regrouping is the one split makes of the count's run as a flat set
+            run = np.sort(idx.ravel())
+            split = UrfDraws(dim=draws.dim, config=replace(draws.config, m=n * m),
+                             axes=draws.axes, xi=draws.xi[run], G=draws.G[run],
+                             ratio=draws.ratio[run]).split(n)
+            assert np.array_equal(split.G, draws.G[idx])
+            want = kernel_estimate(FeatureVector(px[idx]), FeatureVector(pw[idx])) * (T / m)
+            got = rows[c * n:(c + 1) * n]
+            assert [row[2] for row in got] == [m * C] * n
+            assert [row[3] for row in got] == list(range(n))
             assert [row[4] for row in got] == want.tolist()
             assert all(type(row[4]) is float and type(row[6]) is float for row in got)
+        # the counts' runs tile the flat set: no entry is owned twice or left out
+        assert sorted(owned) == list(range(C * T))
 
     def test_arccos_trials_are_rows_of_one_gaussian_stack(self):
-        cfg = EstimateConfig(activation="arccos", d=16, feature_counts=(8, 32),
-                             instantiations=5, seed=9)
+        n, ps = 5, (32, 8, 32)
+        cfg = EstimateConfig(activation="arccos", d=16, feature_counts=ps,
+                             instantiations=n, seed=9)
         x, w = cli._draw_inputs(cfg)
         xk, wk = cli._span_coords(x, w)
         rows = run_pointwise(cfg).rows
-        for pi, p in enumerate(cfg.feature_counts):
-            G = rng_for(derive_seed(cfg.seed, 402, pi), 0, 0, MISC_STREAM).standard_normal(
-                (5, p, 2))
-            want = [float(np.sum(np.maximum(0.0, G[t] @ xk) * np.maximum(0.0, G[t] @ wk)) / p)
-                    for t in range(5)]
-            got = [row[4] for row in rows if row[2] == p]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        G = rng_for(derive_seed(cfg.seed, 402), 0, 0, MISC_STREAM).standard_normal(
+            (n, sum(ps), 2))
+        off = 0
+        for c, p in enumerate(ps):
+            Gc = G[:, off:off + p]
+            batched = np.sum(relu_snnk_features(xk, Gc) * relu_snnk_features(wk, Gc), axis=-1)
+            per_trial = [float(np.sum(np.maximum(0.0, Gc[t] @ xk) * np.maximum(0.0, Gc[t] @ wk))
+                               / p) for t in range(n)]
+            got = [row[4] for row in rows[c * n:(c + 1) * n]]
+            assert got == batched.tolist()
+            np.testing.assert_allclose(got, per_trial, rtol=1e-14, atol=0)
             assert all(type(e) is float for e in got)
+            off += p
 
     @pytest.mark.parametrize("activation", ["sine", "sigmoid"])
-    def test_one_draw_per_count_and_no_shared_gaussian_rows(self, monkeypatch, activation):
-        drawn = []
-
-        def recording(*args, **kwargs):
-            drawn.append(sample_draws(*args, **kwargs))
-            return drawn[-1]
-
-        monkeypatch.setattr(cli, "sample_draws", recording)
-        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(6, 24, 96),
+    def test_one_draw_per_run_and_no_shared_gaussian_rows(self, drawn, activation):
+        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(6, 24, 96, 24),
                              instantiations=7, seed=3)
         run_pointwise(cfg)
-        assert len(drawn) == len(cfg.feature_counts)
-        for draws in drawn:
-            split = draws.split(cfg.instantiations)
-            rows = split.G.reshape(-1, split.dim)
-            assert len(np.unique(rows, axis=0)) == len(rows) == cfg.instantiations * len(
-                split.axes) * split.config.m
+        assert len(drawn) == 1
+        draws, = drawn
+        C = len(draws.axes)
+        ms = [cli._per_component(p, C) for p in cfg.feature_counts]
+        assert draws.config.m == cfg.instantiations * sum(ms)
+        # every trial of every count reads its own run of these rows
+        rows = draws.G.reshape(-1, draws.dim)
+        assert len(np.unique(rows, axis=0)) == len(rows) == C * draws.config.m
+
+    def test_one_draw_per_sweep_point(self, drawn):
+        base = EstimateConfig(activation="sine", d=16, feature_counts=(8, 32), instantiations=4,
+                              seed=3)
+        run_sweep("A", [0.0, -0.1, -0.5], base)
+        assert [draws.config.A for draws in drawn] == [0.0, -0.1, -0.5]
+
+    @pytest.mark.parametrize("activation", ["sine", "tanh", "arccos"])
+    def test_repeated_count_draws_fresh_trials(self, activation):
+        n = 6
+        rows = run_pointwise(EstimateConfig(activation=activation, d=16, feature_counts=(8, 8),
+                                            instantiations=n, seed=5)).rows
+        first, second = [row[4] for row in rows[:n]], [row[4] for row in rows[n:]]
+        assert len(set(first) | set(second)) == 2 * n
 
 
 class TestSweepCommand:

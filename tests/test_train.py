@@ -22,7 +22,7 @@ from snnk.train import (
     real_design,
     split_dataset,
 )
-from snnk.urf import UrfConfig
+from snnk.urf import ConfigError, UrfConfig
 
 
 def lstsq_onehot_accuracy(X, labels, k):
@@ -60,6 +60,17 @@ class TestGenerateBlobs:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_blobs(n=10, d=2, k=1, separation=1.0, seed=0)
+
+    @pytest.mark.parametrize("n, d, key", [(6, 0, "d"), (0, 2, "n"), (-1, 2, "n")])
+    def test_empty_shape_is_refused_before_drawing(self, monkeypatch, n, d, key):
+        def no_draw(*args):
+            raise AssertionError("drew before the shape was checked")
+
+        monkeypatch.setattr(train_module, "rng_for", no_draw)
+        with pytest.raises(ConfigError) as err:
+            generate_blobs(n=n, d=d, k=3, separation=1.0, seed=0)
+        assert err.value.key == key
+        assert err.value.problem == f"must be >= 1, got {n if key == 'n' else d}"
 
 
 class TestFitA:
