@@ -51,25 +51,18 @@ class QuadratureNonConvergent(ArithmeticError):
 class Activation:
     """A scalar activation, evaluable on real arrays.
 
-    ``kind`` is one of sine, cosine, tanh, sigmoid, gelu, swish,
-    smoothed_relu.  ``beta`` parametrizes swish (> 0) and ``width`` the
-    Gaussian-mollified relu (> 0); both are ignored by the other kinds.
+    ``kind`` is one of sine, cosine, tanh, sigmoid, gelu, swish (z sigmoid(z))
+    and smoothed_relu (relu mollified by a standard Gaussian).
     """
 
     kind: str
-    beta: float = 1.0
-    width: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _EVALS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "swish" and not self.beta > 0:
-            raise ValueError("swish requires beta > 0")
-        if self.kind == "smoothed_relu" and not self.width > 0:
-            raise ValueError("smoothed_relu requires width > 0")
 
     def __call__(self, z):
-        return _EVALS[self.kind](self, np.asarray(z, dtype=float))
+        return _EVALS[self.kind](np.asarray(z, dtype=float))
 
 
 def _norm_pdf(u):
@@ -77,15 +70,13 @@ def _norm_pdf(u):
 
 
 _EVALS: dict[str, Callable] = {
-    "sine": lambda a, z: np.sin(z),
-    "cosine": lambda a, z: np.cos(z),
-    "tanh": lambda a, z: np.tanh(z),
-    "sigmoid": lambda a, z: expit(z),
-    "gelu": lambda a, z: z * ndtr(z),
-    "swish": lambda a, z: z * expit(a.beta * z),
-    # relu mollified by a centered Gaussian of std ``width``
-    "smoothed_relu": lambda a, z: z * ndtr(z / a.width)
-    + a.width * _norm_pdf(z / a.width),
+    "sine": np.sin,
+    "cosine": np.cos,
+    "tanh": np.tanh,
+    "sigmoid": expit,
+    "gelu": lambda z: z * ndtr(z),
+    "swish": lambda z: z * expit(z),
+    "smoothed_relu": lambda z: z * ndtr(z) + _norm_pdf(z),
 }
 
 
@@ -218,21 +209,21 @@ def _pv_grid(xi_min, xi_max, n_half):
     return np.concatenate([left, right])
 
 
-def _pv_odd_imag_decomposition(rate, xi_min=XI_MIN) -> FourierDecomposition:
+def _pv_odd_imag_decomposition(rate) -> FourierDecomposition:
     """Split of an odd transform  -i*pi*csch(rate*xi)  (principal value).
 
-    Im is negative for xi > 0, so 'im-' lives on (xi_min, inf) and 'im+'
+    Im is negative for xi > 0, so 'im-' lives on (XI_MIN, inf) and 'im+'
     mirrors it on the negative side.
     """
 
     def half_density(xi):
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
-        m = xi >= xi_min
+        m = xi >= XI_MIN
         out[m] = math.pi * _csch(rate * xi[m])
         return out
 
-    pos_grid = _pv_grid(xi_min, GRID_MAX, GRID_POINTS // 2)
+    pos_grid = _pv_grid(XI_MIN, GRID_MAX, GRID_POINTS // 2)
     pos_vals = half_density(pos_grid)
     neg_grid = -pos_grid[::-1]
     neg_vals = pos_vals[::-1]

@@ -7,11 +7,12 @@ acting on the chained embedding
 
     x_bar = Phi_L( ... Phi_1(x) ... ),    y_bar = W_bar x_bar.
 
-``chain_features`` computes x_bar for a ``(..., d)`` stack of inputs, for
-both ``network_forward`` and ``bundled_forward``.  Intermediate embeddings
-are complex; subsequent Phi maps accept them through the bilinear extension
-of the feature map, and the real part is taken only where an estimate feeds
-an exact layer (or at the output).
+Each stage Phi_k is the ``UrfDraws`` draw set sampled for the layer it
+replaced.  ``chain_features`` computes x_bar for a ``(..., d)`` stack of
+inputs, for both ``network_forward`` and ``bundled_forward``.  Intermediate
+embeddings are complex; subsequent Phi maps accept them through the bilinear
+extension of the feature map, and the real part is taken only where an
+estimate feeds an exact layer (or at the output).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._seeds import MISC_STREAM, derive_seed, rng_for
-from .activations import Activation
-from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward, urf_feature_map
-from .urf import UrfConfig, phi, psi_many
+from .activations import Activation, decomposition_for
+from .layers import FflSpec, ShapeMismatch, SnnkLayer, ffl_forward
+from .urf import UrfConfig, UrfDraws, phi, psi_many, sample_draws
 
 STAGE_KEY = 777
 
@@ -42,15 +43,15 @@ class SingularSystem(np.linalg.LinAlgError):
 class LayeredNetwork:
     """A chain of layers, possibly with already-bundled input stages.
 
-    ``phi_prefix`` holds the accumulated input embeddings; when nonempty,
-    the first layer's weight matrix is complex (it has absorbed parameter
-    embeddings), and ``ffl_forward`` takes the real part of its
-    pre-activation.
+    ``phi_prefix`` holds the draw sets of the input embeddings bundled so
+    far, stage 0 first; when nonempty, the first layer's weight matrix is
+    complex (it has absorbed parameter embeddings), and ``ffl_forward``
+    takes the real part of its pre-activation.
     """
 
     input_dim: int
     layers: tuple[FflSpec, ...]
-    phi_prefix: tuple = ()  # UrfFeatureMap chain
+    phi_prefix: tuple[UrfDraws, ...] = ()
 
     def __post_init__(self):
         width = self.in_width
@@ -104,12 +105,12 @@ def network(dims: Sequence[int], activations: Sequence[Activation], weights=None
     return LayeredNetwork(input_dim=dims[0], layers=tuple(layers))
 
 
-def chain_features(X: np.ndarray, stages: Sequence) -> np.ndarray:
+def chain_features(X: np.ndarray, stages: Sequence[UrfDraws]) -> np.ndarray:
     """Phi_L( ... Phi_1(x) ... ) for each row x of ``X`` (..., d), one
-    ``phi`` call per stage; ``X`` itself when there are no stages."""
+    ``phi`` call per stage draw set; ``X`` itself when there are no stages."""
     Z = np.asarray(X)
-    for fmap in stages:
-        Z = phi(Z, fmap.draws).entries
+    for draws in stages:
+        Z = phi(Z, draws).entries
     return Z
 
 
@@ -125,7 +126,7 @@ def network_forward(X: np.ndarray, net: LayeredNetwork) -> np.ndarray:
 @dataclass(frozen=True)
 class BundledNetwork:
     input_dim: int
-    stages: tuple  # UrfFeatureMap chain
+    stages: tuple[UrfDraws, ...]  # one draw set per collapsed layer, stage 0 first
     W_bar: np.ndarray  # (d_L, M_last) complex
 
     @property
@@ -141,13 +142,13 @@ class BundledNetwork:
 # bundling
 
 
-def _absorb(net: LayeredNetwork, fmap):
-    """Replace the leading layer by the embedding ``fmap``: the next layer's
+def _absorb(net: LayeredNetwork, draws: UrfDraws):
+    """Replace the leading layer by the embedding over ``draws``: the next layer's
     W absorbs Psi(W0, b0), or Psi(W0, b0) is W_bar once no layer is left;
     a non-finite entry in that matrix raises a ValueError naming the stage."""
     first = net.layers[0]
     with np.errstate(over="ignore", invalid="ignore"):  # the count below reports it
-        mat = psi_many(first.W, first.b, fmap.draws)  # (d1, M)
+        mat = psi_many(first.W, first.b, draws)  # (d1, M)
         if net.n_layers > 1:
             mat = net.layers[1].W @ mat
     bad = int(np.count_nonzero(~np.isfinite(mat)))
@@ -155,7 +156,7 @@ def _absorb(net: LayeredNetwork, fmap):
         what = "W_bar" if net.n_layers == 1 else "the absorbed weights"
         raise ValueError(f"bundling stage {len(net.phi_prefix)}: {bad} of {mat.size} entries "
                          f"of {what} are non-finite")
-    prefix = net.phi_prefix + (fmap,)
+    prefix = net.phi_prefix + (draws,)
     if net.n_layers == 1:
         return BundledNetwork(input_dim=net.input_dim, stages=prefix, W_bar=mat)
     return LayeredNetwork(
@@ -172,7 +173,8 @@ def bundle_once(net: LayeredNetwork, cfg: UrfConfig):
         raise ValueError("nothing left to bundle")
     # each stage gets its own derived seed so stage draws are independent
     staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, len(net.phi_prefix)))
-    return _absorb(net, urf_feature_map(net.layers[0].activation, net.in_width, staged))
+    dec = decomposition_for(net.layers[0].activation)
+    return _absorb(net, sample_draws(dec, net.in_width, staged))
 
 
 def bundle_full(net: LayeredNetwork, cfg: UrfConfig) -> BundledNetwork:
@@ -217,9 +219,9 @@ def bundled_flop_count(bn: BundledNetwork) -> int:
     by the Gaussian projections (M x dim per stage), then d_L x M."""
     total = 0
     width = bn.input_dim
-    for fmap in bn.stages:
-        total += fmap.total_features * width
-        width = fmap.total_features
+    for draws in bn.stages:
+        total += draws.total_features * width
+        width = draws.total_features
     return int(total + bn.W_bar.size)
 
 

@@ -45,7 +45,8 @@ from .train import (
     split_dataset,
     validation_count,
 )
-from .urf import ConfigError, FeatureVector, UrfConfig, kernel_estimate, phi, psi, sample_draws
+from .urf import (ConfigError, FeatureVector, UrfConfig, by_instantiation, kernel_estimate, phi,
+                  psi, sample_draws)
 
 REL_ERROR_FLOOR = 1e-12
 
@@ -96,15 +97,16 @@ class EstimateConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.bias):
-            raise ValueError(f"bias must be finite, got {self.bias}")
-        if any(p < 1 for p in self.feature_counts):
-            raise ValueError("feature counts must be >= 1")
+            raise ConfigError("bias", f"must be finite, got {self.bias}")
+        if not self.feature_counts or min(self.feature_counts) < 1:
+            raise ConfigError("feature_counts", f"must be a nonempty list of counts >= 1, "
+                              f"got {list(self.feature_counts)}")
         if self.instantiations < 2:
-            raise ValueError("need at least 2 instantiations")
+            raise ConfigError("instantiations", f"must be >= 2, got {self.instantiations}")
         if self.l != 1:
             # the benchmark quantifies one output entry; wider layers are
             # covered by the layer-level tests
-            raise ValueError("pointwise estimation is defined for l = 1")
+            raise ConfigError("l", f"pointwise estimation is defined for l = 1, got {self.l}")
         if self.activation == "arccos":
             # the relu map draws no frequencies, so it ignores A and block_size;
             # the strategy name is still checked
@@ -154,9 +156,9 @@ def _urf_run(cfg, dec, xk, wk, ms):
     features per component in the k dimensions of ``_span_coords``.
 
     Count c owns the run [n*off_c, n*(off_c + m_c)) of each component, with
-    off_c = sum(ms[:c]); ``UrfDraws.split`` regroups such a run into n
-    instantiations of m_c; under the block strategy ``EstimateConfig`` has
-    checked that the block size divides every m_c, so no block spans two
+    off_c = sum(ms[:c]); ``by_instantiation`` regroups it into n instantiations
+    of m_c, as ``UrfDraws.split`` does; under the block strategy ``EstimateConfig``
+    has checked that the block size divides every m_c, so no block spans two
     trials.  The towers of the flat set carry 1/sqrt(T) each, so each
     count's products are rescaled by T / m_c.
     """
@@ -174,10 +176,7 @@ def _urf_run(cfg, dec, xk, wk, ms):
     runs = px.reshape(C, T), psi(wk, cfg.bias, draws).entries.reshape(C, T)
     estimates, start = [], 0
     for m in ms:
-        # (C, n*m) -> (n, C*m): instantiation t takes entries t*m to (t+1)*m - 1
-        # of each component's run, as in UrfDraws.split
-        px_c, pw_c = (FeatureVector(a[:, start:start + n * m].reshape(C, n, m)
-                                    .swapaxes(0, 1).reshape(n, C * m)) for a in runs)
+        px_c, pw_c = (FeatureVector(by_instantiation(a[:, start:start + n * m], n)) for a in runs)
         estimates.append(kernel_estimate(px_c, pw_c) * (T / m))
         start += n * m
     return estimates
@@ -230,9 +229,9 @@ SWEEP_AXES = ("A", "strategy", "activation")
 def run_sweep(axis: str, values: list, base: EstimateConfig):
     """One report per value along the sweep axis; merged row list."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
+        raise ConfigError("axis", f"expected one of {SWEEP_AXES}, got {axis!r}")
     if not values:
-        raise ValueError("sweep values must be nonempty")
+        raise ConfigError("values", "expected at least one value, got []")
     cfgs = [_sweep_point(axis, value, base) for value in values]  # all checked before any run
     return [(str(value), run_pointwise(cfg)) for value, cfg in zip(values, cfgs)]
 
@@ -449,10 +448,10 @@ def _cmd_ft_table(args) -> int:
         grids = [c.grid for c in dec.components if not c.is_atomic]
         if grids:
             union = np.unique(np.concatenate(grids))
-            for xi in union:
-                cell = {c.axis: 0.0 if c.is_atomic else float(c.density([xi])[0])
-                        for c in dec.components}
-                rows.append(_ft_row(name, float(xi), cell))
+            cols = [np.zeros(len(union)) if c.is_atomic else c.density(union)
+                    for c in dec.components]
+            for xi, *vals in zip(union.tolist(), *(col.tolist() for col in cols)):
+                rows.append(_ft_row(name, xi, dict(zip(AXES, vals))))
     _write_csv(args.out, FT_TABLE_HEADER, rows)
     return 0
 
@@ -513,7 +512,7 @@ def _bundle_artifact(bn: BundledNetwork, conf, seed, cfg) -> dict:
         "network": {"input_dim": conf["input_dim"], "layers": conf["layers"]},
         "seed": seed,
         "urf": {"m": cfg.m, "A": cfg.A, "seed": cfg.seed},
-        "stage_feature_counts": [fm.total_features for fm in bn.stages],
+        "stage_feature_counts": [draws.total_features for draws in bn.stages],
         "W_bar": {"re": bn.W_bar.real.tolist(), "im": bn.W_bar.imag.tolist()},
     }
 

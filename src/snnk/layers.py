@@ -116,7 +116,7 @@ class ReluFeatureMap:
         return self.G.shape[1]
 
     def features(self, v) -> np.ndarray:
-        return relu_snnk_features(v, self.G)
+        return self.features_many(v)
 
     def features_many(self, X) -> np.ndarray:
         lp = self.G.shape[0]
@@ -153,13 +153,12 @@ def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
 class SnnkLayer:
     """A feature map plus the (l, M) feature-weight matrix A.
 
-    ``A`` is either derived (rows are Psi(w_i, b_i)) or free/learnable.
+    ``A`` is either derived (rows are Psi(w_i, b_i)) or free; ``fit_A`` trains both.
     The forward pass is Re(A Phi(x)) and never touches the original weights.
     """
 
     feature_map: UrfFeatureMap | ReluFeatureMap
     A: np.ndarray  # (l, M)
-    learnable: bool = False
 
     def __post_init__(self):
         self.A = np.asarray(self.A)

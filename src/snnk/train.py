@@ -147,7 +147,7 @@ def make_learnable_layer(feature_map, out_dim: int, seed: int) -> SnnkLayer:
     probe = feature_map.features(np.zeros(feature_map.in_dim))
     if np.iscomplexobj(probe):
         A = A.astype(complex)
-    return SnnkLayer(feature_map=feature_map, A=A, learnable=True)
+    return SnnkLayer(feature_map=feature_map, A=A)
 
 
 def make_head(out_dim: int, in_dim: int, seed: int) -> AffineHead:
@@ -293,8 +293,6 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     mini-batch loss raises at once, before that batch's step, and so does
     a non-finite entry of A at the end of an epoch.
     """
-    if not layer.learnable:
-        raise ValueError("layer is not in learnable mode")
     if cfg.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
     if cfg.loss == "cross_entropy" and head is None:
@@ -317,8 +315,7 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     complex_weights = np.iscomplexobj(layer.A)
 
     def snapshot():
-        lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, complex_weights),
-                        learnable=True)
+        lay = SnnkLayer(feature_map=layer.feature_map, A=_unstack_weights(A, complex_weights))
         hd = AffineHead(W=W.copy(), b=b.copy()) if head is not None else None
         return lay, hd
 

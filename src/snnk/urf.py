@@ -101,6 +101,13 @@ class UrfConfig:
             raise ConfigError("block_size", f"{self.block_size} does not divide m = {self.m}")
 
 
+def by_instantiation(runs: np.ndarray, n: int) -> np.ndarray:
+    """Component runs (C, n*m, ...) as (n, C*m, ...): instantiation t takes
+    entries t*m to (t+1)*m - 1 of each component's run, components in order."""
+    C, tail = runs.shape[0], runs.shape[2:]
+    return runs.reshape((C, n, -1) + tail).swapaxes(0, 1).reshape((n, -1) + tail)
+
+
 @dataclass(frozen=True)
 class AxisDraws:
     """One component's rows of a draw set: views of ``UrfDraws.xi``, ``G`` and
@@ -180,14 +187,10 @@ class UrfDraws:
         if n < 1 or m % n:
             raise ValueError(f"n must be >= 1 and divide m = {m}, got {n}")
         cfg = replace(self.config, m=m // n)  # checks the block size against m / n
-
-        def regroup(a):  # (C*m, ...) -> (n, C*m/n, ...)
-            tail = a.shape[1:]
-            a = a.reshape((len(self.axes), n, m // n) + tail).swapaxes(0, 1)
-            return a.reshape((n, -1) + tail)
-
-        return UrfDraws(dim=self.dim, config=cfg, axes=self.axes, xi=regroup(self.xi),
-                        G=regroup(self.G), ratio=regroup(self.ratio))
+        C = len(self.axes)
+        xi, G, ratio = (by_instantiation(a.reshape((C, m) + a.shape[1:]), n)
+                        for a in (self.xi, self.G, self.ratio))
+        return UrfDraws(dim=self.dim, config=cfg, axes=self.axes, xi=xi, G=G, ratio=ratio)
 
     @cached_property
     def terms(self) -> LambdaTerms:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snnk._seeds import MISC_STREAM, derive_seed, rng_for
-from snnk.activations import Activation
+from snnk.activations import Activation, decomposition_for
 from snnk.bundling import (
     STAGE_KEY,
     BundledNetwork,
@@ -29,7 +29,7 @@ from snnk.bundling import (
     regression_objective,
 )
 from snnk.layers import ShapeMismatch, FflSpec, snnk_from_ffl
-from snnk.urf import UrfConfig
+from snnk.urf import UrfConfig, sample_draws
 
 
 def two_layer_sine(seed=11, scale=0.8):
@@ -85,6 +85,19 @@ class TestBundleFull:
         staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, 0))
         layer = snnk_from_ffl(FflSpec(W=W, b=b, activation=Activation("sine")), staged)
         assert np.array_equal(bn.W_bar, layer.A)
+
+    def test_stages_are_the_draw_sets_of_each_stage_seed(self):
+        acts = [Activation("sine"), Activation("tanh"), Activation("cosine")]
+        net = network([3, 4, 5, 2], acts, seed=3, init_std=0.5)
+        cfg = UrfConfig(m=6, A=-0.1, seed=12)
+        bn = bundle_full(net, cfg)
+        width = net.input_dim
+        for k, (stage, act) in enumerate(zip(bn.stages, acts, strict=True)):
+            staged = replace(cfg, seed=derive_seed(cfg.seed, STAGE_KEY, k))
+            want = sample_draws(decomposition_for(act), width, staged)
+            for name in ("xi", "G", "ratio"):
+                assert np.array_equal(getattr(stage, name), getattr(want, name)), (k, name)
+            width = stage.total_features
 
     def test_determinism(self):
         net = two_layer_sine()

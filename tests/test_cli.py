@@ -127,7 +127,15 @@ class TestEstimateCommand:
         ({"A": 0.5}, "A: must be finite and <= 0, got 0.5"),
         ({"activation": "arccos", "strategy": "bogus"},
          "strategy: expected 'iid' or 'block', got 'bogus'"),
-    ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy"])
+        ({"feature_counts": []}, "feature_counts: must be a nonempty list of counts >= 1, got []"),
+        ({"activation": "arccos", "feature_counts": []},
+         "feature_counts: must be a nonempty list of counts >= 1, got []"),
+        ({"feature_counts": [8, 0]},
+         "feature_counts: must be a nonempty list of counts >= 1, got [8, 0]"),
+        ({"instantiations": 1}, "instantiations: must be >= 2, got 1"),
+        ({"l": 2}, "l: pointwise estimation is defined for l = 1, got 2"),
+    ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy", "no-counts",
+            "arccos-no-counts", "zero-count", "instantiations", "l"])
     def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     change, message):
         def no_trial(*args):
@@ -168,7 +176,7 @@ class TestEstimateCommand:
         cfg.write_text(json.dumps(dict(ESTIMATE_CFG, d=8, bias=math.nan)))
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: bias must be finite, got nan\n"
+        assert capsys.readouterr().err == "error: bias: must be finite, got nan\n"
         assert not out.exists()
 
     def test_infinite_integer_fails_cleanly(self, tmp_path, capsys):
@@ -503,7 +511,14 @@ class TestSweepCommand:
          "feature count 8 (2 components)"),
         ({"axis": "A", "values": [0.0, 0.5], "base": ESTIMATE_CFG},
          "values: 0.5 is not a valid A value: A: must be finite and <= 0, got 0.5"),
-    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A"])
+        ({"axis": "bogus", "values": [1], "base": ESTIMATE_CFG},
+         "axis: expected one of ('A', 'strategy', 'activation'), got 'bogus'"),
+        ({"axis": "A", "values": [], "base": ESTIMATE_CFG},
+         "values: expected at least one value, got []"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, feature_counts=[])},
+         "base.feature_counts: must be a nonempty list of counts >= 1, got []"),
+    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A",
+            "axis", "no-values", "base-feature_counts"])
     def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         def no_run(cfg):
@@ -556,6 +571,20 @@ class TestFtTableCommand:
         assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out)
         assert {r[0] for r in rows[1:]} == {"cosine"}
+
+    @pytest.mark.parametrize("kind", ["tanh", "gelu"])
+    def test_density_rows_equal_a_per_xi_reference(self, tmp_path, kind):
+        cfg = write_json(tmp_path / "ft.json", {"activations": [kind]})
+        out = tmp_path / "ft.csv"
+        assert main(["ft-table", "--config", cfg, "--out", str(out)]) == 0
+        dec = decomposition_for(Activation(kind))
+        union = np.unique(np.concatenate([c.grid for c in dec.components if not c.is_atomic]))
+        want = []
+        for xi in union:  # no atoms: every row is a density row
+            rp, rm, ip, im = (0.0 if c.is_atomic else float(c.density([xi])[0])
+                              for c in dec.components)
+            want.append([kind] + [repr(v) for v in (float(xi), rp - rm, ip - im, rp, rm, ip, im)])
+        assert read_rows(out)[1:] == want
 
     def test_activations_must_be_a_list(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "ft.json", {"activations": "sine"})

@@ -178,7 +178,7 @@ class TestSnnkLayer:
         Wstar = closed_form_regression(design, Y, ridge=1e-10)
         M = fmap.total_features
         A = (Wstar[:M] + 1j * Wstar[M:]).T
-        layer = SnnkLayer(feature_map=fmap, A=A, learnable=True)
+        layer = SnnkLayer(feature_map=fmap, A=A)
         preds = snnk_forward_many(X, layer)
         resid = float(np.sum((preds - Y) ** 2))
         assert resid == pytest.approx(regression_objective(design, Y, Wstar), rel=1e-6)

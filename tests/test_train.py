@@ -7,7 +7,14 @@ from snnk._seeds import MISC_STREAM, rng_for
 from snnk.activations import Activation
 from snnk.bundling import closed_form_regression, regression_objective
 import snnk.train as train_module
-from snnk.layers import ReluFeatureMap, relu_feature_map, urf_feature_map
+from snnk.layers import (
+    FflSpec,
+    ReluFeatureMap,
+    ffl_forward,
+    relu_feature_map,
+    snnk_from_ffl,
+    urf_feature_map,
+)
 from snnk.train import (
     Dataset,
     DivergenceDetected,
@@ -92,6 +99,24 @@ class TestFitA:
         )
         _, _, history = fit_A(layer, None, data, cfg)
         assert history[-1][2] <= target + 1e-3
+
+    def test_fine_tunes_a_layer_derived_from_weights(self):
+        # a layer from snnk_from_ffl starts at its Psi rows and trains like a free one
+        rng = rng_for(94, 0, 0, MISC_STREAM)
+        spec = FflSpec(W=rng.uniform(-0.5, 0.5, (2, 4)), b=rng.uniform(-0.5, 0.5, 2),
+                       activation=Activation("sine"))
+        layer = snnk_from_ffl(spec, UrfConfig(m=4, A=0.0, seed=95))
+        X = rng.uniform(-1, 1, (40, 4))
+        data = Dataset(X=X, Y=ffl_forward(X, spec))
+        design = real_design(layer.feature_map.features_many(X))
+        lr = 1.0 / np.linalg.eigvalsh(2.0 * design.T @ design / data.n)[-1]
+        cfg = TrainConfig(learning_rate=lr, epochs=20, batch_size=40, loss="mse", seed=0)
+        trained, head, history = fit_A(layer, None, data, cfg)
+        assert head is None and trained.feature_map is layer.feature_map
+        losses = [row[2] for row in history]
+        assert losses[0] == evaluate(layer, None, data, "mse")[0]
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < 0.5 * losses[0]
 
     def test_zero_epochs_leaves_layer_unchanged(self):
         fmap = relu_feature_map(4, 8, seed=43)

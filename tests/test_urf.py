@@ -316,9 +316,9 @@ class TestFeatureMaps:
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
         bn = bundle_full(net, UrfConfig(m=8, A=-0.1, seed=8))
         X5 = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
-        Z = phi_many(X5, bn.stages[0].draws)
+        Z = phi_many(X5, bn.stages[0])
         assert np.iscomplexobj(Z)
-        for X, draws in ((X, draws), (Z, bn.stages[1].draws)):
+        for X, draws in ((X, draws), (Z, bn.stages[1])):
             many = phi_many(X, draws)
             for i in range(len(X)):
                 assert np.array_equal(many[i], phi(X[i], draws).entries)
@@ -395,9 +395,9 @@ class TestCachedConstants:
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
         bn = bundle_full(net, UrfConfig(m=8, A=-0.1, seed=8))
         x = rng_for(9, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 5)
-        z = phi(x, bn.stages[0].draws).entries  # the stage-1 input of bundled_forward
+        z = phi(x, bn.stages[0]).entries  # the stage-1 input of bundled_forward
         assert np.iscomplexobj(z)
-        draws = dataclasses.replace(bn.stages[1].draws)  # bundle_full has filled the caches
+        draws = dataclasses.replace(bn.stages[1])  # bundle_full has filled the caches
         assert "terms" not in draws.__dict__
         cold = phi(z, draws).entries
         assert "terms" in draws.__dict__
@@ -417,8 +417,8 @@ class TestComplexProjection:
     def test_stage_inputs(self, m):
         bn = bundle_full(self.NET, UrfConfig(m=m, A=-0.1, seed=8))
         X = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
-        Z = phi_many(X, bn.stages[0].draws)
-        draws = bn.stages[1].draws
+        Z = phi_many(X, bn.stages[0])
+        draws = bn.stages[1]
         many = phi_many(Z, draws)
         for i, z in enumerate(Z):
             assert np.array_equal(many[i], phi(z, draws).entries)
