@@ -211,15 +211,14 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
         plan = [m * n_active for m in ms]
         estimates = _urf_run(cfg, dec, xk, wk, ms)
 
-    rows = []
-    aggregates = []
-    denom = max(abs(exact), REL_ERROR_FLOOR)
-    for p, est in zip(plan, estimates):
-        errs = np.abs(est - exact) / denom
-        # tolist: the CSV writes Python floats by repr
-        rows.extend((cfg.activation, cfg.d, p, trial, e, exact, rel)
-                    for trial, (e, rel) in enumerate(zip(est.tolist(), errs.tolist())))
-        aggregates.append((p, float(errs.mean()), float(errs.std(ddof=1))))
+    estimates = np.array(estimates)  # (counts, instantiations)
+    errs = np.abs(estimates - exact) / max(abs(exact), REL_ERROR_FLOOR)
+    # tolist: the CSV writes Python floats by repr.  Each row of errs is
+    # contiguous, so the per-row mean and std sum it as they would the row alone
+    rows = [(cfg.activation, cfg.d, p, trial, e, exact, rel)
+            for p, est, err in zip(plan, estimates.tolist(), errs.tolist())
+            for trial, (e, rel) in enumerate(zip(est, err))]
+    aggregates = list(zip(plan, errs.mean(axis=1).tolist(), errs.std(axis=1, ddof=1).tolist()))
     return EstimateReport(rows=rows, aggregates=aggregates)
 
 

@@ -230,6 +230,12 @@ def _sample_xi(component: FourierComponent, n_xi: int, rng):
     keeps every ratio within a few percent of one; a moment-matched Gaussian
     proposal loses to the exponential tails of the principal-value densities
     (its importance ratio is unbounded, giving a heavy-tailed estimator).
+
+    A key u picks the cell ``cells.cdf.searchsorted(u, side="right")``, the
+    cell ``Generator.choice`` picks from the same key, since the CDF is
+    formed as it forms it.  ``GridCells.search`` reads that index off the
+    guide table for the keys whose bucket holds no CDF breakpoint and
+    searches only the others, so every index equals the full search's.
     """
     if component.is_atomic:
         locs = np.array([x for x, _ in component.atoms])
@@ -243,7 +249,7 @@ def _sample_xi(component: FourierComponent, n_xi: int, rng):
     if cells.total <= 0:
         raise ProposalMismatch("grid proposal over an empty tabulation")
     # rng.choice(p=mass / total) without rebuilding the CDF per call
-    idx = cells.cdf.searchsorted(rng.random(n_xi), side="right")
+    idx = cells.search(rng.random(n_xi))
     u = rng.random(n_xi)
     xi = grid[idx] + u * (grid[idx + 1] - grid[idx])
     pbar = cells.mass[idx] / cells.total / (grid[idx + 1] - grid[idx])

@@ -52,14 +52,23 @@ def run_twice_and_compare(argv_base, tmp_path, name):
     return out1
 
 
+def loaded_by_cli_import(module):
+    src = os.path.dirname(os.path.dirname(snnk.__file__))
+    code = f"import sys, snnk.cli; print({module!r} in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    return done.stdout.strip() == "True"
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs most of the import; only the quadrature
     # reconstruction of a closed-form density needs it
-    src = os.path.dirname(os.path.dirname(snnk.__file__))
-    code = "import sys, snnk.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert not loaded_by_cli_import("scipy.integrate")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only the sigmoid, gelu, swish and smoothed_relu evaluators need it
+    assert not loaded_by_cli_import("scipy.special")
 
 
 ESTIMATE_CFG = {
@@ -211,6 +220,17 @@ class TestEstimateCommand:
         ses = [std / math.sqrt(60) for _, _, std in report.aggregates]
         for (hi, hi_se), (lo, lo_se) in zip(zip(means, ses), zip(means[1:], ses[1:])):
             assert lo <= hi + math.hypot(hi_se, lo_se)
+
+    @pytest.mark.parametrize("activation", ["tanh", "arccos"])
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 100, 129])  # pairwise-summation block edges
+    def test_aggregates_are_each_counts_own_mean_and_std(self, activation, n):
+        report = run_pointwise(EstimateConfig(activation=activation, d=16,
+                                              feature_counts=(8, 32), instantiations=n, seed=7))
+        assert [p for p, _, _ in report.aggregates] == [8, 32]
+        for p, mean, std in report.aggregates:
+            errs = np.array([row[6] for row in report.rows if row[2] == p])
+            assert len(errs) == n
+            assert mean == float(errs.mean()) and std == float(errs.std(ddof=1))
 
     def test_achieved_feature_count_reported(self):
         report = run_pointwise(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snnk._seeds import MISC_STREAM, rng_for
-from snnk.activations import Activation, _density_component, decomposition_for
+from snnk.activations import GUIDE, Activation, _density_component, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ConfigError,
@@ -218,8 +218,32 @@ class TestSampleDraws:
             assert np.array_equal(idx, ref)
             assert searched.random() == chosen.random()  # both consumed the same stream
 
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "gelu"])
+    def test_guide_table_picks_the_searched_cell(self, kind):
+        assert GUIDE > 1 and GUIDE & (GUIDE - 1) == 0  # u * GUIDE and b / GUIDE are exact
+        edges = np.arange(GUIDE) / GUIDE
+        densities = [c for c in decomposition_for(Activation(kind)).active() if not c.is_atomic]
+        assert densities
+        for comp in densities:
+            cells, grid = comp.cells, comp.grid
+            breaks = cells.cdf[cells.cdf < 1.0]
+            keys = np.concatenate([[0.0], edges, np.nextafter(edges + 1.0 / GUIDE, 0.0), breaks,
+                                   np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)])
+            keys = keys[keys < 1.0]  # Generator.random draws from [0, 1)
+            assert np.array_equal(cells.search(keys), cells.cdf.searchsorted(keys, side="right"))
+            # _sample_xi on a stream, against the full search on the same stream
+            sampled, searched = rng_for(23, 0, 0, MISC_STREAM), rng_for(23, 0, 0, MISC_STREAM)
+            xi, _ = _sample_xi(comp, 5000, sampled)
+            stream = searched.random(5000)
+            idx = cells.cdf.searchsorted(stream, side="right")
+            assert np.array_equal(cells.search(stream), idx)
+            u = searched.random(5000)
+            assert np.array_equal(xi, grid[idx] + u * (grid[idx + 1] - grid[idx]))
+            assert sampled.random() == searched.random()  # both consumed the same stream
+
     def test_empty_tabulation_is_refused(self):
         empty = _density_component("im+", [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        assert empty.cells.guide.size == 0
         with pytest.raises(ProposalMismatch, match="empty tabulation"):
             _sample_xi(empty, 4, rng_for(0, 0, 0, MISC_STREAM))
 
