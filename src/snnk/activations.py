@@ -16,6 +16,12 @@ atoms and densities directly; ``decompose(grid, values)`` splits a numeric
 transform tabulated on a grid.  The split is what the random feature sampler
 consumes: each part provides a sampling distribution (its atoms, or its
 tabulation cells) and a signed complex mass.
+
+Activations without a vetted closed form (gelu, swish, smoothed relu) are
+tabulated by ``numeric_ft``: a windowed trapezoid sum over uniform nodes,
+evaluated on a uniform, symmetric frequency grid as one chirp-z transform
+(Bluestein's FFT convolution) whose phases are reduced modulo one turn
+exactly.
 """
 
 from __future__ import annotations
@@ -336,6 +342,12 @@ class TaperWindow:
     flat: float = 10.0
     taper: float = 30.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.flat) and self.flat >= 0):
+            raise ValueError(f"TaperWindow.flat must be finite and >= 0, got {self.flat!r}")
+        if not (math.isfinite(self.taper) and self.taper > 0):
+            raise ValueError(f"TaperWindow.taper must be finite and > 0, got {self.taper!r}")
+
     @property
     def cutoff(self) -> float:
         return self.flat + self.taper
@@ -361,19 +373,28 @@ def numeric_ft(
 ) -> np.ndarray:
     """Windowed trapezoid quadrature of the transform on ``grid``.
 
-    ``a`` is an Activation or any other callable of a real array.  The integrand
+    ``a`` is an Activation or any other callable of a real array; ``grid``
+    must be uniform and symmetric about 0.  The integrand
     f(z) w(z) exp(-2 pi i xi z) is summed at steps ``step`` and ``step/2``
     and Richardson-extrapolated; if the two levels disagree by more than
     ``rtol`` relative to the transform's peak magnitude, raises
-    QuadratureNonConvergent.  Each level is one block-factored sum
-    (``_trapezoid_ft``): the uniform nodes split every phase into a
-    per-block and an in-block factor, exactly up to rounding.
+    QuadratureNonConvergent.  Each level is one chirp-z sum
+    (``_trapezoid_ft``) over the uniform nodes and frequencies.
     """
+    if not 0 < step <= window.cutoff:
+        raise ValueError(
+            f"numeric_ft step must be > 0 and at most the window cutoff "
+            f"{window.cutoff}, got {step!r}"
+        )
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     if not np.allclose(grid, -grid[::-1], atol=1e-12):
         raise ValueError("grid must be symmetric about 0")
+    # a linspace is uniform to a few units in the last place
+    uniform = np.linspace(grid[0], grid[-1], len(grid))
+    if np.max(np.abs(grid - uniform)) > 16 * np.finfo(float).eps * grid[-1]:
+        raise ValueError("grid must be uniform")
 
     half = window.cutoff
     n = int(round(2 * half / (step / 2))) + 1
@@ -392,29 +413,54 @@ def numeric_ft(
     return (4.0 * fine - coarse) / 3.0
 
 
-def _trapezoid_ft(z, fz, grid):
-    """Trapezoid sum  sum_j w_j f(z_j) exp(-2 pi i xi z_j)  at each ``xi``.
+def _turns(c, m):
+    """c * m in turns, reduced modulo 1, for an array ``m`` of nonnegative
+    integers below 2**52: c is split as c_hi + c_lo with c_hi holding at
+    most 52 - bit_length(max m) bits, so c_hi * m and its fractional part
+    are exact and only the small c_lo * m is rounded."""
+    bits = int(np.max(m)).bit_length()
+    quantum = math.ldexp(1.0, math.frexp(c)[1] - (52 - bits))
+    c_hi = round(c / quantum) * quantum
+    t = c_hi * m
+    return (t - np.rint(t)) + (c - c_hi) * m
 
-    The nodes are uniform, z_j = z_0 + (p b + q) h with b = ceil(sqrt(len(z))),
-    so each phase is a per-block factor exp(-2 pi i xi (z_0 + p b h)) times an
-    in-block factor exp(-2 pi i xi q h).  With the weighted samples zero-padded
-    into a (rows, b) matrix W, the sum is  sum_p outer[:, p] (inner @ W.T)[:, p]:
-    2 sqrt(len(z)) exponentials per frequency and two real matrix products.
-    Exact up to rounding, for any set of frequencies ``grid``.
+
+def _trapezoid_ft(z, fz, grid):
+    """Trapezoid sum  S_k = sum_j w_j f(z_j) exp(-2 pi i xi_k z_j)  at each
+    ``xi_k``, for uniform nodes z_j = z_0 + j h and a uniform ``grid``
+    xi_k = xi_0 + k d.
+
+    The phase is xi_k z_0 + xi_0 h j + 2 c k j with c = d h / 2, and
+    2 k j = k^2 + j^2 - (k - j)^2 turns the sum over j into a convolution
+    with the chirp exp(+2 pi i c m^2) (Bluestein's chirp-z transform):
+
+        S_k = exp(-2 pi i (xi_k z_0 + c k^2))
+              * sum_j [w_j f_j exp(-2 pi i (xi_0 h j + c j^2))] exp(2 pi i c (k - j)^2),
+
+    one zero-padded FFT convolution of length a power of two >= n + K - 1.
+    The chirp phases reach c (n + K)^2 turns, so each is reduced modulo 1
+    exactly (``_turns``) before the exponential: rounded, they would cost
+    digits of the exponentially small transform tails.
     """
-    n = len(z)
-    h = z[1] - z[0]
-    b = math.isqrt(n - 1) + 1
-    rows = -(-n // b)
-    W = np.zeros(rows * b)
-    W[:n] = h * fz
-    W[0] *= 0.5
-    W[n - 1] *= 0.5
-    W = W.reshape(rows, b)
-    phase = -2.0 * math.pi * grid[:, None]
-    inner = phase * (h * np.arange(b))
-    outer = np.exp(1j * phase * (z[0] + (b * h) * np.arange(rows)))
-    return np.sum(outer * (np.cos(inner) @ W.T + 1j * (np.sin(inner) @ W.T)), axis=1)
+    from numpy import fft
+
+    n, K = len(z), len(grid)
+    h = (z[-1] - z[0]) / (n - 1)
+    c = 0.5 * h * (grid[-1] - grid[0]) / (K - 1)
+    j = np.arange(n)
+    g = h * fz
+    g[0] *= 0.5
+    g[-1] *= 0.5
+    u = g * np.exp(-2j * math.pi * (_turns(grid[0] * h, j) + _turns(c, j * j)))
+    m = np.arange(1 - n, K)
+    chirp = np.exp(2j * math.pi * _turns(c, m * m))
+    size = 1 << (n + K - 2).bit_length()
+    conv = fft.ifft(fft.fft(u, size) * fft.fft(chirp, size))[n - 1 : n - 1 + K]
+    # xi_k z_0 is rounded once, with an error proportional to |xi_k| and so
+    # smallest where the transform is largest; dropping its whole turns is exact
+    post = grid * z[0]
+    k = np.arange(K)
+    return np.exp(-2j * math.pi * (post - np.rint(post) + _turns(c, k * k))) * conv
 
 
 # ---------------------------------------------------------------------------

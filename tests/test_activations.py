@@ -23,6 +23,14 @@ from snnk.activations import (
 XI0 = 1.0 / (2.0 * math.pi)
 
 
+def dense_trapezoid_ft(z, fz, grid):
+    """The trapezoid sum of f(z) exp(-2 pi i xi z) over the nodes ``z``, one
+    frequency at a time."""
+    weights = np.full(len(z), z[1] - z[0])
+    weights[0] = weights[-1] = weights[0] / 2.0
+    return np.array([np.exp(-2j * math.pi * xi * z) @ (weights * fz) for xi in grid])
+
+
 class TestEval:
     def test_sine_at_half_pi(self):
         assert Activation("sine")(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
@@ -99,10 +107,10 @@ class TestClosedForms:
         # windowed quadrature resolves the csch form away from the origin
         # spike and the float64 floor; the series oracle covers the rest
         comp = closed_form_ft(Activation("tanh")).component("im-")
-        xis = np.linspace(0.2, 2.2, 21)
-        grid = np.unique(np.concatenate([-xis, xis]))
+        grid = np.linspace(-2.2, 2.2, 45)  # step 0.1
         nft = numeric_ft(Activation("tanh"), grid, window=TaperWindow(flat=30, taper=80))
-        numeric = -nft.imag[np.searchsorted(grid, xis)]
+        xis = grid[24:]  # 0.2, 0.3, ..., 2.2
+        numeric = -nft.imag[24:]
         closed = comp.density(xis)
         assert np.max(np.abs(numeric - closed) / np.abs(closed)) < 1e-4
 
@@ -140,8 +148,6 @@ class TestNumericFT:
 
     def test_odd_function_has_tiny_real_part(self):
         grid = np.linspace(-3, 3, 121)
-        grid = grid[np.abs(grid) > 1e-6]
-        grid = np.unique(np.concatenate([-grid, grid]))
         ft = numeric_ft(Activation("tanh"), grid)
         assert np.max(np.abs(ft.real)) < 1e-8
 
@@ -150,29 +156,55 @@ class TestNumericFT:
         with pytest.raises(QuadratureNonConvergent):
             numeric_ft(Activation("tanh"), grid, step=2.0, rtol=1e-14)
 
-    # 121 = 11^2 fills every block; 97 is prime, so the samples are
-    # zero-padded (97 < 10^2); 90 leaves fewer blocks (9) than block
-    # length (10); 2 is the shortest quadrature
+    # chirp-z sums of n + 61 - 1 = 181, 157, 150 and 62 terms, padded to FFT
+    # lengths 256, 256, 256 and 64; 2 is the shortest quadrature.  gapped is
+    # False only: numeric_ft refuses a non-uniform grid (test_grid_validation)
     @pytest.mark.parametrize("n", [121, 97, 90, 2])
-    @pytest.mark.parametrize("gapped", [False, True])
+    @pytest.mark.parametrize("gapped", [False])
     def test_blocked_sum_matches_dense_reference(self, n, gapped):
         z = np.linspace(-6.0, 6.0, n)
         fz = np.tanh(z) + 0.3 * np.cos(3.0 * z)
         grid = np.linspace(-3.0, 3.0, 61)
-        if gapped:
-            grid = grid[np.abs(grid) > 0.4]
-        weights = np.full(n, z[1] - z[0])
-        weights[0] = weights[-1] = weights[0] / 2.0
-        dense = np.exp(-2j * math.pi * np.outer(grid, z)) @ (weights * fz)
-        blocked = _trapezoid_ft(z, fz, grid)
-        assert blocked.shape == dense.shape
-        assert np.max(np.abs(blocked - dense)) <= 1e-13 * np.max(np.abs(dense))
+        dense = dense_trapezoid_ft(z, fz, grid)
+        chirp = _trapezoid_ft(z, fz, grid)
+        assert chirp.shape == dense.shape
+        assert np.max(np.abs(chirp - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_gelu_table_matches_dense_reference(self, level):
+        # the quadrature numeric_ft runs for gelu at its default window and
+        # step, fine (level 1) and coarse (level 2): 20481 and 10241 nodes,
+        # whose chirp phases reach about 5e4 and 3e4 turns
+        window = TaperWindow()
+        z = np.linspace(-window.cutoff, window.cutoff, int(round(4 * window.cutoff * 128)) + 1)
+        fz = Activation("gelu")(z) * window(z)
+        z, fz = z[::level], fz[::level]
+        grid = np.linspace(-8.0, 8.0, 257)
+        dense = dense_trapezoid_ft(z, fz, grid)
+        chirp = _trapezoid_ft(z, fz, grid)
+        assert np.max(np.abs(chirp - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             numeric_ft(Activation("tanh"), np.array([0.0, 1.0, 0.5]))
         with pytest.raises(ValueError):
             numeric_ft(Activation("tanh"), np.array([-1.0, 0.0, 2.0]))
+        side = np.linspace(0.5, 3.0, 26)
+        gapped = np.concatenate([-side[::-1], side])  # symmetric, not uniform
+        with pytest.raises(ValueError, match="uniform"):
+            numeric_ft(Activation("tanh"), gapped)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf, 100.0])
+    def test_bad_step_is_refused(self, step):
+        with pytest.raises(ValueError, match="step"):
+            numeric_ft(Activation("tanh"), np.linspace(-1.0, 1.0, 9), step=step)
+
+    @pytest.mark.parametrize(
+        "field,value", [("flat", -1.0), ("flat", math.nan), ("taper", 0.0), ("taper", -2.0)]
+    )
+    def test_bad_window_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"TaperWindow.{field}"):
+            TaperWindow(**{field: value})
 
 
 class TestDecompose:
@@ -211,8 +243,6 @@ class TestDecompose:
     def test_tanh_table_sign_sides(self):
         # Im of the transform is negative for xi > 0
         xis = np.linspace(-2, 2, 401)
-        xis = xis[np.abs(xis) > 0.05]
-        xis = np.unique(np.concatenate([-xis, xis]))
         ft = numeric_ft(Activation("tanh"), xis)
         d = decompose(xis, ft)
         imp, imm = d.component("im+"), d.component("im-")

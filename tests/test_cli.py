@@ -71,6 +71,11 @@ def test_import_leaves_scipy_special_unloaded():
     assert not loaded_by_cli_import("scipy.special")
 
 
+def test_import_leaves_numpy_fft_unloaded():
+    # only the numeric transforms of gelu, swish and smoothed_relu need it
+    assert not loaded_by_cli_import("numpy.fft")
+
+
 ESTIMATE_CFG = {
     "activation": "sine",
     "d": 24,
