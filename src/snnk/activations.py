@@ -386,6 +386,8 @@ def numeric_ft(
             f"numeric_ft step must be > 0 and at most the window cutoff "
             f"{window.cutoff}, got {step!r}"
         )
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"numeric_ft rtol must be finite and > 0, got {rtol!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")

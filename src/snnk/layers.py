@@ -194,18 +194,16 @@ def snnk_from_ffl(spec: FflSpec, cfg: UrfConfig) -> SnnkLayer:
 
 
 def snnk_forward(x: np.ndarray, layer: SnnkLayer) -> np.ndarray:
-    """Re(A Phi(x)); costs l*M plus one feature-map evaluation.
-
-    One stacked matmul of the (l, 1, M) row stack with the features: numpy
-    runs the same one-row product per row, so each output coordinate is
-    bit-identical to the corresponding single-pair kernel estimate.  A plain
-    ``A @ feats`` is faster but differs from those products in the last bits.
-    """
-    feats = layer.feature_map.features(x)
-    return (layer.A[:, None, :] @ feats)[:, 0].real
+    """Re(A Phi(x)) for one input x: ``snnk_forward_many`` of the batch of one
+    row, bit for bit.  A row of a larger batch agrees with the single call to
+    1e-13 of sum_j |A_ij phi_j(x)|, not bit for bit."""
+    return snnk_forward_many(np.asarray(x)[None], layer)[0]
 
 
 def snnk_forward_many(X: np.ndarray, layer: SnnkLayer) -> np.ndarray:
+    X = np.asarray(X)
+    if X.shape[-1:] != (layer.in_dim,):
+        raise ShapeMismatch(f"expected input of dim {layer.in_dim}, got {X.shape}")
     feats = layer.feature_map.features_many(X)
     return (feats @ layer.A.T).real
 

@@ -27,8 +27,9 @@ Under the fixed policy the input tower (z = x) is (sqrt(1-4A) 2 pi i xi_i,
 2 pi^2 xi_i^2, prefactor / sqrt(m)) and the parameter tower (z = w) is
 (sqrt(1-4A), -1/2, prefactor); ``psi_many`` puts the weight, ratio and
 bias phase of each entry in front.  ``_tower`` forms g.z as one product per
-row of a (..., d) stack: row i of ``phi_many``/``psi_many`` is bit-identical
-to ``phi``/``psi`` of that row.  A complex row z (a bundled stage input, an
+row of a (..., d) stack (row i of ``phi_many``/``psi_many`` is bit-identical
+to ``phi``/``psi`` of that row) and exponentiates in place in one array,
+adding A|g_i|^2 only when A != 0.  A complex row z (a bundled stage input, an
 absorbed weight row) goes through the real G as the pair [Re z, Im z].
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
@@ -328,8 +329,13 @@ def _tower(Z, draws, tower: Tower):
     """scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of
     Z (..., d) and every entry i of the draw set."""
     zz = (Z * Z).sum(axis=-1, keepdims=True)  # bilinear; complex-safe
-    return tower.scale * np.exp(draws.terms.agg + tower.coef * _project(draws.G, Z)
-                                + tower.quad * zz)
+    E = tower.coef * _project(draws.G, Z)  # already the full (..., M) shape and dtype
+    if draws.config.A != 0:
+        E += draws.terms.agg
+    E += tower.quad * zz
+    np.exp(E, out=E)
+    E *= tower.scale
+    return E
 
 
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:

@@ -199,6 +199,11 @@ class TestNumericFT:
         with pytest.raises(ValueError, match="step"):
             numeric_ft(Activation("tanh"), np.linspace(-1.0, 1.0, 9), step=step)
 
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_rtol_is_refused(self, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            numeric_ft(Activation("tanh"), np.linspace(-1.0, 1.0, 9), rtol=rtol)
+
     @pytest.mark.parametrize(
         "field,value", [("flat", -1.0), ("flat", math.nan), ("taper", 0.0), ("taper", -2.0)]
     )

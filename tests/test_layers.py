@@ -33,6 +33,29 @@ from snnk.train import make_learnable_layer
 from snnk.urf import UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 
+# a row of a batch against the same row alone (or against the single-pair
+# kernel estimate): the two sum the same terms in different orders, so the
+# gap is bounded relative to sum_j |A_ij phi_j(x)|
+ROW_TOL = 1e-13
+
+
+def serving_layer():
+    """A 64 -> 256 sine layer at m = 256 (M = 512), the serving shape."""
+    rng = rng_for(8, 0, 0, MISC_STREAM)
+    spec = FflSpec(
+        W=0.8 / 8.0 * rng.standard_normal((256, 64)),
+        b=0.8 * rng.standard_normal(256),
+        activation=Activation("sine"),
+    )
+    return snnk_from_ffl(spec, UrfConfig(m=256, A=0.0, seed=9)), spec, rng
+
+
+def relu_layer():
+    """A 64 -> 256 relu-feature layer with 512 features and a free A."""
+    A = rng_for(10, 0, 0, MISC_STREAM).standard_normal((256, 512))
+    return SnnkLayer(feature_map=relu_feature_map(64, 512, seed=10), A=A)
+
+
 class TestFflForward:
     def test_zero_weights_sine(self):
         spec = FflSpec(W=np.zeros((1, 3)), b=np.array([math.pi / 2]),
@@ -134,7 +157,7 @@ class TestSnnkLayer:
             with pytest.raises(ValueError, match="non-finite"):
                 SnnkLayer(feature_map=fmap, A=A)
 
-    def test_derived_rows_equal_kernel_estimates(self):
+    def test_derived_rows_match_kernel_estimates(self):
         rng = rng_for(4, 0, 0, MISC_STREAM)
         spec = FflSpec(
             W=rng.uniform(-0.5, 0.5, (3, 2)),
@@ -146,26 +169,51 @@ class TestSnnkLayer:
         x = np.array([0.2, -0.3])
         out = snnk_forward(x, layer)
         draws = sample_draws(decomposition_for(Activation("cosine")), 2, cfg)
+        terms = np.abs(layer.A) @ np.abs(phi(x, draws).entries)
         for i in range(3):
             ki = kernel_estimate(phi(x, draws), psi(spec.W[i], spec.b[i], draws))
-            assert out[i] == ki
+            assert abs(out[i] - ki) <= ROW_TOL * terms[i]
 
-    def test_serving_size_rows_equal_kernel_estimates(self):
-        rng = rng_for(8, 0, 0, MISC_STREAM)
-        spec = FflSpec(
-            W=0.8 / 8.0 * rng.standard_normal((256, 64)),
-            b=0.8 * rng.standard_normal(256),
-            activation=Activation("sine"),
-        )
-        cfg = UrfConfig(m=256, A=0.0, seed=9)
-        layer = snnk_from_ffl(spec, cfg)
+    def test_serving_size_rows_match_kernel_estimates(self):
+        layer, spec, rng = serving_layer()
         assert layer.n_features == 512
         x = rng.uniform(-1.0, 1.0, 64) / 8.0
         out = snnk_forward(x, layer)
         draws = layer.feature_map.draws
         px = phi(x, draws)
+        terms = np.abs(layer.A) @ np.abs(px.entries)
         for i in range(256):
-            assert out[i] == kernel_estimate(px, psi(spec.W[i], spec.b[i], draws))
+            ki = kernel_estimate(px, psi(spec.W[i], spec.b[i], draws))
+            assert abs(out[i] - ki) <= ROW_TOL * terms[i]
+
+    @pytest.mark.parametrize("kind", ["urf", "relu"])
+    def test_single_call_is_batch_of_one(self, kind):
+        layer = serving_layer()[0] if kind == "urf" else relu_layer()
+        x = rng_for(11, 0, 0, MISC_STREAM).uniform(-1.0, 1.0, 64) / 8.0
+        assert np.array_equal(snnk_forward(x, layer), snnk_forward_many(x[None], layer)[0])
+
+    @pytest.mark.parametrize("kind", ["urf", "relu"])
+    def test_batch_rows_match_single_calls(self, kind):
+        layer = serving_layer()[0] if kind == "urf" else relu_layer()
+        X = rng_for(12, 0, 0, MISC_STREAM).uniform(-1.0, 1.0, (20, 64)) / 8.0
+        many = snnk_forward_many(X, layer)
+        terms = np.abs(layer.feature_map.features_many(X)) @ np.abs(layer.A).T
+        for x, row, t in zip(X, many, terms):
+            assert np.all(np.abs(snnk_forward(x, layer) - row) <= ROW_TOL * t)
+
+    @pytest.mark.parametrize("kind", ["urf", "relu"])
+    @pytest.mark.parametrize("call", ["single", "many"])
+    def test_wrong_input_dim_is_refused(self, kind, call):
+        if kind == "urf":
+            layer = SnnkLayer(feature_map=urf_feature_map(Activation("sine"), 3,
+                                                          UrfConfig(m=4, seed=1)),
+                              A=np.ones((2, 8), dtype=complex))
+        else:
+            layer = SnnkLayer(feature_map=relu_feature_map(3, 8, seed=1), A=np.ones((2, 8)))
+        x = np.ones(4) if call == "single" else np.ones((5, 4))
+        forward = snnk_forward if call == "single" else snnk_forward_many
+        with pytest.raises(ShapeMismatch, match="expected input of dim 3"):
+            forward(x, layer)
 
     def test_learnable_pinv_fit_matches_normal_equations(self):
         fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=8, seed=7))
