@@ -3,9 +3,11 @@
 A feedforward layer x -> f(Wx + b) is replaced by a layer computing
 Re(A Phi(x)) where Phi is a randomized input embedding and A collects the
 parameter-side embeddings Psi(w_i, b_i) row by row (or is learned
-directly).  Also hosts the relu variant built on arc-cosine kernels and
-the polynomial-split construction for activations with signed Taylor
-series.
+directly).  Re(A Phi(x)) is one real product of float views, with no
+imaginary half formed and discarded: the conjugated feature rows
+[Re phi_j, -Im phi_j] against A's interleaved [Re A_ij, Im A_ij].  Also
+hosts the relu variant built on arc-cosine kernels and the
+polynomial-split construction for activations with signed Taylor series.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import numpy as np
 from ._seeds import MISC_STREAM, rng_for
 from .activations import Activation, decomposition_for
 from .urf import (
+    ShapeMismatch,
     UrfConfig,
     UrfDraws,
+    input_rows,
     phi,
     phi_many,
     psi_many,
@@ -30,10 +34,6 @@ from .urf import (
 
 class ZeroVector(ValueError):
     """Angle undefined for a zero-length vector."""
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +70,7 @@ class FflSpec:
 def ffl_forward(X: np.ndarray, spec: FflSpec) -> np.ndarray:
     """f(Re(W x) + b) for each row x of ``X`` (..., d), evaluated exactly; one
     matrix-vector product per row, so a row of a stack has its bits alone."""
-    X = np.asarray(X)
-    if X.shape[-1:] != (spec.in_dim,):
-        raise ShapeMismatch(f"expected input of dim {spec.in_dim}, got {X.shape}")
+    X = input_rows(X, spec.in_dim)
     return spec.activation(((spec.W @ X[..., None])[..., 0] + spec.b).real)
 
 
@@ -119,8 +117,8 @@ class ReluFeatureMap:
         return self.features_many(v)
 
     def features_many(self, X) -> np.ndarray:
-        lp = self.G.shape[0]
-        return np.maximum(0.0, np.asarray(X) @ self.G.T / math.sqrt(lp))
+        X = input_rows(X, self.in_dim)
+        return np.maximum(0.0, X @ self.G.T / math.sqrt(self.total_features))
 
 
 def urf_feature_map(activation: Activation, dim: int, cfg: UrfConfig) -> UrfFeatureMap:
@@ -138,10 +136,8 @@ def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
     (l', d) or a stack (..., l', d) of such matrices; the same map serves
     inputs and weights.  G v is one matrix-vector product per row, so a row
     of a stack is bit-identical to that row alone."""
-    v = np.asarray(v, dtype=float)
     G = np.asarray(G, dtype=float)
-    if v.shape[-1:] != G.shape[-1:]:
-        raise ShapeMismatch(f"expected input of dim {G.shape[-1]}, got {v.shape}")
+    v = input_rows(np.asarray(v, dtype=float), G.shape[-1])
     return np.maximum(0.0, (G @ v[..., None])[..., 0] / math.sqrt(G.shape[-2]))
 
 
@@ -201,11 +197,11 @@ def snnk_forward(x: np.ndarray, layer: SnnkLayer) -> np.ndarray:
 
 
 def snnk_forward_many(X: np.ndarray, layer: SnnkLayer) -> np.ndarray:
-    X = np.asarray(X)
-    if X.shape[-1:] != (layer.in_dim,):
-        raise ShapeMismatch(f"expected input of dim {layer.in_dim}, got {X.shape}")
+    """Re(A Phi(x)) for each row x of ``X`` (..., d): the fresh feature rows,
+    conjugated in place, times the float view of A in their dtype."""
     feats = layer.feature_map.features_many(X)
-    return (feats @ layer.A.T).real
+    np.conjugate(feats, out=feats)
+    return feats.view(float) @ np.ascontiguousarray(layer.A, dtype=feats.dtype).view(float).T
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ With the input embedding frozen, a replacement layer's output Re(A Phi(x))
 is linear in A, so gradients are exact outer products against the
 features; training A directly is what makes the layer a compressed
 stand-in for the original weights.  Training runs in real coordinates:
-complex features become the real design F = [Re Phi | Im Phi] and a
-complex A trains as A_s = [Re A | -Im A], so Re(Phi A^T) = F A_s^T and
-every product is a real GEMM; relu features and weights are real already
-and pass through.  Phi depends only on the inputs and the frozen draws, so
-``fit_A`` builds F once per split and reuses it for every SGD batch and
-every epoch's full-split loss.  Plain SGD with optional momentum and an
+complex features become the real design F = Phi.view(float), the
+interleaved [Re phi_1, Im phi_1, Re phi_2, ...] that is the feature buffer
+itself, and a complex A trains as A_s = conj(A).view(float), whose pairs
+are [Re A_ij, -Im A_ij], so Re(Phi A^T) = F A_s^T and every product is a
+real GEMM; relu features and weights are real already and pass through.
+Phi depends only on the inputs and the frozen draws, so ``fit_A`` builds F
+once per split, with no copy, and reuses it for every SGD batch and every
+epoch's full-split loss.  Plain SGD with optional momentum and an
 ``l2 (|A|^2 + |W|^2)`` penalty; the point is validated trainability, not
 leaderboard accuracy.
 """
@@ -163,23 +165,18 @@ def make_head(out_dim: int, in_dim: int, seed: int) -> AffineHead:
 
 
 def real_design(feats: np.ndarray) -> np.ndarray:
-    """The real design ``[Re Phi | Im Phi]`` of a feature matrix.
-
-    Real (relu) features pass through unchanged.  With the weights stacked
-    by ``_stack_weights``, ``Re(Phi A^T) = F A_s^T`` exactly.
-    """
-    if not np.iscomplexobj(feats):
-        return feats
-    return np.concatenate((feats.real, feats.imag), axis=-1)
+    """The real design of a feature matrix: complex features as their float
+    view ``[Re phi_1, Im phi_1, Re phi_2, ...]``, sharing their memory when
+    C-contiguous; real (relu) features unchanged.  With the weights stacked
+    by ``_stack_weights``, ``Re(Phi A^T) = F A_s^T`` exactly."""
+    return np.ascontiguousarray(feats).view(float) if np.iscomplexobj(feats) else feats
 
 
 def _stack_weights(A: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """A as the real weights of ``design``: ``[Re A | -Im A]`` for a complex
-    A, a copy of a real A.  A must be complex iff the features are."""
-    if np.iscomplexobj(A):
-        A_s = np.concatenate((A.real, -A.imag), axis=1)
-    else:
-        A_s = np.array(A, dtype=float)
+    """A as the real weights of ``design``: a new C-contiguous float array,
+    for a complex A the interleaved view of conj(A), whose entry pairs are
+    ``[Re A_ij, -Im A_ij]``.  A must be complex iff the features are."""
+    A_s = np.conjugate(A, order="C", dtype=np.result_type(A, float)).view(float)
     if A_s.shape[1] != design.shape[1]:
         raise ValueError("A must be complex iff the features are complex")
     return A_s
@@ -187,13 +184,7 @@ def _stack_weights(A: np.ndarray, design: np.ndarray) -> np.ndarray:
 
 def _unstack_weights(A_s: np.ndarray, complex_weights: bool) -> np.ndarray:
     """The feature-weight matrix whose stacked form is ``A_s``."""
-    if not complex_weights:
-        return A_s.copy()
-    M = A_s.shape[1] // 2
-    A = np.empty((A_s.shape[0], M), dtype=complex)
-    A.real = A_s[:, :M]
-    A.imag = -A_s[:, M:]
-    return A
+    return np.conjugate(A_s.view(complex) if complex_weights else A_s)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +274,17 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     """Mini-batch SGD on A (and the affine head); returns (layer, head, history).
 
     Training runs in real coordinates: Phi is computed once for the training
-    split and once for the validation split and turned into the real design
-    ``real_design(Phi)``, and a complex A trains as ``[Re A | -Im A]``.  The
-    training design is sliced for every SGD batch, and both designs are
-    reused for every epoch's full-split loss.  History rows are (epoch,
-    split, loss, accuracy), evaluated before training and after each epoch.
-    Raises DivergenceDetected if the training loss is non-finite, the
-    initial one included, or passes 10x its starting value; a non-finite
-    mini-batch loss raises at once, before that batch's step, and so does
-    a non-finite entry of A at the end of an epoch.
+    split and once for the validation split and read through its real
+    design ``real_design(Phi)``, a view, and a complex A trains as the
+    interleaved ``conj(A).view(float)``.  The training design is sliced for
+    every SGD batch, and both designs are reused for every epoch's
+    full-split loss.  History rows are (epoch, split, loss, accuracy),
+    evaluated before training and after each epoch.  Raises
+    DivergenceDetected if the training loss is non-finite, the initial one
+    included, or passes 10x its starting value; a non-finite mini-batch loss
+    raises at once, before that batch's step, and so does a non-finite entry
+    of A at the end of an epoch.  An input of the wrong width raises the
+    feature map's ShapeMismatch.
     """
     if cfg.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
@@ -364,9 +357,9 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
 
     Differentiates the training objective, ``loss + l2 (|A|^2 + |W|^2)``,
     in the real coordinates ``fit_A`` trains: the entries of A (for complex
-    features, the Re A and the -Im A halves of the stacked ``[Re A | -Im A]``
-    as two arrays) and of the head, up to ``max_entries`` per array,
-    scanning each in a fixed order.
+    features, the Re A and the -Im A entries of the interleaved stacked
+    weights, its even and odd columns, as two arrays) and of the head, up to
+    ``max_entries`` per array, scanning each in a fixed order.
     """
     feats = real_design(layer.feature_map.features_many(data_batch.X))
     Y = data_batch.Y
@@ -383,9 +376,9 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
         return _grads(feats, A, W, b, Y, loss, l2)[0]
 
     _, gA, *head_grads = _grads(feats, A, W, b, Y, loss, l2)
-    M = layer.n_features
+    k = A.shape[1] // layer.n_features  # 2 for complex weights, 1 for real
     # views, so bumping an entry of a half bumps A
-    arrays = [(A[:, h : h + M], gA[:, h : h + M]) for h in range(0, A.shape[1], M)]
+    arrays = [(A[:, h::k], gA[:, h::k]) for h in range(k)]
     arrays += list(zip(params[1:], head_grads))
     worst = 0.0
     for p, g in arrays:

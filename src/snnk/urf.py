@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,10 @@ AXIS_ID = {ax: i for i, ax in enumerate(AXES)}
 
 class ProposalMismatch(ValueError):
     """A density component whose tabulation has no mass to draw from."""
+
+
+class ShapeMismatch(ValueError):
+    """An array whose shape does not fit the draws, layer or network it meets."""
 
 
 class ConfigError(ValueError):
@@ -223,10 +227,12 @@ class FeatureVector:
 # sampling
 
 
-def _sample_xi(component: FourierComponent, n_xi: int, rng):
+def _sample_xi(component: FourierComponent, n_xi: int, stream):
     """Frequencies plus importance ratios p_j(xi)/proposal(xi) for one component.
 
-    Atoms are drawn from their own categorical distribution (ratio 1).  A
+    ``stream()`` gives the generator to draw from; it is called only when
+    there is something to draw, so a single atom builds none.  Atoms are
+    drawn from their own categorical distribution (ratio 1).  A
     density is drawn piecewise-uniformly over its tabulation cells, which
     keeps every ratio within a few percent of one; a moment-matched Gaussian
     proposal loses to the exponential tails of the principal-value densities
@@ -244,11 +250,12 @@ def _sample_xi(component: FourierComponent, n_xi: int, rng):
         if len(locs) == 1:
             xi = np.full(n_xi, locs[0])
         else:
-            xi = locs[rng.choice(len(locs), size=n_xi, p=probs)]
+            xi = locs[stream().choice(len(locs), size=n_xi, p=probs)]
         return xi, np.ones(n_xi)
     grid, cells = component.grid, component.cells
     if cells.total <= 0:
         raise ProposalMismatch("grid proposal over an empty tabulation")
+    rng = stream()
     # rng.choice(p=mass / total) without rebuilding the CDF per call
     idx = cells.search(rng.random(n_xi))
     u = rng.random(n_xi)
@@ -284,8 +291,7 @@ def sample_draws(
     G = np.empty(xi.shape + (dim,))
     for j, comp in enumerate(comps):
         rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
-        rng_xi = rng_for(cfg.seed, axis_id, 0, XI_STREAM)
-        drawn = _sample_xi(comp, m // reps, rng_xi)
+        drawn = _sample_xi(comp, m // reps, partial(rng_for, cfg.seed, axis_id, 0, XI_STREAM))
         for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
             dest[rows] = np.repeat(a, reps)
         G[rows] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((m, dim))
@@ -338,12 +344,17 @@ def _tower(Z, draws, tower: Tower):
     return E
 
 
+def input_rows(X, dim: int) -> np.ndarray:
+    """``X`` as an array of rows of length ``dim``; a ShapeMismatch otherwise."""
+    X = np.asarray(X)
+    if X.shape[-1:] != (dim,):
+        raise ShapeMismatch(f"expected input of dim {dim}, got {X.shape}")
+    return X
+
+
 def phi(x: np.ndarray, draws: UrfDraws) -> FeatureVector:
     """Input-side feature vector: ``phi_many`` of one row, or of a (..., d)
     stack (entries (..., total_features))."""
-    x = np.asarray(x)
-    if x.shape[-1:] != (draws.dim,):
-        raise ValueError(f"expected input of dim {draws.dim}, got {x.shape}")
     return FeatureVector(entries=phi_many(x, draws))
 
 
@@ -351,7 +362,7 @@ def psi(w: np.ndarray, b: float, draws: UrfDraws) -> FeatureVector:
     """Parameter-side feature vector: ``psi_many`` of one (row, bias) pair."""
     w = np.asarray(w)
     if w.shape != (draws.dim,):
-        raise ValueError(f"expected weights of dim {draws.dim}, got {w.shape}")
+        raise ShapeMismatch(f"expected weights of dim {draws.dim}, got {w.shape}")
     return FeatureVector(entries=psi_many(w, b, draws))
 
 
@@ -360,7 +371,7 @@ def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; row i equals ``phi(X[i], draws)`` bit for bit.
     """
-    return _tower(np.asarray(X), draws, draws.terms.input)
+    return _tower(input_rows(X, draws.dim), draws, draws.terms.input)
 
 
 def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:

@@ -202,18 +202,44 @@ class TestSnnkLayer:
             assert np.all(np.abs(snnk_forward(x, layer) - row) <= ROW_TOL * t)
 
     @pytest.mark.parametrize("kind", ["urf", "relu"])
-    @pytest.mark.parametrize("call", ["single", "many"])
+    @pytest.mark.parametrize("call", ["single", "many", "map-single", "map-many"])
     def test_wrong_input_dim_is_refused(self, kind, call):
+        # the feature maps check the input; snnk_forward(_many) rely on them
         if kind == "urf":
             layer = SnnkLayer(feature_map=urf_feature_map(Activation("sine"), 3,
                                                           UrfConfig(m=4, seed=1)),
                               A=np.ones((2, 8), dtype=complex))
         else:
             layer = SnnkLayer(feature_map=relu_feature_map(3, 8, seed=1), A=np.ones((2, 8)))
-        x = np.ones(4) if call == "single" else np.ones((5, 4))
-        forward = snnk_forward if call == "single" else snnk_forward_many
-        with pytest.raises(ShapeMismatch, match="expected input of dim 3"):
+        x = np.ones(4) if call.endswith("single") else np.ones((5, 4))
+        forward = {"single": snnk_forward, "many": snnk_forward_many,
+                   "map-single": lambda x, layer: layer.feature_map.features(x),
+                   "map-many": lambda x, layer: layer.feature_map.features_many(x)}[call]
+        with pytest.raises(ShapeMismatch, match="expected input of dim 3, got "):
             forward(x, layer)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "integer"])
+    def test_awkward_A_layouts(self, layout):
+        # A is read through the float view of a C-contiguous copy in the
+        # features' dtype, so neither its memory layout nor its dtype moves a bit
+        X = rng_for(13, 0, 0, MISC_STREAM).uniform(-1.0, 1.0, (20, 64)) / 8.0
+        for layer in (serving_layer()[0], relu_layer()):
+            A = {"fortran": np.asfortranarray(layer.A),
+                 "transposed": np.ascontiguousarray(layer.A.T).T,
+                 "integer": np.rint(8.0 * layer.A.real).astype(np.int64)}[layout]
+            awkward = SnnkLayer(feature_map=layer.feature_map, A=A)
+            plain = SnnkLayer(feature_map=layer.feature_map,
+                              A=np.array(A, dtype=layer.A.dtype, order="C"))
+            many = snnk_forward_many(X, awkward)
+            assert np.array_equal(many, snnk_forward_many(X, plain))
+            assert np.array_equal(snnk_forward(X[0], awkward), snnk_forward(X[0], plain))
+            feats = layer.feature_map.features_many(X)
+            if np.iscomplexobj(feats):
+                terms = np.abs(feats) @ np.abs(A).T
+                assert np.all(np.abs(many - (feats @ A.T).real) <= ROW_TOL * terms)
+            else:
+                # relu: the real product of the features with A, exactly
+                assert np.array_equal(many, feats @ plain.A.T)
 
     def test_learnable_pinv_fit_matches_normal_equations(self):
         fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=8, seed=7))

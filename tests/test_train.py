@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import snnk.train as train_module
 from snnk.layers import (
     FflSpec,
     ReluFeatureMap,
+    ShapeMismatch,
+    SnnkLayer,
     ffl_forward,
     relu_feature_map,
     snnk_from_ffl,
@@ -207,6 +210,16 @@ class TestFitA:
         data = Dataset(X=np.ones((4, 4)), Y=np.zeros((4, 2)))
         cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4, loss="mse", seed=0)
         with pytest.raises(DivergenceDetected, match="epoch 0"):
+            fit_A(layer, None, data, cfg)
+
+    @pytest.mark.parametrize("kind", ["urf", "relu"])
+    def test_wrong_input_width_is_refused(self, kind):
+        fmap = (urf_feature_map(Activation("sine"), 3, UrfConfig(m=4, seed=90)) if kind == "urf"
+                else relu_feature_map(3, 8, seed=91))
+        layer = make_learnable_layer(fmap, 2, seed=92)
+        data = Dataset(X=np.zeros((5, 4)), Y=np.zeros((5, 2)))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=5)
+        with pytest.raises(ShapeMismatch, match=r"expected input of dim 3, got \(5, 4\)"):
             fit_A(layer, None, data, cfg)
 
     def test_mse_on_class_labels_is_refused(self):
@@ -435,11 +448,34 @@ class TestRealCoordinates:
         feats = fmap.features_many(X)
         design = real_design(feats)
         assert design.shape == (7, 2 * feats.shape[1]) and design.dtype == float
-        stacked = np.concatenate([layer.A.real, -layer.A.imag], axis=1)
+        # interleaved: entry pairs (Re A_ij, -Im A_ij) against (Re phi_j, Im phi_j)
+        stacked = np.stack([layer.A.real, -layer.A.imag], axis=-1).reshape(3, -1)
         np.testing.assert_allclose(design @ stacked.T, (feats @ layer.A.T).real,
                                    rtol=1e-12, atol=1e-14)
         relu = relu_feature_map(4, 8, seed=89).features_many(X)
         assert real_design(relu) is relu
+
+    def test_real_design_is_the_feature_buffer(self):
+        fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=6, seed=86))
+        feats = fmap.features_many(rng_for(88, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (7, 4)))
+        design = real_design(feats)
+        assert np.shares_memory(design, feats)
+        assert np.array_equal(design, np.stack([feats.real, feats.imag], axis=-1).reshape(7, -1))
+
+    def test_design_build_makes_no_extra_copy(self):
+        # the tower's projection temporary (half the feature bytes) is the
+        # only allocation beside the features; a copied design would add a
+        # whole feature matrix
+        fmap = urf_feature_map(Activation("gelu"), 16, UrfConfig(m=64, A=0.0, seed=86))
+        X = rng_for(88, 0, 0, MISC_STREAM).uniform(-0.25, 0.25, (3000, 16))
+        fmap.features_many(X[:2])  # the cached per-entry constants
+        tracemalloc.start()
+        try:
+            design = real_design(fmap.features_many(X))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * design.nbytes
 
     def test_evaluate_takes_features_or_their_design(self):
         fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=6, seed=86))
@@ -451,9 +487,21 @@ class TestRealCoordinates:
         pred = (feats @ layer.A.T).real @ head.W.T + head.b
         want = evaluate(layer, head, data, "cross_entropy")
         assert want[1] == float(np.mean(pred.argmax(axis=1) == data.Y))
+        kept = feats.copy()
         for given in (feats, real_design(feats)):
             got = evaluate(layer, head, data, "cross_entropy", feats=given)
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0) and got[1] == want[1]
+        assert np.array_equal(feats, kept)  # the caller's features are left as they were
+
+    def test_integer_weights_train_as_float(self):
+        # the stacked weights are a float copy, never a reinterpretation of A's bytes
+        fmap = relu_feature_map(3, 4, seed=91)
+        A = np.rint(4.0 * make_learnable_layer(fmap, 2, seed=92).A).astype(np.int64)
+        rng = rng_for(93, 0, 0, MISC_STREAM)
+        data = Dataset(X=rng.standard_normal((5, 3)), Y=rng.standard_normal((5, 2)))
+        floats = SnnkLayer(feature_map=fmap, A=A.astype(float))
+        assert evaluate(SnnkLayer(feature_map=fmap, A=A), None, data, "mse")[0] == \
+            evaluate(floats, None, data, "mse")[0]
 
     def test_weights_must_match_the_features(self):
         X = np.zeros((5, 3))

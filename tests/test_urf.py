@@ -1,17 +1,20 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from snnk._seeds import MISC_STREAM, rng_for
+import snnk.urf as urf_module
+from snnk._seeds import MISC_STREAM, XI_STREAM, rng_for
 from snnk.activations import GUIDE, Activation, _density_component, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ConfigError,
     ProposalMismatch,
+    ShapeMismatch,
     UrfConfig,
     UrfDraws,
     _sample_xi,
@@ -116,6 +119,20 @@ class TestSampleDraws:
             assert np.all(blk.ratio == 1.0)
             # ratio times |c| recovers the atom weight
             assert np.all(blk.ratio * abs(blk.c) == 0.5)
+
+    @pytest.mark.parametrize("kind, generators", [("sine", 0), ("cosine", 1), ("sigmoid", 2)])
+    def test_xi_generator_only_for_components_that_draw(self, monkeypatch, kind, generators):
+        # a single atom (each sine component, sigmoid's DC) draws no frequency
+        streams = []
+
+        def counting_rng_for(*key):
+            streams.append(key[-1])
+            return rng_for(*key)
+
+        monkeypatch.setattr(urf_module, "rng_for", counting_rng_for)
+        draws = sample_draws(decomposition_for(Activation(kind)), 3, UrfConfig(m=8, seed=5))
+        assert streams.count(XI_STREAM) == generators
+        assert len(streams) == generators + len(draws.axes)
 
     @pytest.mark.parametrize("kind, cfg", [
         ("tanh", UrfConfig(m=8, seed=3)),  # density components, grid proposal
@@ -233,7 +250,7 @@ class TestSampleDraws:
             assert np.array_equal(cells.search(keys), cells.cdf.searchsorted(keys, side="right"))
             # _sample_xi on a stream, against the full search on the same stream
             sampled, searched = rng_for(23, 0, 0, MISC_STREAM), rng_for(23, 0, 0, MISC_STREAM)
-            xi, _ = _sample_xi(comp, 5000, sampled)
+            xi, _ = _sample_xi(comp, 5000, lambda: sampled)
             stream = searched.random(5000)
             idx = cells.cdf.searchsorted(stream, side="right")
             assert np.array_equal(cells.search(stream), idx)
@@ -245,7 +262,7 @@ class TestSampleDraws:
         empty = _density_component("im+", [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         assert empty.cells.guide.size == 0
         with pytest.raises(ProposalMismatch, match="empty tabulation"):
-            _sample_xi(empty, 4, rng_for(0, 0, 0, MISC_STREAM))
+            _sample_xi(empty, 4, lambda: rng_for(0, 0, 0, MISC_STREAM))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="^m: must be >= 1, got 0$"):
@@ -296,6 +313,15 @@ class TestFeatureMaps:
             fv = phi(np.zeros(3), draws)
             assert len(draws.axes) == n_axes
             assert len(fv.entries) == n_axes * 8
+
+    @pytest.mark.parametrize("x", [np.ones(4), np.ones((5, 4)), np.ones((2, 5, 4))])
+    def test_wrong_input_dim_is_refused(self, x):
+        draws = sample_draws(decomposition_for(Activation("sine")), 3, UrfConfig(m=4, seed=1))
+        for call in (phi, phi_many):
+            with pytest.raises(ShapeMismatch, match=re.escape(f"expected input of dim 3, got {x.shape}")):
+                call(x, draws)
+        with pytest.raises(ShapeMismatch, match="expected weights of dim 3"):
+            psi(x, 0.0, draws)
 
     def test_psi_at_zero_with_zero_g(self):
         dec = decomposition_for(Activation("sine"))
