@@ -151,20 +151,25 @@ class SnnkLayer:
 
     ``A`` is either derived (rows are Psi(w_i, b_i)) or free; ``fit_A`` trains both.
     The forward pass is Re(A Phi(x)) and never touches the original weights.
+    Every assignment of ``A``, the constructor's included, is checked: a 2-D
+    array with one column per feature and finite entries, else ShapeMismatch
+    or ValueError.  Writes into A's entries in place are not checked.
     """
 
     feature_map: UrfFeatureMap | ReluFeatureMap
     A: np.ndarray  # (l, M)
 
-    def __post_init__(self):
-        self.A = np.asarray(self.A)
-        if self.A.ndim != 2 or self.A.shape[1] != self.feature_map.total_features:
-            raise ShapeMismatch(
-                f"A {self.A.shape} incompatible with feature length "
-                f"{self.feature_map.total_features}"
-            )
-        if not np.all(np.isfinite(self.A)):
-            raise ValueError("A has non-finite entries")
+    def __setattr__(self, name, value):
+        if name == "A":
+            value = np.asarray(value)
+            if value.ndim != 2 or value.shape[1] != self.feature_map.total_features:
+                raise ShapeMismatch(
+                    f"A {value.shape} incompatible with feature length "
+                    f"{self.feature_map.total_features}"
+                )
+            if not np.all(np.isfinite(value)):
+                raise ValueError("A has non-finite entries")
+        super().__setattr__(name, value)
 
     @property
     def out_dim(self) -> int:

@@ -13,7 +13,11 @@ Phi depends only on the inputs and the frozen draws, so ``fit_A`` builds F
 once per split, with no copy, and reuses it for every SGD batch and every
 epoch's full-split loss.  Plain SGD with optional momentum and an
 ``l2 (|A|^2 + |W|^2)`` penalty; the point is validated trainability, not
-leaderboard accuracy.
+leaderboard accuracy.  The step runs in place: A_s, W and b are views of
+one flat buffer, the gradients are written into views of a second one, and
+one momentum update over a third steps them all.  Cross-entropy targets
+are one-hot rows built once per fit, and a full split's loss runs on a
+class-major copy of its outputs.
 """
 
 from __future__ import annotations
@@ -119,8 +123,10 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate", f"must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum", f"must be >= 0 and < 1, got {self.momentum}")
         if self.epochs < 0:
             raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -191,28 +197,45 @@ def _unstack_weights(A_s: np.ndarray, complex_weights: bool) -> np.ndarray:
 # losses
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+def _targets(data: Dataset, loss: str, k: int) -> np.ndarray:
+    """The targets of ``data`` as rows: for cross-entropy the one-hot rows of
+    its labels over k classes, for mse its target rows (a 1-d target is one
+    column)."""
+    if loss == "cross_entropy":
+        T = np.zeros((data.n, k))
+        T[np.arange(data.n), data.Y] = 1.0
+        return T
+    if data.is_classification:
+        raise ValueError("mse training expects real targets, got class labels")
+    return data.Y if data.Y.ndim == 2 else data.Y[:, None]
 
 
-def _loss_and_grad(pred, Y, loss):
-    """Mean loss and d(loss)/d(pred)."""
-    n = len(pred)
+def _loss_and_grad(Z, T, loss):
+    """Mean loss of the predictions ``Z`` (k, n), one column per sample,
+    against the targets ``T`` of its shape, and d(loss)/d(Z) written over Z.
+
+    Cross-entropy takes one-hot targets: the softmax's log-likelihood is
+    ``(softmax * T)`` summed down each column and its gradient is
+    ``softmax - T``, exact since every other product is an exact zero.
+    The max, exp and sums run in Z's memory order: ``_grads`` passes the
+    transposed view of its row-major batch outputs, so each sum runs along a
+    sample's row; ``evaluate`` passes a C-contiguous class-major copy, whose
+    column-wise passes are faster over few classes and give the same bits
+    for k < 8.
+    """
+    n = Z.shape[1]
     if loss == "mse":
-        diff = pred - Y
-        value = float(np.sum(diff * diff) / n)
-        diff *= 2.0
-        diff /= n
-        return value, diff
-    probs = _softmax(pred)
-    rows = np.arange(n)
-    ll = -np.log(probs[rows, Y] + 1e-300)
-    probs[rows, Y] -= 1.0
-    probs /= n
-    return float(ll.sum() / n), probs
+        Z -= T
+        value = float(np.sum(Z * Z) / n)
+        Z *= 2.0
+    else:
+        Z -= Z.max(axis=0)
+        np.exp(Z, out=Z)
+        Z /= Z.sum(axis=0)
+        value = float(-np.log((Z * T).sum(axis=0) + 1e-300).sum() / n)
+        Z -= T
+    Z /= n
+    return value, Z
 
 
 def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
@@ -221,7 +244,8 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
     ``feats`` is ``layer.feature_map.features_many(data.X)`` or its real
     design ``real_design(...)`` (the same array for real features), computed
     here when not given.  The head is folded into the layer's weights first,
-    so the pass over the design yields the k outputs directly.
+    so the pass over the design yields the k outputs directly; the
+    cross-entropy runs on their class-major copy.
     """
     if feats is None:
         feats = layer.feature_map.features_many(data.X)
@@ -231,34 +255,38 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
         pred = feats @ A.T
     else:
         pred = feats @ (head.W @ A).T + head.b
-    if loss == "cross_entropy":
-        value, _ = _loss_and_grad(pred, data.Y, loss)
-        return value, float(np.mean(pred.argmax(axis=1) == data.Y))
-    Y = data.Y if data.Y.ndim == 2 else data.Y[:, None]
-    value, _ = _loss_and_grad(pred, Y, loss)
-    return value, float("nan")
+    T = _targets(data, loss, pred.shape[1]).T
+    if loss == "mse":
+        return _loss_and_grad(pred.T, T, loss)[0], float("nan")
+    value, _ = _loss_and_grad(np.ascontiguousarray(pred.T), T, loss)
+    return value, float(np.mean(pred.argmax(axis=1) == data.Y))
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def _grads(feats, A, W, b, Y, loss, l2):
+def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None)):
     """Objective ``loss + l2 (|A|^2 + |W|^2)`` and its gradients in A, W, b.
 
-    ``feats`` is a real design and ``A`` its stacked weights; the output is
-    linear in A, so its gradient is an exact outer product with the design.
+    ``feats`` is a real design, ``A`` its stacked weights and ``Y`` the
+    target rows (``_targets``); the output is linear in A, so its gradient
+    is an exact outer product with the design.  The gradients are written
+    into ``out``'s C-contiguous arrays of their shapes, or fresh arrays
+    where an entry is None.
     """
+    gA, gW, gb = out
     hidden = feats @ A.T  # (n, l)
     if W is None:
-        value, dpred = _loss_and_grad(hidden, Y, loss)
-        gA = dpred.T @ feats
-        gW = gb = None
+        value, dpred = _loss_and_grad(hidden.T, Y.T, loss)
+        gA = np.matmul(dpred, feats, out=gA)
     else:
-        value, dpred = _loss_and_grad(hidden @ W.T + b, Y, loss)
-        gA = W.T @ (dpred.T @ feats)
-        gW = dpred.T @ hidden
-        gb = dpred.sum(axis=0)
+        pred = hidden @ W.T
+        pred += b
+        value, dpred = _loss_and_grad(pred.T, Y.T, loss)
+        gA = np.matmul(W.T, dpred @ feats, out=gA)
+        gW = np.matmul(dpred, hidden, out=gW)
+        gb = dpred.sum(axis=1, out=gb)
     if l2 > 0:
         penalty = float(np.sum(A * A))
         gA += (2.0 * l2) * A
@@ -276,9 +304,12 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     Training runs in real coordinates: Phi is computed once for the training
     split and once for the validation split and read through its real
     design ``real_design(Phi)``, a view, and a complex A trains as the
-    interleaved ``conj(A).view(float)``.  The training design is sliced for
-    every SGD batch, and both designs are reused for every epoch's
-    full-split loss.  History rows are (epoch, split, loss, accuracy),
+    interleaved ``conj(A).view(float)``.  The training design and target
+    rows (one-hot for cross-entropy) are sliced for every SGD batch, and
+    both designs are reused for every epoch's full-split loss.  The stacked
+    A, W and b are views of one flat buffer, and so are the gradients
+    ``_grads`` writes, so one momentum update steps every parameter.
+    History rows are (epoch, split, loss, accuracy),
     evaluated before training and after each epoch.  Raises
     DivergenceDetected if the training loss is non-finite, the initial one
     included, or passes 10x its starting value; a non-finite mini-batch loss
@@ -290,21 +321,20 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         raise ValueError("batch_size exceeds dataset size")
     if cfg.loss == "cross_entropy" and head is None:
         raise ValueError("cross-entropy training expects a classification head")
-    if cfg.loss == "mse" and data.is_classification:
-        raise ValueError("mse training expects real targets, got class labels")
+    Y = _targets(data, cfg.loss, layer.out_dim if head is None else len(head.b))
 
     feats = real_design(layer.feature_map.features_many(data.X))
     val_feats = (
         real_design(layer.feature_map.features_many(validation.X))
         if validation is not None else None
     )
-    Y = data.Y if (cfg.loss == "cross_entropy" or data.Y.ndim == 2) else data.Y[:, None]
-
-    A = _stack_weights(layer.A, feats)
-    params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
-    W, b = params[1:] if head is not None else (None, None)
-    velocities = [np.zeros_like(p) for p in params]
-
+    parts = [_stack_weights(layer.A, feats)] + ([] if head is None else [head.W, head.b])
+    theta = np.concatenate([p.ravel() for p in parts])
+    grad, velocity = np.empty_like(theta), np.zeros_like(theta)
+    ends = np.cumsum([p.size for p in parts])[:-1]
+    pad = [None] * (3 - len(parts))  # no head: W and b are None
+    A, W, b = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends), parts)] + pad
+    grad_parts = [v.reshape(p.shape) for v, p in zip(np.split(grad, ends), parts)] + pad
     complex_weights = np.iscomplexobj(layer.A)
 
     def snapshot():
@@ -318,17 +348,20 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
             order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
             for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                batch_loss, *grads = _grads(feats[idx], A, W, b, Y[idx], cfg.loss, cfg.l2)
+                batch_loss, *grads = _grads(feats[idx], A, W, b, Y[idx], cfg.loss, cfg.l2,
+                                            grad_parts)
                 if not math.isfinite(batch_loss):
                     raise DivergenceDetected(
                         f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
                     )
-                # v <- momentum v - lr g;  p <- p + v  (the gradients are fresh arrays)
-                for p, v, g in zip(params, velocities, grads):
-                    v *= cfg.momentum
-                    g *= cfg.learning_rate
-                    v -= g
-                    p += v
+                for part, g in zip(grad_parts, grads):
+                    if g is not part:  # a gradient _grads did not write in place
+                        part[...] = g
+                # v <- momentum v - lr g;  theta <- theta + v
+                velocity *= cfg.momentum
+                grad *= cfg.learning_rate
+                velocity -= grad
+                theta += velocity
         if not np.all(np.isfinite(A)):
             raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
         lay, hd = snapshot()
@@ -362,15 +395,10 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
     ``max_entries`` per array, scanning each in a fixed order.
     """
     feats = real_design(layer.feature_map.features_many(data_batch.X))
-    Y = data_batch.Y
-    if loss == "mse" and Y.ndim == 1 and not data_batch.is_classification:
-        Y = Y[:, None]
-    if loss == "mse" and data_batch.is_classification:
-        raise ValueError("mse check expects real targets")
-
     A = _stack_weights(layer.A, feats)
     params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
     W, b = params[1:] if head is not None else (None, None)
+    Y = _targets(data_batch, loss, len(params[-1]))
 
     def objective():
         return _grads(feats, A, W, b, Y, loss, l2)[0]

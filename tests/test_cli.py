@@ -875,8 +875,12 @@ class TestTrainCommand:
          "train.batch_size: must be <= the 225 training rows, got 226"),
         ("train", {"loss": "mse"}, "train.loss: 'mse' needs real targets and the blobs have class "
                                    "labels; use 'cross_entropy'"),
+        ("train", {"momentum": -0.5}, "train.momentum: must be >= 0 and < 1, got -0.5"),
+        ("train", {"learning_rate": math.inf},
+         "train.learning_rate: must be finite and > 0, got inf"),
     ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A", "d", "k",
-            "separation", "out_dim", "features", "batch_size-rows", "mse"])
+            "separation", "out_dim", "features", "batch_size-rows", "mse", "momentum",
+            "learning_rate"])
     def test_bad_value_names_its_key_before_the_data_is_built(
             self, tmp_path, capsys, monkeypatch, section, change, message):
         def no_blobs(**kwargs):

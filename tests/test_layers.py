@@ -157,6 +157,20 @@ class TestSnnkLayer:
             with pytest.raises(ValueError, match="non-finite"):
                 SnnkLayer(feature_map=fmap, A=A)
 
+    def test_reassigned_weights_are_checked(self):
+        # an assignment is checked as the constructor is, and a refused one
+        # leaves the layer's A as it was
+        layer = SnnkLayer(feature_map=relu_feature_map(3, 8, seed=1), A=np.ones((2, 8)))
+        kept = layer.A
+        with pytest.raises(ShapeMismatch, match=r"A \(2, 5\) incompatible with feature "
+                                                r"length 8"):
+            layer.A = np.full((2, 5), math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            layer.A = np.full((2, 8), math.nan)
+        assert layer.A is kept
+        layer.A = [[0.5] * 8]
+        assert isinstance(layer.A, np.ndarray) and layer.A.shape == (1, 8)
+
     def test_derived_rows_match_kernel_estimates(self):
         rng = rng_for(4, 0, 0, MISC_STREAM)
         spec = FflSpec(

@@ -83,6 +83,23 @@ class TestGenerateBlobs:
         assert err.value.problem == f"must be >= 1, got {n if key == 'n' else d}"
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value, problem", [
+        ("momentum", math.nan, "must be >= 0 and < 1, got nan"),
+        ("momentum", math.inf, "must be >= 0 and < 1, got inf"),
+        ("momentum", -0.5, "must be >= 0 and < 1, got -0.5"),
+        ("momentum", 1.0, "must be >= 0 and < 1, got 1.0"),
+        ("learning_rate", math.inf, "must be finite and > 0, got inf"),
+        ("learning_rate", math.nan, "must be finite and > 0, got nan"),
+        ("learning_rate", 0.0, "must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_step_setting_is_refused(self, key, value, problem):
+        settings = dict(learning_rate=0.1, epochs=1, batch_size=4, momentum=0.5)
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{**settings, key: value})
+        assert (err.value.key, err.value.problem) == (key, problem)
+
+
 class TestFitA:
     def test_full_batch_mse_reaches_normal_equations(self):
         rng = rng_for(40, 0, 0, MISC_STREAM)
@@ -408,6 +425,114 @@ def reference_fit(layer, head, data, cfg, validation):
             _, pred, _, loss = forward(f, ds.Y)
             history.append((epoch, split, loss, float(np.mean(pred.argmax(axis=1) == ds.Y))))
     return A, W, b, history
+
+
+def per_array_fit(layer, head, data, cfg, validation):
+    """fit_A's SGD with one array per parameter: fresh gradient arrays, four
+    update ufuncs for each of A, W and b, a row-major softmax and the label
+    entries picked by fancy indexing; losses on the full splits likewise."""
+    feats = real_design(layer.feature_map.features_many(data.X))
+    val_feats = real_design(layer.feature_map.features_many(validation.X))
+    A = np.ascontiguousarray(np.conjugate(layer.A)).view(float)
+    params = [A] if head is None else [A, head.W.copy(), head.b.copy()]
+    W, b = params[1:] if head is not None else (None, None)
+    velocities = [np.zeros_like(p) for p in params]
+
+    def targets(ds):
+        return ds.Y if cfg.loss == "cross_entropy" or ds.Y.ndim == 2 else ds.Y[:, None]
+
+    def loss_and_grad(pred, Y):
+        n = len(pred)
+        if cfg.loss == "mse":
+            diff = pred - Y
+            return float(np.sum(diff * diff) / n), diff * 2.0 / n
+        probs = pred - pred.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        ll = -np.log(probs[rows, Y] + 1e-300)
+        probs[rows, Y] -= 1.0
+        probs /= n
+        return float(ll.sum() / n), probs
+
+    def evaluate_split(f, ds):
+        pred = f @ A.T if W is None else f @ (W @ A).T + b
+        value = loss_and_grad(pred, targets(ds))[0]
+        if cfg.loss == "mse":
+            return value, math.nan
+        return value, float(np.mean(pred.argmax(axis=1) == ds.Y))
+
+    Y = targets(data)
+    history = []
+    for epoch in range(cfg.epochs + 1):
+        if epoch > 0:
+            order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
+            for start in range(0, data.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                f = feats[idx]
+                hidden = f @ A.T
+                if W is None:
+                    _, dpred = loss_and_grad(hidden, Y[idx])
+                    grads = [dpred.T @ f]
+                else:
+                    _, dpred = loss_and_grad(hidden @ W.T + b, Y[idx])
+                    grads = [W.T @ (dpred.T @ f), dpred.T @ hidden, dpred.sum(axis=0)]
+                if cfg.l2 > 0:
+                    for g, p in zip(grads[:2], params[:2]):
+                        g += (2.0 * cfg.l2) * p
+                for p, v, g in zip(params, velocities, grads):
+                    v *= cfg.momentum
+                    g *= cfg.learning_rate
+                    v -= g
+                    p += v
+        for split, f, ds in (("train", feats, data), ("validation", val_feats, validation)):
+            history.append((epoch, split, *evaluate_split(f, ds)))
+    return A, W, b, history
+
+
+class TestFlatBufferStep:
+    """fit_A's in-place step on one flat buffer reproduces per-array SGD bit for bit."""
+
+    @pytest.mark.parametrize("case", ["relu-ce-k4", "urf-ce-momentum-l2", "relu-mse-headless",
+                                      "relu-ce-k10"])
+    def test_matches_per_array_sgd(self, case):
+        k = 10 if case == "relu-ce-k10" else 3 if case.startswith("urf") else 4
+        full = generate_blobs(n=250, d=5, k=k, separation=6.0, seed=96)
+        train_set, val_set = split_dataset(full, 0.2, seed=97)  # 200 rows: batches 16 * 12 + 8
+        if case.startswith("urf"):
+            scale = float(np.max(np.linalg.norm(train_set.X, axis=1)))
+            train_set = Dataset(X=train_set.X / scale, Y=train_set.Y)
+            val_set = Dataset(X=val_set.X / scale, Y=val_set.Y)
+            fmap = urf_feature_map(Activation("sine"), 5, UrfConfig(m=12, seed=98))
+        else:
+            fmap = relu_feature_map(5, 24, seed=98)
+        loss, l2, momentum = {"relu-ce-k4": ("cross_entropy", 0.0, 0.0),
+                              "urf-ce-momentum-l2": ("cross_entropy", 1e-4, 0.9),
+                              "relu-mse-headless": ("mse", 1e-3, 0.0),
+                              "relu-ce-k10": ("cross_entropy", 0.0, 0.5)}[case]
+        if loss == "mse":
+            train_set, val_set = (Dataset(X=ds.X, Y=np.eye(k)[ds.Y] + 0.1 * np.arange(k))
+                                  for ds in (train_set, val_set))
+            layer, head = make_learnable_layer(fmap, k, seed=99), None
+        else:
+            layer, head = make_learnable_layer(fmap, 8, seed=99), make_head(k, 8, seed=100)
+        assert np.iscomplexobj(layer.A) == case.startswith("urf")
+        cfg = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, loss=loss, seed=101,
+                          l2=l2, momentum=momentum)
+        trained, trained_head, history = fit_A(layer, head, train_set, cfg, validation=val_set)
+        A, W, b, expected = per_array_fit(layer, head, train_set, cfg, val_set)
+        assert np.array_equal(real_design(trained.A.conj()), A)
+        if head is not None:
+            assert np.array_equal(trained_head.W, W) and np.array_equal(trained_head.b, b)
+        assert [row[:2] for row in history] == [row[:2] for row in expected]
+        for got, want in zip(history, expected):
+            assert np.array_equal(got[3], want[3], equal_nan=True)
+            if k < 8:
+                assert got[2] == want[2]
+            else:
+                # the class-major full-split loss sums the k >= 8 exponentials
+                # in another order than numpy's row-wise sum: last bits only
+                assert got[2] == pytest.approx(want[2], rel=1e-15, abs=0)
 
 
 class TestRealCoordinates:
