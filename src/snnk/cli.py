@@ -3,10 +3,12 @@
 Subcommands: estimate, sweep, ft-table, bundle, train.  Everything reads a
 JSON config and writes RFC-4180 CSV; runs are deterministic in the seed.
 An estimate run draws the trials of all its feature counts at once, from
-one derived seed, on one thread; --threads is still accepted but cannot
-change the output bytes.  Exit code 0 means the config was read in full and
-no run failed loudly (non-finite parameters or bundled matrices, a diverging
-loss); accuracy such as ``bundle``'s ``probe_mae`` is reported, not gated.
+one derived seed, on one thread: each instantiation draws as many features
+as the largest count needs, and every count reads a prefix of them.
+--threads is still accepted but cannot change the output bytes.  Exit code
+0 means the config was read in full and no run failed loudly (non-finite
+parameters or bundled matrices, a diverging loss); accuracy such as
+``bundle``'s ``probe_mae`` is reported, not gated.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from .train import (
     split_dataset,
     validation_count,
 )
-from .urf import (ConfigError, FeatureVector, UrfConfig, by_instantiation, kernel_estimate, phi,
-                  psi, sample_draws)
+from .urf import ConfigError, FeatureVector, UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 REL_ERROR_FLOOR = 1e-12
 
@@ -66,14 +67,13 @@ class EstimateConfig:
 
     One (x, w) pair is drawn per run with entries from (1/sqrt(d)) *
     Uniform(0, 1); each trial is a fresh instantiation of the random
-    feature mechanism.  A run draws one flat set from one seed and gives
-    each feature count its own disjoint run of it, regrouped into
-    ``instantiations`` trials (``_urf_run``): n instantiations of counts
-    with m_c features per component hold n * sum(m_c) features per
-    component at once, under twice the largest count's n * m_c for a
-    doubling ladder.  ``feature_counts`` requests total feature lengths;
-    the achieved length (reported in the CSV) is the nearest multiple of
-    the number of active transform components.
+    feature mechanism.  A run draws one flat set of n * max(m_c) features
+    per component from one seed, and each count reads a prefix of every
+    instantiation's run (``_urf_run``): within a count the trials are
+    independent, across counts they share features.  ``feature_counts``
+    requests total feature lengths; the achieved length (reported in the
+    CSV) is the nearest multiple of the number of active transform
+    components, and two counts of one achieved length are refused.
 
     A trial draws its Gaussians in k = min(d, 2) dimensions, in the
     coordinates of an orthonormal basis of span{x, w} (``_span_coords``):
@@ -111,18 +111,30 @@ class EstimateConfig:
             # the relu map draws no frequencies, so it ignores A and block_size;
             # the strategy name is still checked
             UrfConfig(m=1, strategy=self.strategy, block_size=1)
-            return
-        n_active = len(decomposition_for(Activation(self.activation)).active())
-        for p in self.feature_counts:  # each instantiation's sampling config, before any runs
-            try:
-                UrfConfig(m=_per_component(p, n_active), A=self.A,
-                          strategy=self.strategy, block_size=self.block_size)
-            except ConfigError as exc:
-                if exc.key != "block_size":
-                    raise
-                raise ConfigError("block_size", (
-                    f"{exc.problem}, the features per component of feature count {p} "
-                    f"({n_active} components)")) from None
+            n_active, per = 1, ""
+        else:
+            n_active = len(decomposition_for(Activation(self.activation)).active())
+            per = f" per component ({n_active} components)"
+            for p in self.feature_counts:  # each count's sampling config, before any runs
+                try:
+                    UrfConfig(m=_per_component(p, n_active), A=self.A,
+                              strategy=self.strategy, block_size=self.block_size)
+                except ConfigError as exc:
+                    if exc.key != "block_size":
+                        raise
+                    raise ConfigError("block_size", (
+                        f"{exc.problem}, the features per component of feature count {p} "
+                        f"({n_active} components)")) from None
+        # every count reads a prefix of the same features (_urf_run), so a
+        # repeated count would only repeat another's rows
+        seen = {}
+        for p in self.feature_counts:
+            m = _per_component(p, n_active)
+            if m in seen:
+                raise ConfigError("feature_counts", (
+                    f"{seen[m]} and {p} both give {m} features{per}, so they would read "
+                    f"the same features; give distinct counts"))
+            seen[m] = p
 
 
 @dataclass(frozen=True)
@@ -152,18 +164,20 @@ def _span_coords(x, w):
 
 def _urf_run(cfg, dec, xk, wk, ms):
     """The (instantiations,) estimates of each feature count, m_c = ``ms[c]``
-    features per component, from one flat draw set of T = n * sum(ms)
-    features per component in the k dimensions of ``_span_coords``.
+    features per component, from one flat draw set of T = n * M features
+    per component, M = max(ms), in the k dimensions of ``_span_coords``.
 
-    Count c owns the run [n*off_c, n*(off_c + m_c)) of each component, with
-    off_c = sum(ms[:c]); ``by_instantiation`` regroups it into n instantiations
-    of m_c, as ``UrfDraws.split`` does; under the block strategy ``EstimateConfig``
-    has checked that the block size divides every m_c, so no block spans two
-    trials.  The towers of the flat set carry 1/sqrt(T) each, so each
-    count's products are rescaled by T / m_c.
+    Instantiation t owns the run [t*M, (t+1)*M) of each component, and count
+    c reads the first m_c entries of every run: the first m_c of M iid
+    features are an iid m_c-feature set, so each count's estimates keep
+    their law, while the counts share features.  Under the block strategy
+    ``EstimateConfig`` has checked that the block size divides every m_c,
+    so no block spans two trials or the end of a prefix.  The towers of the
+    flat set carry 1/sqrt(T) each, so each count's products are rescaled by
+    T / m_c.
     """
     n, k, C = cfg.instantiations, len(xk), len(dec.active())
-    T = n * sum(ms)
+    T = n * max(ms)
     seed = derive_seed(cfg.seed, 401)
     draws = sample_draws(dec, k, UrfConfig(m=T, A=cfg.A, strategy=cfg.strategy,
                                            block_size=cfg.block_size, seed=seed))
@@ -173,29 +187,29 @@ def _urf_run(cfg, dec, xk, wk, ms):
         # the prefactor and A|g_i|^2, once per tower
         chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.xi.shape)
         px = px * np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
-    runs = px.reshape(C, T), psi(wk, cfg.bias, draws).entries.reshape(C, T)
-    estimates, start = [], 0
-    for m in ms:
-        px_c, pw_c = (FeatureVector(by_instantiation(a[:, start:start + n * m], n)) for a in runs)
+    runs = px.reshape(C, n, -1), psi(wk, cfg.bias, draws).entries.reshape(C, n, -1)
+    estimates = []
+    for m in ms:  # (n, C * m): each instantiation's prefixes, components in order
+        px_c, pw_c = (FeatureVector(a[:, :, :m].swapaxes(0, 1).reshape(n, -1)) for a in runs)
         estimates.append(kernel_estimate(px_c, pw_c) * (T / m))
-        start += n * m
     return estimates
 
 
 def _arccos_run(cfg, xk, wk, ps):
     """The relu-feature estimates of each feature count p = ``ps[c]``; like
-    ``_urf_run``, one (instantiations, sum(ps), k) Gaussian stack drawn in
-    span{x, w}, of which count c takes the columns off_c to off_c + p - 1."""
+    ``_urf_run``, one (instantiations, max(ps), k) Gaussian stack drawn in
+    span{x, w}, of which count c reads the first p columns."""
     rng = rng_for(derive_seed(cfg.seed, 402), 0, 0, MISC_STREAM)
-    G = rng.standard_normal((cfg.instantiations, sum(ps), len(xk)))
-    offsets = np.cumsum((0,) + tuple(ps))
-    return [np.sum(relu_snnk_features(xk, G[:, a:b]) * relu_snnk_features(wk, G[:, a:b]),
-                   axis=-1) for a, b in zip(offsets[:-1], offsets[1:])]
+    G = rng.standard_normal((cfg.instantiations, max(ps), len(xk)))
+    return [np.sum(relu_snnk_features(xk, G[:, :p]) * relu_snnk_features(wk, G[:, :p]), axis=-1)
+            for p in ps]
 
 
 def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     """The pointwise benchmark: relative estimation error vs feature count.
-    ``threads`` is ignored: the run draws once, on one thread."""
+    ``threads`` is ignored: the run draws once, on one thread, as many
+    features per instantiation as the largest count needs, and each count's
+    trials read a prefix of every instantiation's features."""
     x, w = _draw_inputs(cfg)
     xk, wk = _span_coords(x, w)
     if cfg.activation == "arccos":

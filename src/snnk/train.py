@@ -210,9 +210,10 @@ def _targets(data: Dataset, loss: str, k: int) -> np.ndarray:
     return data.Y if data.Y.ndim == 2 else data.Y[:, None]
 
 
-def _loss_and_grad(Z, T, loss):
+def _loss(Z, T, loss) -> float:
     """Mean loss of the predictions ``Z`` (k, n), one column per sample,
-    against the targets ``T`` of its shape, and d(loss)/d(Z) written over Z.
+    against the targets ``T`` of its shape; Z is overwritten by the
+    residual Z - T (mse) or the softmax (cross-entropy).
 
     Cross-entropy takes one-hot targets: the softmax's log-likelihood is
     ``(softmax * T)`` summed down each column and its gradient is
@@ -223,29 +224,35 @@ def _loss_and_grad(Z, T, loss):
     column-wise passes are faster over few classes and give the same bits
     for k < 8.
     """
-    n = Z.shape[1]
     if loss == "mse":
         Z -= T
-        value = float(np.sum(Z * Z) / n)
+        return float(np.sum(Z * Z) / Z.shape[1])
+    Z -= Z.max(axis=0)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=0)
+    return float(-np.log((Z * T).sum(axis=0) + 1e-300).sum() / Z.shape[1])
+
+
+def _loss_and_grad(Z, T, loss):
+    """``_loss`` of ``Z`` and d(loss)/d(Z) written over Z."""
+    value = _loss(Z, T, loss)
+    if loss == "mse":
         Z *= 2.0
     else:
-        Z -= Z.max(axis=0)
-        np.exp(Z, out=Z)
-        Z /= Z.sum(axis=0)
-        value = float(-np.log((Z * T).sum(axis=0) + 1e-300).sum() / n)
         Z -= T
-    Z /= n
+    Z /= Z.shape[1]
     return value, Z
 
 
-def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
+def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None, targets=None):
     """(loss, accuracy) on the full split; accuracy is NaN for mse.
 
     ``feats`` is ``layer.feature_map.features_many(data.X)`` or its real
-    design ``real_design(...)`` (the same array for real features), computed
-    here when not given.  The head is folded into the layer's weights first,
-    so the pass over the design yields the k outputs directly; the
-    cross-entropy runs on their class-major copy.
+    design ``real_design(...)`` (the same array for real features), and
+    ``targets`` is ``_targets(data, loss, k)``; each is computed here when
+    not given.  The head is folded into the layer's weights first, so the
+    pass over the design yields the k outputs directly; the cross-entropy
+    runs on their class-major copy.
     """
     if feats is None:
         feats = layer.feature_map.features_many(data.X)
@@ -255,10 +262,11 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None):
         pred = feats @ A.T
     else:
         pred = feats @ (head.W @ A).T + head.b
-    T = _targets(data, loss, pred.shape[1]).T
+    if targets is None:
+        targets = _targets(data, loss, pred.shape[1])
     if loss == "mse":
-        return _loss_and_grad(pred.T, T, loss)[0], float("nan")
-    value, _ = _loss_and_grad(np.ascontiguousarray(pred.T), T, loss)
+        return _loss(pred.T, targets.T, loss), float("nan")
+    value = _loss(np.ascontiguousarray(pred.T), targets.T, loss)
     return value, float(np.mean(pred.argmax(axis=1) == data.Y))
 
 
@@ -306,10 +314,10 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     design ``real_design(Phi)``, a view, and a complex A trains as the
     interleaved ``conj(A).view(float)``.  The training design and target
     rows (one-hot for cross-entropy) are sliced for every SGD batch, and
-    both designs are reused for every epoch's full-split loss.  The stacked
-    A, W and b are views of one flat buffer, and so are the gradients
-    ``_grads`` writes, so one momentum update steps every parameter.
-    History rows are (epoch, split, loss, accuracy),
+    both splits' designs and target rows are reused for every epoch's
+    full-split loss.  The stacked A, W and b are views of one flat buffer,
+    and so are the gradients ``_grads`` writes, so one momentum update
+    steps every parameter.  History rows are (epoch, split, loss, accuracy),
     evaluated before training and after each epoch.  Raises
     DivergenceDetected if the training loss is non-finite, the initial one
     included, or passes 10x its starting value; a non-finite mini-batch loss
@@ -321,7 +329,9 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         raise ValueError("batch_size exceeds dataset size")
     if cfg.loss == "cross_entropy" and head is None:
         raise ValueError("cross-entropy training expects a classification head")
-    Y = _targets(data, cfg.loss, layer.out_dim if head is None else len(head.b))
+    k = layer.out_dim if head is None else len(head.b)
+    Y = _targets(data, cfg.loss, k)
+    val_Y = _targets(validation, cfg.loss, k) if validation is not None else None
 
     feats = real_design(layer.feature_map.features_many(data.X))
     val_feats = (
@@ -365,12 +375,13 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         if not np.all(np.isfinite(A)):
             raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
         lay, hd = snapshot()
-        loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats)
+        loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats, targets=Y)
         history.append((epoch, "train", loss_value, acc))
         if epoch == 0:
             initial_loss = loss_value
         if validation is not None:
-            vloss, vacc = evaluate(lay, hd, validation, cfg.loss, feats=val_feats)
+            vloss, vacc = evaluate(lay, hd, validation, cfg.loss, feats=val_feats,
+                                   targets=val_Y)
             history.append((epoch, "validation", vloss, vacc))
         if not math.isfinite(loss_value) or loss_value > 10.0 * max(initial_loss, 1e-30):
             raise DivergenceDetected(

@@ -219,9 +219,9 @@ def test_criterion_07_gradient_checks(monkeypatch):
     ce_err = grad_check(layer, head, ce_batch, "cross_entropy")
     assert mse_err <= 1e-4 and ce_err <= 1e-4
     # every real coordinate of the complex A is differentiated: the Re A and
-    # -Im A halves of the stacked 3 x 24 weights, 72 entries
+    # -Im A entries of the interleaved stacked 3 x 24 weights, 72 entries
     assert layer.A.shape == (3, 12) and np.iscomplexobj(layer.A)
-    stacked = np.concatenate((layer.A.real, -layer.A.imag), axis=1)
+    stacked = np.conjugate(layer.A).view(float)
     bumped = np.zeros(stacked.shape, dtype=bool)
     objective = train._grads
 
@@ -230,6 +230,8 @@ def test_criterion_07_gradient_checks(monkeypatch):
         return objective(feats, A, *args)
 
     monkeypatch.setattr(train, "_grads", recording)
+    grad_check(layer, head, mse_batch, "mse", max_entries=0)
+    assert not bumped.any()  # the analytic gradient alone reads the weights as they are
     grad_check(layer, head, mse_batch, "mse")
     assert bumped.all()
     report(7, "gradient checks", f"mse={mse_err:.1e} ce={ce_err:.1e}")

@@ -25,7 +25,6 @@ from snnk.layers import relu_snnk_features
 from snnk.urf import (
     FeatureVector,
     UrfConfig,
-    UrfDraws,
     kernel_estimate,
     phi,
     psi,
@@ -148,8 +147,20 @@ class TestEstimateCommand:
          "feature_counts: must be a nonempty list of counts >= 1, got [8, 0]"),
         ({"instantiations": 1}, "instantiations: must be >= 2, got 1"),
         ({"l": 2}, "l: pointwise estimation is defined for l = 1, got 2"),
+        # every count reads a prefix of the same features, so two counts of one
+        # per-component count would repeat rows; over two components 8 and 9 both give 4
+        ({"feature_counts": [8, 9]},
+         "feature_counts: 8 and 9 both give 4 features per component (2 components), so "
+         "they would read the same features; give distinct counts"),
+        ({"activation": "tanh", "feature_counts": [64, 8, 64]},
+         "feature_counts: 64 and 64 both give 32 features per component (2 components), so "
+         "they would read the same features; give distinct counts"),
+        ({"activation": "arccos", "feature_counts": [8, 16, 8]},
+         "feature_counts: 8 and 8 both give 8 features, so they would read the same "
+         "features; give distinct counts"),
     ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy", "no-counts",
-            "arccos-no-counts", "zero-count", "instantiations", "l"])
+            "arccos-no-counts", "zero-count", "instantiations", "l", "repeated-sine",
+            "repeated-tanh", "repeated-arccos"])
     def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     change, message):
         def no_trial(*args):
@@ -250,7 +261,7 @@ class TestEstimateCommand:
 # Each law-equivalence case compares KS_N trial estimates of run_pointwise, whose
 # Gaussians live in span{x, w}, with KS_N estimates of the estimator that draws
 # all d coordinates, by a two-sample KS test at level KS_ALPHA.  For a random
-# seed a correct sampler fails one case with odds 1e-3, and any of the eight
+# seed a correct sampler fails one case with odds 1e-3, and any of the nine
 # cases with odds under 1%; the seeds here are fixed.
 KS_N = 2000
 KS_ALPHA = 1e-3
@@ -311,24 +322,32 @@ class TestSpanSampling:
         assert span.shape == (KS_N,)
         assert ks_2samp(span, direct_estimates(cfg, x, w, 34)).pvalue > KS_ALPHA
 
+    def test_smaller_count_of_a_ladder(self):
+        # the 8-feature trials read a prefix of the 32-feature ones
+        cfg = replace(ks_config("tanh", 16, -0.5), feature_counts=(8, 32))
+        x, w = cli._draw_inputs(cfg)
+        smaller = span_estimates(cfg)[:KS_N]
+        assert ks_2samp(smaller, direct_estimates(cfg, x, w, 36)).pvalue > KS_ALPHA
+
     def test_arccos_trial(self):
         cfg = ks_config("arccos", 16)
         x, w = cli._draw_inputs(cfg)
         assert ks_2samp(span_estimates(cfg), direct_estimates(cfg, x, w, 35)).pvalue > KS_ALPHA
 
 
-def run_indices(n, C, ms, c):
-    """Entries of a flat set of T = n * sum(ms) features per component that
-    feature count c owns, as an (n, C * ms[c]) array: instantiation t takes
-    entries t*m to (t+1)*m - 1 of each component's run of n*m."""
-    T, m, off = n * sum(ms), ms[c], n * sum(ms[:c])
-    return np.array([[j * T + off + t * m + i for j in range(C) for i in range(m)]
+def prefix_indices(n, C, M, m):
+    """Entries of a flat set of T = n * M features per component that a count
+    of m features per component reads, as an (n, C * m) array: instantiation t
+    takes the first m of entries t*M to (t+1)*M - 1 of each component's run."""
+    T = n * M
+    return np.array([[j * T + t * M + i for j in range(C) for i in range(m)]
                      for t in range(n)])
 
 
 class TestPerCountDraws:
-    """Each feature count's trials are its own run of the one flat draw set
-    of an estimate run."""
+    """Each instantiation owns a run of max(m_c) features per component of
+    the one flat draw set of an estimate run, and every feature count reads
+    the prefix of m_c of each run."""
 
     @pytest.fixture
     def drawn(self, monkeypatch):
@@ -348,10 +367,10 @@ class TestPerCountDraws:
         ("tanh", 16, 0.0, "block", 2),
         ("sigmoid", 2, -0.1, "iid", 0),  # k = d: no chi^2 factor
     ])
-    def test_trials_are_rows_of_one_batched_computation(self, activation, d, A, strategy,
-                                                        block_size):
+    def test_trials_are_rows_of_one_batched_computation(self, drawn, activation, d, A,
+                                                        strategy, block_size):
         n = 5
-        cfg = EstimateConfig(activation=activation, d=d, feature_counts=(24, 12, 24),
+        cfg = EstimateConfig(activation=activation, d=d, feature_counts=(24, 12, 36),
                              instantiations=n, A=A, strategy=strategy,
                              block_size=block_size, seed=9)
         x, w = cli._draw_inputs(cfg)
@@ -359,7 +378,8 @@ class TestPerCountDraws:
         dec = decomposition_for(Activation(activation))
         C = len(dec.active())
         ms = [cli._per_component(p, C) for p in cfg.feature_counts]
-        T = n * sum(ms)
+        M = max(ms)
+        T = n * M
         seed = derive_seed(cfg.seed, 401)
         draws = sample_draws(dec, len(xk), UrfConfig(m=T, A=A, strategy=strategy,
                                                      block_size=block_size, seed=seed))
@@ -369,37 +389,36 @@ class TestPerCountDraws:
             px = px * np.exp(0.5 * (d - len(xk)) * math.log1p(-4.0 * A) + 2.0 * A * chi2)
         pw = psi(wk, cfg.bias, draws).entries
         rows = run_pointwise(cfg).rows
-        owned = []
+        # the run draws one set of n * max(m_c) features per component, this one
+        assert len(drawn) == 1 and drawn[0].config == draws.config
+        assert np.array_equal(drawn[0].G, draws.G)
+        split = draws.split(n)
+        full = prefix_indices(n, C, M, M)
+        # the instantiations' runs tile the set: no entry is owned twice or left out
+        assert sorted(full.ravel()) == list(range(C * T))
         for c, m in enumerate(ms):
-            idx = run_indices(n, C, ms, c)
-            owned.extend(idx.ravel())
-            # the regrouping is the one split makes of the count's run as a flat set
-            run = np.sort(idx.ravel())
-            split = UrfDraws(dim=draws.dim, config=replace(draws.config, m=n * m),
-                             axes=draws.axes, xi=draws.xi[run], G=draws.G[run],
-                             ratio=draws.ratio[run]).split(n)
-            assert np.array_equal(split.G, draws.G[idx])
+            idx = prefix_indices(n, C, M, m)
+            # the prefix of each instantiation of the split set, and of no other
+            assert np.array_equal(split.G[:, np.arange(C * M) % M < m], draws.G[idx])
             want = kernel_estimate(FeatureVector(px[idx]), FeatureVector(pw[idx])) * (T / m)
             got = rows[c * n:(c + 1) * n]
             assert [row[2] for row in got] == [m * C] * n
             assert [row[3] for row in got] == list(range(n))
             assert [row[4] for row in got] == want.tolist()
             assert all(type(row[4]) is float and type(row[6]) is float for row in got)
-        # the counts' runs tile the flat set: no entry is owned twice or left out
-        assert sorted(owned) == list(range(C * T))
 
     def test_arccos_trials_are_rows_of_one_gaussian_stack(self):
-        n, ps = 5, (32, 8, 32)
+        n, ps = 5, (32, 8, 24)
         cfg = EstimateConfig(activation="arccos", d=16, feature_counts=ps,
                              instantiations=n, seed=9)
         x, w = cli._draw_inputs(cfg)
         xk, wk = cli._span_coords(x, w)
         rows = run_pointwise(cfg).rows
+        # one (n, max p, k) stack; count p reads the first p Gaussians of each trial
         G = rng_for(derive_seed(cfg.seed, 402), 0, 0, MISC_STREAM).standard_normal(
-            (n, sum(ps), 2))
-        off = 0
+            (n, max(ps), 2))
         for c, p in enumerate(ps):
-            Gc = G[:, off:off + p]
+            Gc = G[:, :p]
             batched = np.sum(relu_snnk_features(xk, Gc) * relu_snnk_features(wk, Gc), axis=-1)
             per_trial = [float(np.sum(np.maximum(0.0, Gc[t] @ xk) * np.maximum(0.0, Gc[t] @ wk))
                                / p) for t in range(n)]
@@ -407,19 +426,18 @@ class TestPerCountDraws:
             assert got == batched.tolist()
             np.testing.assert_allclose(got, per_trial, rtol=1e-14, atol=0)
             assert all(type(e) is float for e in got)
-            off += p
 
     @pytest.mark.parametrize("activation", ["sine", "sigmoid"])
     def test_one_draw_per_run_and_no_shared_gaussian_rows(self, drawn, activation):
-        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(6, 24, 96, 24),
+        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(6, 24, 96, 48),
                              instantiations=7, seed=3)
         run_pointwise(cfg)
         assert len(drawn) == 1
         draws, = drawn
         C = len(draws.axes)
         ms = [cli._per_component(p, C) for p in cfg.feature_counts]
-        assert draws.config.m == cfg.instantiations * sum(ms)
-        # every trial of every count reads its own run of these rows
+        assert draws.config.m == cfg.instantiations * max(ms)
+        # no two Gaussian rows are equal, so no two instantiations share one
         rows = draws.G.reshape(-1, draws.dim)
         assert len(np.unique(rows, axis=0)) == len(rows) == C * draws.config.m
 
@@ -428,14 +446,6 @@ class TestPerCountDraws:
                               seed=3)
         run_sweep("A", [0.0, -0.1, -0.5], base)
         assert [draws.config.A for draws in drawn] == [0.0, -0.1, -0.5]
-
-    @pytest.mark.parametrize("activation", ["sine", "tanh", "arccos"])
-    def test_repeated_count_draws_fresh_trials(self, activation):
-        n = 6
-        rows = run_pointwise(EstimateConfig(activation=activation, d=16, feature_counts=(8, 8),
-                                            instantiations=n, seed=5)).rows
-        first, second = [row[4] for row in rows[:n]], [row[4] for row in rows[n:]]
-        assert len(set(first) | set(second)) == 2 * n
 
 
 class TestSweepCommand:
