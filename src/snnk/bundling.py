@@ -9,7 +9,8 @@ acting on the chained embedding
 
 Each stage Phi_k is the ``UrfDraws`` draw set sampled for the layer it
 replaced.  ``chain_features`` computes x_bar for a ``(..., d)`` stack of
-inputs, for both ``network_forward`` and ``bundled_forward``.  Intermediate
+inputs; ``network_forward`` and ``bundled_forward`` then apply each matrix
+to the whole stack in one product.  Intermediate
 embeddings are complex; subsequent Phi maps accept them through the bilinear
 extension of the feature map, and the real part is taken only where an
 estimate feeds an exact layer (or at the output).
@@ -191,10 +192,10 @@ def bundle_full(net: LayeredNetwork, cfg: UrfConfig) -> BundledNetwork:
 
 
 def bundled_forward(X: np.ndarray, bn: BundledNetwork) -> np.ndarray:
-    """The embedding chain of each row of ``X`` (..., d), then one W_bar
-    matrix-vector product per row (as in ``ffl_forward``); Re at the end."""
+    """The embedding chain of each row of ``X`` (..., d), then one matrix
+    product ``Z @ W_bar.T`` (as in ``ffl_forward``); Re at the end."""
     Z = chain_features(X, bn.stages)
-    return (bn.W_bar @ Z[..., None])[..., 0].real
+    return (Z @ bn.W_bar.T).real
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,8 @@ class EstimateConfig:
     seed: int = 1
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError("d", f"must be >= 1, got {self.d}")
         if not math.isfinite(self.bias):
             raise ConfigError("bias", f"must be finite, got {self.bias}")
         if not self.feature_counts or min(self.feature_counts) < 1:

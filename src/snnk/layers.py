@@ -68,10 +68,10 @@ class FflSpec:
 
 
 def ffl_forward(X: np.ndarray, spec: FflSpec) -> np.ndarray:
-    """f(Re(W x) + b) for each row x of ``X`` (..., d), evaluated exactly; one
-    matrix-vector product per row, so a row of a stack has its bits alone."""
+    """f(Re(W x) + b) for each row x of ``X`` (..., d), evaluated exactly as
+    one matrix product ``X @ W.T``."""
     X = input_rows(X, spec.in_dim)
-    return spec.activation(((spec.W @ X[..., None])[..., 0] + spec.b).real)
+    return spec.activation((X @ spec.W.T + spec.b).real)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,7 @@ class ReluFeatureMap:
         return self.features_many(v)
 
     def features_many(self, X) -> np.ndarray:
-        X = input_rows(X, self.in_dim)
-        return np.maximum(0.0, X @ self.G.T / math.sqrt(self.total_features))
+        return relu_snnk_features(X, self.G)
 
 
 def urf_feature_map(activation: Activation, dim: int, cfg: UrfConfig) -> UrfFeatureMap:
@@ -132,13 +131,12 @@ def relu_feature_map(dim: int, n_features: int, seed: int) -> ReluFeatureMap:
 
 
 def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """max(0, G v / sqrt(l')) for v or each row of a (..., d) stack, with G
-    (l', d) or a stack (..., l', d) of such matrices; the same map serves
-    inputs and weights.  G v is one matrix-vector product per row, so a row
-    of a stack is bit-identical to that row alone."""
+    """max(0, G v / sqrt(l')) for v or each row of a (..., d) stack, as one
+    matrix product ``v @ G.T``; the same map serves inputs and weights.  G is
+    (l', d), or a stack (..., l', d) of such matrices against a 1-D v."""
     G = np.asarray(G, dtype=float)
     v = input_rows(np.asarray(v, dtype=float), G.shape[-1])
-    return np.maximum(0.0, (G @ v[..., None])[..., 0] / math.sqrt(G.shape[-2]))
+    return np.maximum(0.0, v @ np.swapaxes(G, -1, -2) / math.sqrt(G.shape[-2]))
 
 
 # ---------------------------------------------------------------------------

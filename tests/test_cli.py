@@ -147,6 +147,8 @@ class TestEstimateCommand:
          "feature_counts: must be a nonempty list of counts >= 1, got [8, 0]"),
         ({"instantiations": 1}, "instantiations: must be >= 2, got 1"),
         ({"l": 2}, "l: pointwise estimation is defined for l = 1, got 2"),
+        ({"d": 0}, "d: must be >= 1, got 0"),
+        ({"d": -1}, "d: must be >= 1, got -1"),
         # every count reads a prefix of the same features, so two counts of one
         # per-component count would repeat rows; over two components 8 and 9 both give 4
         ({"feature_counts": [8, 9]},
@@ -159,7 +161,8 @@ class TestEstimateCommand:
          "feature_counts: 8 and 8 both give 8 features, so they would read the same "
          "features; give distinct counts"),
     ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy", "no-counts",
-            "arccos-no-counts", "zero-count", "instantiations", "l", "repeated-sine",
+            "arccos-no-counts", "zero-count", "instantiations", "l", "zero-d", "negative-d",
+            "repeated-sine",
             "repeated-tanh", "repeated-arccos"])
     def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     change, message):
@@ -552,8 +555,10 @@ class TestSweepCommand:
          "values: expected at least one value, got []"),
         ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, feature_counts=[])},
          "base.feature_counts: must be a nonempty list of counts >= 1, got []"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, d=0)},
+         "base.d: must be >= 1, got 0"),
     ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A",
-            "axis", "no-values", "base-feature_counts"])
+            "axis", "no-values", "base-feature_counts", "base-d"])
     def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         def no_run(cfg):

@@ -35,7 +35,8 @@ from snnk.urf import UrfConfig, kernel_estimate, phi, psi, sample_draws
 
 # a row of a batch against the same row alone (or against the single-pair
 # kernel estimate): the two sum the same terms in different orders, so the
-# gap is bounded relative to sum_j |A_ij phi_j(x)|
+# gap is bounded relative to the summed term magnitudes, sum_j |A_ij phi_j(x)|
+# for a feature-weight layer
 ROW_TOL = 1e-13
 
 
@@ -88,8 +89,13 @@ class TestFflForward:
                        activation=Activation("tanh"))
         X = rng.uniform(-1.0, 1.0, (20, 64))
         rows = np.array([ffl_forward(x, spec) for x in X])
-        assert np.array_equal(ffl_forward(X, spec), rows)
-        assert np.array_equal(ffl_forward(X.reshape(2, 10, 64), spec), rows.reshape(2, 10, 256))
+        for x, row in zip(X, rows):
+            assert np.array_equal(row, ffl_forward(x[None], spec)[0])
+        # tanh is 1-Lipschitz: a row's gap is bounded by its pre-activation's
+        terms = np.abs(X) @ np.abs(spec.W).T + np.abs(spec.b)
+        assert np.all(np.abs(ffl_forward(X, spec) - rows) <= ROW_TOL * terms)
+        stacked = ffl_forward(X.reshape(2, 10, 64), spec).reshape(20, 256)
+        assert np.all(np.abs(stacked - rows) <= ROW_TOL * terms)
 
     def test_complex_weights_take_real_part(self):
         rng = rng_for(5, 0, 0, MISC_STREAM)
@@ -286,9 +292,12 @@ class TestReluFeatures:
         V = rng_for(9, 0, 0, MISC_STREAM).standard_normal((2, 7, 5))
         out = relu_snnk_features(V, G)
         assert out.shape == (2, 7, 32)
-        for i in range(2):
-            for j in range(7):
-                assert np.array_equal(out[i, j], relu_snnk_features(V[i, j], G))
+        rows = np.array([relu_snnk_features(v, G) for v in V.reshape(14, 5)])
+        for v, row in zip(V.reshape(14, 5), rows):
+            assert np.array_equal(row, relu_snnk_features(v[None], G)[0])
+        # max(0, .) is 1-Lipschitz: a row's gap is bounded by its projection's
+        terms = np.abs(V.reshape(14, 5)) @ np.abs(G).T / math.sqrt(32)
+        assert np.all(np.abs(out.reshape(14, 32) - rows) <= ROW_TOL * terms)
         assert relu_feature_map(5, 32, seed=4).features(V).shape == (2, 7, 32)
         with pytest.raises(ShapeMismatch):
             relu_snnk_features(np.zeros((3, 4)), G)

@@ -42,6 +42,19 @@ def zeroed_g(draws):
     return dataclasses.replace(draws, G=np.zeros_like(draws.G))
 
 
+# a row of a batch against the same row alone: g.z is one matrix product for
+# the batch and one matrix-vector product alone, which sum the same terms in
+# different orders; the exponent's gap is bounded relative to
+# |coef_i| sum_k |g_ik z_k|, and exp carries it into the entry relative to
+# the entry's magnitude
+ROW_TOL = 1e-13
+
+
+def assert_rows_near_singles(many, singles, Z, draws, coef):
+    terms = np.abs(coef) * (np.abs(Z) @ np.abs(draws.G).T)
+    assert np.all(np.abs(many - singles) <= ROW_TOL * np.abs(singles) * terms)
+
+
 # sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config, n)
 PINNED_DRAWS = [
     ("sine-iid", "sine", UrfConfig(m=4, seed=11), None),
@@ -320,8 +333,9 @@ class TestFeatureMaps:
         for call in (phi, phi_many):
             with pytest.raises(ShapeMismatch, match=re.escape(f"expected input of dim 3, got {x.shape}")):
                 call(x, draws)
-        with pytest.raises(ShapeMismatch, match="expected weights of dim 3"):
-            psi(x, 0.0, draws)
+        for call in (psi, psi_many):
+            with pytest.raises(ShapeMismatch, match=re.escape(f"expected weights of dim 3, got {x.shape}")):
+                call(x, 0.0, draws)
 
     def test_psi_at_zero_with_zero_g(self):
         dec = decomposition_for(Activation("sine"))
@@ -354,9 +368,11 @@ class TestFeatureMaps:
             UrfConfig(m=8, A=-0.1, seed=9),
         )
         for W, b, draws in ((W, b, draws), (absorbed.W, absorbed.b, stage)):
-            mat = psi_many(W, b, draws)
-            for i in range(len(b)):
-                assert np.array_equal(mat[i], psi(W[i], b[i], draws).entries)
+            singles = np.array([psi(w, bi, draws).entries for w, bi in zip(W, b)])
+            for w, bi, single in zip(W, b, singles):
+                assert np.array_equal(single, psi_many(w[None], bi[None], draws)[0])
+            assert_rows_near_singles(psi_many(W, b, draws), singles, W, draws,
+                                     draws.terms.param.coef)
 
     def test_phi_many_matches_phi_rows(self):
         dec = decomposition_for(Activation("sine"))
@@ -369,9 +385,11 @@ class TestFeatureMaps:
         Z = phi_many(X5, bn.stages[0])
         assert np.iscomplexobj(Z)
         for X, draws in ((X, draws), (Z, bn.stages[1])):
-            many = phi_many(X, draws)
-            for i in range(len(X)):
-                assert np.array_equal(many[i], phi(X[i], draws).entries)
+            singles = np.array([phi(x, draws).entries for x in X])
+            for x, single in zip(X, singles):
+                assert np.array_equal(single, phi_many(x[None], draws)[0])
+            assert_rows_near_singles(phi_many(X, draws), singles, X, draws,
+                                     draws.terms.input.coef)
 
 
 def split_project(g, z):
