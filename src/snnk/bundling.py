@@ -80,7 +80,8 @@ class LayeredNetwork:
 def network(dims: Sequence[int], activations: Sequence[Activation], weights=None,
             biases=None, seed: int = 0, init_std: float = 1.0) -> LayeredNetwork:
     """Build a plain network; random Gaussian init unless weights and biases
-    are given, one entry per layer each."""
+    are given, one entry per layer each, of shapes (dims[i+1], dims[i]) and
+    (dims[i+1],)."""
     n_layers = len(dims) - 1
     for i, dim in enumerate(dims):
         if dim < 1:
@@ -98,6 +99,10 @@ def network(dims: Sequence[int], activations: Sequence[Activation], weights=None
         if weights is not None:
             W = np.asarray(weights[i], dtype=float)
             b = np.asarray(biases[i], dtype=float)
+            for key, got, want in (("weights", W, (dims[i + 1], dims[i])),
+                                   ("biases", b, (dims[i + 1],))):
+                if got.shape != want:
+                    raise ShapeMismatch(f"{key}[{i}]: expected shape {want}, got {got.shape}")
         else:
             rng = rng_for(seed, 900 + i, 0, MISC_STREAM)
             W = init_std / math.sqrt(dims[i]) * rng.standard_normal((dims[i + 1], dims[i]))

@@ -170,15 +170,14 @@ def _urf_run(cfg, dec, xk, wk, ms):
     per component, M = max(ms), in the k dimensions of ``_span_coords``.
 
     Instantiation t owns the run [t*M, (t+1)*M) of each component, and count
-    c reads the first m_c entries of every run: the first m_c of M iid
-    features are an iid m_c-feature set, so each count's estimates keep
-    their law, while the counts share features.  Under the block strategy
-    ``EstimateConfig`` has checked that the block size divides every m_c,
-    so no block spans two trials or the end of a prefix.  The towers of the
-    flat set carry 1/sqrt(T) each, so each count's products are rescaled by
-    T / m_c.
+    c reads the first m_c entries of every run (``UrfDraws.instantiations``),
+    so each count's estimates keep their law, while the counts share
+    features.  Under the block strategy ``EstimateConfig`` has checked that
+    the block size divides every m_c, so no block spans two trials or the
+    end of a prefix.  The towers of the flat set carry 1/sqrt(T) each, so
+    each count's products are rescaled by T / m_c.
     """
-    n, k, C = cfg.instantiations, len(xk), len(dec.active())
+    n, k = cfg.instantiations, len(xk)
     T = n * max(ms)
     seed = derive_seed(cfg.seed, 401)
     draws = sample_draws(dec, k, UrfConfig(m=T, A=cfg.A, strategy=cfg.strategy,
@@ -189,10 +188,10 @@ def _urf_run(cfg, dec, xk, wk, ms):
         # the prefactor and A|g_i|^2, once per tower
         chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.xi.shape)
         px = px * np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
-    runs = px.reshape(C, n, -1), psi(wk, cfg.bias, draws).entries.reshape(C, n, -1)
+    pw = psi(wk, cfg.bias, draws).entries
     estimates = []
-    for m in ms:  # (n, C * m): each instantiation's prefixes, components in order
-        px_c, pw_c = (FeatureVector(a[:, :, :m].swapaxes(0, 1).reshape(n, -1)) for a in runs)
+    for m in ms:
+        px_c, pw_c = (FeatureVector(draws.instantiations(a, n, m)) for a in (px, pw))
         estimates.append(kernel_estimate(px_c, pw_c) * (T / m))
     return estimates
 

@@ -32,21 +32,19 @@ exponentiates in place in one array, adding A|g_i|^2 only when A != 0.  A
 complex row z (a bundled stage input, an absorbed weight row) goes through
 the real G as the pair [Re z, Im z].
 
-There is one sampling scheme: ``sample_draws(decomp, dim, cfg, n=None)``
-reads each component's frequencies and Gaussians off its own (seed, axis,
-XI/G) streams into its rows of the fused arrays.  The proposal follows the
-component type: atoms are drawn exactly (ratio 1), and a tabulated density
-piecewise-uniformly over its tabulation cells.  With ``n`` given, it draws
-one flat set of n*m features per component and ``UrfDraws.split`` regroups
-it, so every array carries a leading (n,) axis of instantiations; the towers
-and ``kernel_estimate_complex`` then return one row per instantiation, each
-equal to the single-set path over that instantiation's slice of the draws.
+There is one sampling scheme: ``sample_draws(decomp, dim, cfg)`` reads each
+component's frequencies and Gaussians off its own (seed, axis, XI/G) streams
+into its rows of the fused arrays.  The proposal follows the component type:
+atoms are drawn exactly (ratio 1), and a tabulated density piecewise-uniformly
+over its tabulation cells.  A draw set has one shape: n independent
+instantiations of m features per component are one set of n*m, whose feature
+entries ``UrfDraws.instantiations`` regroups into one row per instantiation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -113,9 +111,9 @@ class AxisDraws:
 
     axis: str
     c: complex  # signed component mass
-    xi: np.ndarray  # (..., m)
-    g: np.ndarray  # (..., m, dim)
-    ratio: np.ndarray  # (..., m), p_j(xi)/proposal(xi), >= 0
+    xi: np.ndarray  # (m,)
+    g: np.ndarray  # (m, dim)
+    ratio: np.ndarray  # (m,), p_j(xi)/proposal(xi), >= 0
 
 
 class Tower(NamedTuple):
@@ -143,20 +141,18 @@ class UrfDraws:
 
     Component j (``axes[j]``) owns entries j*m to (j+1)*m - 1 of ``xi`` and
     ``ratio`` and those rows of the one Gaussian matrix ``G``, with m =
-    ``config.m``; ``blocks`` views them per component.  The arrays may carry
-    a leading (n,) instantiation axis (``split``, ``sample_draws(..., n)``);
-    so do the per-entry constants ``terms``, computed once per draw set on
-    first use.
-    The arrays must not be modified in place after a feature map has been
+    ``config.m``; ``blocks`` views them per component.  The per-entry
+    constants ``terms`` are computed once per draw set on first use, so the
+    arrays must not be modified in place after a feature map has been
     evaluated: the cached terms would go stale.
     """
 
     dim: int
     config: UrfConfig
     axes: tuple[tuple[str, complex], ...]  # (axis, signed mass c) per component
-    xi: np.ndarray  # (..., M)
-    G: np.ndarray  # (..., M, dim)
-    ratio: np.ndarray  # (..., M), p_j(xi)/proposal(xi), >= 0
+    xi: np.ndarray  # (M,)
+    G: np.ndarray  # (M, dim)
+    ratio: np.ndarray  # (M,), p_j(xi)/proposal(xi), >= 0
 
     @property
     def total_features(self) -> int:
@@ -168,27 +164,34 @@ class UrfDraws:
         views = []
         for j, (axis, c) in enumerate(self.axes):
             rows = slice(j * m, (j + 1) * m)
-            views.append(AxisDraws(axis=axis, c=c, xi=self.xi[..., rows],
-                                   g=self.G[..., rows, :], ratio=self.ratio[..., rows]))
+            views.append(AxisDraws(axis=axis, c=c, xi=self.xi[rows], g=self.G[rows],
+                                   ratio=self.ratio[rows]))
         return tuple(views)
 
-    def split(self, n: int) -> UrfDraws:
-        """This flat set as ``n`` instantiations of m / n features per component.
+    def instantiations(self, entries: np.ndarray, n: int, m: int | None = None) -> np.ndarray:
+        """Per-entry values (M,) of this set as (n, C * m) rows, one per
+        instantiation of ``m`` features per component (C = len(axes)).
 
-        The arrays gain a leading (n,) axis: instantiation t takes entries
-        t*m/n to (t+1)*m/n - 1 of each component's run of m.  ``n`` must
-        divide m, and under the block strategy the block size must divide
-        m / n, so that no block of shared frequencies spans two
-        instantiations.
+        Instantiation t takes the first ``m`` (all, by default) entries of each
+        component's t-th run of config.m / n, components in order: the first m
+        of a run of iid features are an iid m-feature set.  ``n`` must divide
+        config.m, and under the block strategy the block size must divide the
+        run and ``m``, so that no block of shared frequencies spans two
+        instantiations.  Each tower carries 1/sqrt(config.m), so the product
+        of two rows is an instantiation's estimate times m / config.m.
         """
-        m = self.config.m
-        if n < 1 or m % n:
-            raise ValueError(f"n must be >= 1 and divide m = {m}, got {n}")
-        cfg = replace(self.config, m=m // n)  # checks the block size against m / n
-        C = len(self.axes)
-        xi, G, ratio = (a.reshape((C, n, -1) + a.shape[1:]).swapaxes(0, 1)
-                        .reshape((n, -1) + a.shape[1:]) for a in (self.xi, self.G, self.ratio))
-        return UrfDraws(dim=self.dim, config=cfg, axes=self.axes, xi=xi, G=G, ratio=ratio)
+        cfg = self.config
+        block = cfg.block_size if cfg.strategy == "block" else 1
+        if n < 1 or cfg.m % (n * block):
+            raise ValueError(f"n must be >= 1 and divide m = {cfg.m} into runs of whole "
+                             f"blocks (block size {block}), got {n}")
+        run = cfg.m // n
+        m = run if m is None else m
+        if not 1 <= m <= run or m % block:
+            raise ValueError(f"m must be in [1, {run}] and a multiple of the block size "
+                             f"{block}, got {m}")
+        runs = entries.reshape(len(self.axes), n, run)
+        return runs[:, :, :m].swapaxes(0, 1).reshape(n, -1)
 
     @cached_property
     def terms(self) -> LambdaTerms:
@@ -258,24 +261,14 @@ def _sample_xi(component: FourierComponent, n_xi: int, stream):
     return xi, ratio
 
 
-def sample_draws(
-    decomp: FourierDecomposition, dim: int, cfg: UrfConfig, n: int | None = None
-) -> UrfDraws:
+def sample_draws(decomp: FourierDecomposition, dim: int, cfg: UrfConfig) -> UrfDraws:
     """Draw (xi_i, g_i) pairs for every active component.
 
     Deterministic in ``cfg.seed``; each component uses its own derived
     streams, so adding or removing components does not perturb the others.
     ``G`` is allocated once and each component's Gaussian stream is copied
-    into its rows.  With ``n`` given, the flat set of n*m features per
-    component is regrouped by ``UrfDraws.split`` into a leading (n,) axis of
-    independent instantiations: ``n=1`` equals the single set with a leading
-    axis, and row i is an instantiation whose ``phi``/``psi`` of one row are
-    bit-identical to those of the sliced draws.
+    into its rows.
     """
-    if n is not None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return sample_draws(decomp, dim, replace(cfg, m=n * cfg.m)).split(n)
     comps = decomp.active()
     m = cfg.m
     reps = cfg.block_size if cfg.strategy == "block" else 1
@@ -311,17 +304,17 @@ def lambda_feature(g: np.ndarray, z: np.ndarray, A: float) -> complex:
 
 
 def _project(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """g_i.z for every row g_i of G (..., M, d) and each row z of Z (..., d).
+    """g_i.z for every row g_i of G (M, d) and each row z of Z (..., d).
 
-    A real Z is one matrix product ``Z @ G.T`` (a 1-D z against stacked draws:
-    one row per instantiation).  A complex z goes through the real G as the
-    (d, 2) pair [Re z, Im z], one product per row, which serves a single
-    256-wide stage probe faster than the two products Re Z @ G.T, Im Z @ G.T.
+    A real Z is one matrix product ``Z @ G.T``.  A complex z goes through the
+    real G as the (d, 2) pair [Re z, Im z], one product per row, which serves
+    a single 256-wide stage probe faster than the two products Re Z @ G.T,
+    Im Z @ G.T.
     """
     if np.iscomplexobj(Z):
         Z = np.ascontiguousarray(Z, dtype=complex)
         return (G @ Z.view(float).reshape(*Z.shape, 2)).view(complex)[..., 0]
-    return Z @ np.swapaxes(G, -1, -2)
+    return Z @ G.T
 
 
 def _tower(Z, draws, tower: Tower):
@@ -384,9 +377,9 @@ def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
 def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex | np.ndarray:
     """Full bilinear product; the imaginary part is a sampling diagnostic.
 
-    Feature rows with leading axes (stacked inputs, or draws from
-    ``sample_draws(..., n)``) give one product per row, each formed as one
-    (1, M) @ (M, 1) product, so a row equals that pair alone bit for bit.
+    Feature rows with leading axes (stacked inputs, or the instantiation rows
+    of ``UrfDraws.instantiations``) give one product per row, each formed as
+    one (1, M) @ (M, 1) product, so a row equals that pair alone bit for bit.
     One pair gives a Python complex.
     """
     est = (pw.entries[..., None, :] @ px.entries[..., None])[..., 0, 0]
@@ -402,11 +395,8 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
 
     sup over g of exp(A|g|^2) is 1, the g.z term is purely imaginary for
     real inputs, and -(z.z)/2 = 2 pi^2 xi^2 |x|^2, so the bound is the
-    prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.  Draws from
-    ``sample_draws(..., n)`` give one row of bounds per instantiation.
+    prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.
     """
-    if draws.config.A > 0:
-        raise ValueError("bound requires A <= 0")
     t = draws.terms.input
     return t.scale * np.exp(t.quad * max_norm_x**2)
 
@@ -416,8 +406,7 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
 
     Maximizing A t^2 + sqrt(1-4A) t R - R^2/2 over t = |g| gives the
     exponent (1-4A) R^2 / (4|A|) - R^2/2; |exp(2 pi i xi b)| = 1 for any
-    real bias, and the drawn importance ratio enters linearly.  Batched
-    draws give one row of bounds per instantiation.
+    real bias, and the drawn importance ratio enters linearly.
     """
     A = draws.config.A
     if A >= 0:

@@ -39,6 +39,7 @@ from snnk.layers import (
 from snnk import train
 from snnk.train import Dataset, TrainConfig, ffl_param_count, grad_check, make_head, make_learnable_layer
 from snnk.urf import (
+    FeatureVector,
     UrfConfig,
     kernel_estimate,
     phi,
@@ -72,8 +73,10 @@ def test_criterion_01_unbiasedness_suite():
             w = unit_ball_point(rng, d)
             b = float(rng.uniform(-1, 1))
             target = float(act(np.dot(w, x) + b))
-            batch = sample_draws(dec, d, UrfConfig(m=m, A=-0.1, seed=9000 + t), n_inst)
-            est = kernel_estimate(phi(x, batch), psi(w, b, batch))
+            flat = sample_draws(dec, d, UrfConfig(m=m * n_inst, A=-0.1, seed=9000 + t))
+            px, pw = (FeatureVector(flat.instantiations(f.entries, n_inst))
+                      for f in (phi(x, flat), psi(w, b, flat)))
+            est = kernel_estimate(px, pw) * n_inst
             se = est.std(ddof=1) / math.sqrt(n_inst)
             ok += abs(est.mean() - target) <= 3.0 * se
         passes[kind] = ok

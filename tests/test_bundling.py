@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -226,9 +227,13 @@ class TestNetworkWeights:
         (None, [np.zeros(2), np.zeros(1)], "weights"),
         ([np.eye(2)], [np.zeros(2), np.zeros(1)], "weights"),
         ([np.eye(2), np.ones((1, 2))], [np.zeros(2)] * 3, "biases"),
+        ([np.ones((1, 2)), np.ones((1, 2))], [np.zeros(2), np.zeros(1)], "weights[0]"),
+        ([np.eye(2), np.ones((1, 3))], [np.zeros(2), np.zeros(1)], "weights[1]"),
+        ([np.eye(2), np.ones((1, 2))], [np.zeros(3), np.zeros(1)], "biases[0]"),
+        ([np.eye(2), np.ones((1, 2))], [np.zeros(2), np.zeros((1, 1))], "biases[1]"),
     ])
     def test_mismatched_weights_name_the_key(self, weights, biases, key):
-        with pytest.raises(ShapeMismatch, match=f"^{key}: "):
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(key)}: "):
             self._net(weights, biases)
 
     @pytest.mark.parametrize("dims, message", [

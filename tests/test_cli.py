@@ -275,15 +275,18 @@ def span_estimates(cfg):
 
 
 def direct_estimates(cfg, x, w, seed):
-    """KS_N estimates whose Gaussians have all d coordinates, from one batched draw."""
+    """KS_N estimates whose Gaussians have all d coordinates, the instantiations
+    of one flat draw set."""
     if cfg.activation == "arccos":
         p = cfg.feature_counts[0]
         G = rng_for(seed, 0, 0, MISC_STREAM).standard_normal((KS_N, p, cfg.d))
         return (np.maximum(0.0, G @ x) * np.maximum(0.0, G @ w)).sum(axis=-1) / p
     dec = decomposition_for(Activation(cfg.activation))
     m = cli._per_component(cfg.feature_counts[0], len(dec.active()))
-    draws = sample_draws(dec, cfg.d, UrfConfig(m=m, A=cfg.A, seed=seed), KS_N)
-    return kernel_estimate(phi(x, draws), psi(w, cfg.bias, draws))
+    draws = sample_draws(dec, cfg.d, UrfConfig(m=KS_N * m, A=cfg.A, seed=seed))
+    px, pw = (FeatureVector(draws.instantiations(f.entries, KS_N))
+              for f in (phi(x, draws), psi(w, cfg.bias, draws)))
+    return kernel_estimate(px, pw) * KS_N
 
 
 def ks_config(activation, d, A=0.0):
@@ -395,14 +398,13 @@ class TestPerCountDraws:
         # the run draws one set of n * max(m_c) features per component, this one
         assert len(drawn) == 1 and drawn[0].config == draws.config
         assert np.array_equal(drawn[0].G, draws.G)
-        split = draws.split(n)
         full = prefix_indices(n, C, M, M)
         # the instantiations' runs tile the set: no entry is owned twice or left out
         assert sorted(full.ravel()) == list(range(C * T))
         for c, m in enumerate(ms):
             idx = prefix_indices(n, C, M, m)
-            # the prefix of each instantiation of the split set, and of no other
-            assert np.array_equal(split.G[:, np.arange(C * M) % M < m], draws.G[idx])
+            # the regrouping of the set into instantiation rows reads these entries
+            assert np.array_equal(draws.instantiations(np.arange(C * T), n, m), idx)
             want = kernel_estimate(FeatureVector(px[idx]), FeatureVector(pw[idx])) * (T / m)
             got = rows[c * n:(c + 1) * n]
             assert [row[2] for row in got] == [m * C] * n
@@ -725,6 +727,17 @@ class TestBundleCommand:
         cfg = write_json(tmp_path / "bundle.json", payload)
         assert main(["bundle", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: weights: need one entry per layer")
+
+    def test_weights_of_the_wrong_shape_name_the_key(self, tmp_path, capsys):
+        # a 3-3-2 net that fits together, where layers[0].out_dim asks for 4 rows
+        payload = dict(BUNDLE_CFG, weights=[np.ones((3, 3)).tolist(), np.ones((2, 3)).tolist()],
+                       biases=[np.zeros(3).tolist(), np.zeros(2).tolist()])
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: weights[0]: expected shape (4, 3), got (3, 3)\n"
+        assert not out.exists()
+        assert not (tmp_path / "o.csv.artifact.json").exists()
 
     def test_malformed_seed_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bundle.json", dict(BUNDLE_CFG, seed="eleven"))

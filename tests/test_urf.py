@@ -13,6 +13,7 @@ from snnk.activations import GUIDE, Activation, _density_component, decompositio
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
     ConfigError,
+    FeatureVector,
     ProposalMismatch,
     ShapeMismatch,
     UrfConfig,
@@ -33,9 +34,23 @@ from snnk.urf import (
 XI0 = 1.0 / (2.0 * math.pi)
 
 
-def instantiation(bd, i):
-    """Draw set i of a batched draw set, as a single set."""
-    return dataclasses.replace(bd, xi=bd.xi[i], G=bd.G[i], ratio=bd.ratio[i])
+def instantiation(flat, n, t):
+    """Instantiation t of n of a flat draw set: the single set of run t of
+    each component's config.m / n features."""
+    run = flat.config.m // n
+    rows = slice(t * run, (t + 1) * run)
+    xi, G, ratio = (np.concatenate([getattr(blk, name)[rows] for blk in flat.blocks])
+                    for name in ("xi", "g", "ratio"))
+    return UrfDraws(dim=flat.dim, config=dataclasses.replace(flat.config, m=run),
+                    axes=flat.axes, xi=xi, G=G, ratio=ratio)
+
+
+def instantiation_estimates(x, w, b, flat, n):
+    """The complex estimates of the n instantiations of a flat draw set; each
+    tower of the flat set carries 1/sqrt(n) of an instantiation's scale."""
+    px, pw = (FeatureVector(flat.instantiations(f.entries, n))
+              for f in (phi(x, flat), psi(w, b, flat)))
+    return kernel_estimate_complex(px, pw) * n
 
 
 def zeroed_g(draws):
@@ -55,14 +70,15 @@ def assert_rows_near_singles(many, singles, Z, draws, coef):
     assert np.all(np.abs(many - singles) <= ROW_TOL * np.abs(singles) * terms)
 
 
-# sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config, n)
+# sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config);
+# the n3 cases record their 12 features per component as 3 runs of 4
 PINNED_DRAWS = [
-    ("sine-iid", "sine", UrfConfig(m=4, seed=11), None),
-    ("cosine-iid", "cosine", UrfConfig(m=4, seed=12), None),
-    ("tanh-iid", "tanh", UrfConfig(m=4, seed=13), None),
-    ("tanh-block4", "tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=14), None),
-    ("cosine-n3", "cosine", UrfConfig(m=4, seed=16), 3),
-    ("tanh-n3", "tanh", UrfConfig(m=4, seed=17), 3),
+    ("sine-iid", "sine", UrfConfig(m=4, seed=11)),
+    ("cosine-iid", "cosine", UrfConfig(m=4, seed=12)),
+    ("tanh-iid", "tanh", UrfConfig(m=4, seed=13)),
+    ("tanh-block4", "tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=14)),
+    ("cosine-n3", "cosine", UrfConfig(m=12, seed=16)),
+    ("tanh-n3", "tanh", UrfConfig(m=12, seed=17)),
 ]
 
 
@@ -105,19 +121,20 @@ class TestPinnedDrawStreams:
 
     RECORDED = json.loads((Path(__file__).parent / "draw_streams.json").read_text())
 
-    @pytest.mark.parametrize("name, kind, cfg, n", PINNED_DRAWS, ids=[c[0] for c in PINNED_DRAWS])
-    def test_draws_match_recording(self, name, kind, cfg, n):
+    @pytest.mark.parametrize("name, kind, cfg", PINNED_DRAWS, ids=[c[0] for c in PINNED_DRAWS])
+    def test_draws_match_recording(self, name, kind, cfg):
         dec = decomposition_for(Activation(kind))
-        draws = sample_draws(dec, 2, cfg, n)
+        draws = sample_draws(dec, 2, cfg)
         recorded = self.RECORDED[name]
         assert [b.axis for b in draws.blocks] == [r["axis"] for r in recorded]
         for blk, rec in zip(draws.blocks, recorded):
-            assert np.array_equal(blk.g, np.array(rec["g"]))
+            xi, ratio = np.ravel(rec["xi"]), np.ravel(rec["ratio"])  # runs of the n3 cases
+            assert np.array_equal(blk.g, np.reshape(rec["g"], blk.g.shape))
             if dec.component(blk.axis).is_atomic:
-                assert np.array_equal(blk.xi, np.array(rec["xi"]))
+                assert np.array_equal(blk.xi, xi)
             else:
-                np.testing.assert_allclose(blk.xi, rec["xi"], rtol=1e-15, atol=0)
-            np.testing.assert_allclose(blk.ratio, rec["ratio"], rtol=1e-15, atol=0)
+                np.testing.assert_allclose(blk.xi, xi, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(blk.ratio, ratio, rtol=1e-15, atol=0)
             assert blk.c == pytest.approx(complex(*rec["c"]), rel=1e-15, abs=0)
 
 
@@ -155,25 +172,20 @@ class TestSampleDraws:
         ("sine", UrfConfig(m=8, seed=4)),  # one atom per component
     ])
     def test_one_instantiation_is_the_single_set(self, kind, cfg):
-        dec = decomposition_for(Activation(kind))
-        single = sample_draws(dec, 3, cfg)
-        batch = sample_draws(dec, 3, cfg, 1)
-        assert batch.axes == single.axes
-        assert batch.total_features == single.total_features
-        for s_blk, b_blk in zip(single.blocks, batch.blocks, strict=True):
-            assert (b_blk.axis, b_blk.c) == (s_blk.axis, s_blk.c)
-            for name in ("xi", "g", "ratio"):
-                assert np.array_equal(getattr(b_blk, name), getattr(s_blk, name)[None])
+        # one instantiation's rows are the set's entries with a leading axis
+        single = sample_draws(decomposition_for(Activation(kind)), 3, cfg)
+        x = np.array([0.2, -0.1, 0.4])
+        for entries in (phi(x, single).entries, psi(x, 0.3, single).entries):
+            assert np.array_equal(single.instantiations(entries, 1), entries[None])
 
-    @pytest.mark.parametrize("n", [None, 3])
-    def test_blocks_view_the_single_gaussian_matrix(self, n):
+    def test_blocks_view_the_single_gaussian_matrix(self):
         dec = decomposition_for(Activation("sigmoid"))
-        draws = sample_draws(dec, 3, UrfConfig(m=5, seed=6), n)
-        assert draws.G.shape == draws.xi.shape + (3,) == draws.ratio.shape + (3,)
+        draws = sample_draws(dec, 3, UrfConfig(m=5, seed=6))
+        assert draws.G.shape == (15, 3) and draws.xi.shape == draws.ratio.shape == (15,)
         for j, blk in enumerate(draws.blocks):
             rows = slice(5 * j, 5 * (j + 1))
-            for name, fused in (("g", draws.G[..., rows, :]), ("xi", draws.xi[..., rows]),
-                                ("ratio", draws.ratio[..., rows])):
+            for name, fused in (("g", draws.G[rows]), ("xi", draws.xi[rows]),
+                                ("ratio", draws.ratio[rows])):
                 view = getattr(blk, name)
                 assert np.shares_memory(view, fused) and np.array_equal(view, fused)
 
@@ -186,39 +198,50 @@ class TestSampleDraws:
         ("sine", UrfConfig(m=4, A=-0.1, seed=46)),
     ], ids=["sine", "cosine", "tanh", "tanh-block4", "sigmoid", "sine-A-0.1"])
     def test_split_of_a_flat_set_is_the_batched_set(self, kind, cfg):
-        dec, n = decomposition_for(Activation(kind)), 3
-        flat = sample_draws(dec, 2, dataclasses.replace(cfg, m=n * cfg.m))
-        split = flat.split(n)
-        batch = sample_draws(dec, 2, cfg, n)
-        assert split.config == batch.config == cfg
-        assert (split.dim, split.axes) == (batch.dim, batch.axes)
-        assert split.xi.shape == batch.xi.shape
-        for name in ("xi", "G", "ratio"):
-            assert np.array_equal(getattr(split, name), getattr(batch, name))
-        # instantiation t holds run t of each component's flat entries
-        m = cfg.m
-        for t in range(n):
-            for f_blk, s_blk in zip(flat.blocks, split.blocks, strict=True):
-                rows = slice(t * m, (t + 1) * m)
-                assert np.array_equal(s_blk.g[t], f_blk.g[rows])
-                assert np.array_equal(s_blk.xi[t], f_blk.xi[rows])
-                assert np.array_equal(s_blk.ratio[t], f_blk.ratio[rows])
+        # a flat set of n * m features per component, split into the rows of its
+        # n instantiations: row t is run t of each component's flat entries
+        dec, n, m = decomposition_for(Activation(kind)), 3, cfg.m
+        flat = sample_draws(dec, 2, dataclasses.replace(cfg, m=n * m))
         x = np.array([0.3, -0.2])
-        assert np.array_equal(phi(x, split).entries, phi(x, batch).entries)
-        assert np.array_equal(psi(x, 0.4, split).entries, psi(x, 0.4, batch).entries)
+        fx, fw = phi(x, flat).entries, psi(x, 0.4, flat).entries
+        rows_x, rows_w = flat.instantiations(fx, n), flat.instantiations(fw, n)
+        assert rows_x.shape == rows_w.shape == (n, len(flat.axes) * m)
+        for t in range(n):
+            runs = np.concatenate([np.arange(j * n * m + t * m, j * n * m + (t + 1) * m)
+                                   for j in range(len(flat.axes))])
+            assert np.array_equal(rows_x[t], fx[runs]) and np.array_equal(rows_w[t], fw[runs])
+            # and the feature vectors of that instantiation alone, whose towers
+            # carry sqrt(n) times the flat set's scale
+            single = instantiation(flat, n, t)
+            assert single.config == cfg
+            np.testing.assert_allclose(math.sqrt(n) * rows_x[t], phi(x, single).entries,
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(math.sqrt(n) * rows_w[t], psi(x, 0.4, single).entries,
+                                       rtol=1e-14, atol=0)
 
     def test_split_keeps_blocks_inside_an_instantiation(self):
         dec = decomposition_for(Activation("tanh"))
         flat = sample_draws(dec, 2, UrfConfig(m=8, strategy="block", block_size=4, seed=47))
-        with pytest.raises(ConfigError, match="^block_size: 4 does not divide m = 2$"):
-            flat.split(4)
-        with pytest.raises(ValueError, match="divide m = 8, got 3"):
-            flat.split(3)
+        entries = phi(np.zeros(2), flat).entries
+        with pytest.raises(ValueError, match=re.escape("divide m = 8 into runs of whole blocks "
+                                                       "(block size 4), got 4")):
+            flat.instantiations(entries, 4)  # each run is half a block
+        with pytest.raises(ValueError, match=re.escape("m must be in [1, 4] and a multiple of "
+                                                       "the block size 4, got 2")):
+            flat.instantiations(entries, 2, 2)  # each prefix ends inside a block
+        with pytest.raises(ValueError, match="divide m = 8 into runs of whole blocks .*, got 3$"):
+            flat.instantiations(entries, 3)
+        assert flat.instantiations(entries, 2, 4).shape == (2, 8)
 
     def test_instantiation_count_must_be_positive(self):
-        dec = decomposition_for(Activation("sine"))
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            sample_draws(dec, 3, UrfConfig(m=4), 0)
+        draws = sample_draws(decomposition_for(Activation("sine")), 3, UrfConfig(m=4))
+        entries = phi(np.zeros(3), draws).entries
+        with pytest.raises(ValueError, match="^n must be >= 1 and divide m = 4 .*, got 0$"):
+            draws.instantiations(entries, 0)
+        for m in (0, 3):
+            with pytest.raises(ValueError, match=re.escape(f"m must be in [1, 2] and a multiple "
+                                                           f"of the block size 1, got {m}")):
+                draws.instantiations(entries, 2, m)
 
     def test_block_strategy_reuses_xi(self):
         dec = decomposition_for(Activation("tanh"))
@@ -378,18 +401,23 @@ class TestFeatureMaps:
         dec = decomposition_for(Activation("sine"))
         draws = sample_draws(dec, 3, UrfConfig(m=8, seed=4))
         X = np.array([[0.2, -0.4, 0.1], [0.0, 0.5, -0.3]])
+        # real and complex (5, d) stacks against the same set: five rows each
+        rng = rng_for(13, 0, 0, MISC_STREAM)
+        R = rng.uniform(-0.5, 0.5, (5, 3))
+        C = R + 1j * rng.uniform(-0.5, 0.5, (5, 3))
         # complex stage-1 inputs of bundled_forward
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
         bn = bundle_full(net, UrfConfig(m=8, A=-0.1, seed=8))
         X5 = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
         Z = phi_many(X5, bn.stages[0])
         assert np.iscomplexobj(Z)
-        for X, draws in ((X, draws), (Z, bn.stages[1])):
+        for X, draws in ((X, draws), (R, draws), (C, draws), (Z, bn.stages[1])):
             singles = np.array([phi(x, draws).entries for x in X])
             for x, single in zip(X, singles):
                 assert np.array_equal(single, phi_many(x[None], draws)[0])
-            assert_rows_near_singles(phi_many(X, draws), singles, X, draws,
-                                     draws.terms.input.coef)
+            many = phi_many(X, draws)
+            assert many.shape == (len(X), draws.total_features)
+            assert_rows_near_singles(many, singles, X, draws, draws.terms.input.coef)
 
 
 def split_project(g, z):
@@ -516,8 +544,8 @@ class TestKernelEstimate:
 
     def test_unbiasedness_probe_at_half_pi(self):
         dec = decomposition_for(Activation("sine"))
-        bd = sample_draws(dec, 4, UrfConfig(m=8, seed=3), 100_000)
-        est = kernel_estimate_complex(phi(np.zeros(4), bd), psi(np.zeros(4), math.pi / 2, bd))
+        flat = sample_draws(dec, 4, UrfConfig(m=8 * 100_000, seed=3))
+        est = instantiation_estimates(np.zeros(4), np.zeros(4), math.pi / 2, flat, 100_000)
         se = est.real.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.real.mean() - 1.0) < 3 * se
 
@@ -527,8 +555,8 @@ class TestKernelEstimate:
         w = rng.uniform(-0.35, 0.35, 8)
         b = 0.4
         dec = decomposition_for(Activation("sine"))
-        bd = sample_draws(dec, 8, UrfConfig(m=32, seed=17), 2000)
-        est = kernel_estimate_complex(phi(x, bd), psi(w, b, bd))
+        flat = sample_draws(dec, 8, UrfConfig(m=32 * 2000, seed=17))
+        est = instantiation_estimates(x, w, b, flat, 2000)
         target = math.sin(float(w @ x) + b)
         se = est.real.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.real.mean() - target) < 3 * se
@@ -542,18 +570,22 @@ class TestKernelEstimate:
         rng = rng_for(22, 0, 0, MISC_STREAM)
         x = rng.uniform(-0.4, 0.4, 5)
         w = rng.uniform(-0.4, 0.4, 5)
-        bd = sample_draws(dec, 5, UrfConfig(m=16, A=-0.1, seed=23), 20)
-        fx, fw = phi(x, bd), psi(w, 0.3, bd)
+        n = 20
+        flat = sample_draws(dec, 5, UrfConfig(m=16 * n, A=-0.1, seed=23))
+        fx, fw = (FeatureVector(flat.instantiations(f.entries, n))
+                  for f in (phi(x, flat), psi(w, 0.3, flat)))
         est = kernel_estimate_complex(fx, fw)
-        assert est.shape == (20,)
-        for i in range(len(est)):
-            d_i = instantiation(bd, i)
-            px, pw = phi(x, d_i), psi(w, 0.3, d_i)
-            assert np.array_equal(fx.entries[i], px.entries)
-            assert np.array_equal(fw.entries[i], pw.entries)
+        assert est.shape == (n,)
+        for i in range(n):
+            px, pw = FeatureVector(fx.entries[i]), FeatureVector(fw.entries[i])
             assert est[i] == kernel_estimate_complex(px, pw)
             # the single-pair product as one matrix-vector product
             assert est[i] == (pw.entries[None, :] @ px.entries)[0]
+            # instantiation i alone, whose towers carry sqrt(n) times the flat scale
+            d_i = instantiation(flat, n, i)
+            single = kernel_estimate_complex(phi(x, d_i), psi(w, 0.3, d_i))
+            terms = np.sum(np.abs(px.entries * pw.entries))
+            assert abs(n * est[i] - single) <= 1e-13 * n * terms
 
     def test_single_path_matches_batched_distribution(self):
         dec = decomposition_for(Activation("cosine"))
@@ -580,8 +612,8 @@ class TestInvariants:
         x = rng.uniform(-0.3, 0.3, 6)
         w = rng.uniform(-0.3, 0.3, 6)
         b = 0.25
-        bd = sample_draws(dec, 6, UrfConfig(m=32, A=-0.05, seed=101), 10_000)
-        est = kernel_estimate(phi(x, bd), psi(w, b, bd))
+        flat = sample_draws(dec, 6, UrfConfig(m=32 * 10_000, A=-0.05, seed=101))
+        est = instantiation_estimates(x, w, b, flat, 10_000).real
         target = float(a(np.dot(w, x) + b))
         se = est.std(ddof=1) / math.sqrt(len(est))
         assert abs(est.mean() - target) < 3 * se
@@ -594,8 +626,8 @@ class TestInvariants:
         ms = np.array([8, 16, 32, 64, 128, 256, 512])
         variances = []
         for i, m in enumerate(ms):
-            bd = sample_draws(dec, 8, UrfConfig(m=int(m), seed=200 + i), 400)
-            variances.append(kernel_estimate(phi(x, bd), psi(w, 0.5, bd)).var(ddof=1))
+            flat = sample_draws(dec, 8, UrfConfig(m=int(m) * 400, seed=200 + i))
+            variances.append(instantiation_estimates(x, w, 0.5, flat, 400).real.var(ddof=1))
         slope = np.polyfit(np.log(ms), np.log(variances), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
@@ -617,13 +649,17 @@ class TestInvariants:
     @pytest.mark.parametrize("kind", ["sine", "tanh"])
     def test_bounds_of_batched_draws_match_each_instantiation(self, kind):
         dec = decomposition_for(Activation(kind))
-        bd = sample_draws(dec, 4, UrfConfig(m=16, A=-0.1, seed=41), 3)
-        bphi, bpsi = phi_entry_bound(bd, 1.0), psi_entry_bound(bd, 1.0)
-        assert bphi.shape == bpsi.shape == (3, bd.total_features)
+        flat = sample_draws(dec, 4, UrfConfig(m=16 * 3, A=-0.1, seed=41))
+        bphi, bpsi = (flat.instantiations(bound(flat, 1.0), 3)
+                      for bound in (phi_entry_bound, psi_entry_bound))
+        assert bphi.shape == bpsi.shape == (3, flat.total_features // 3)
         for i in range(3):
-            d_i = instantiation(bd, i)
-            assert np.array_equal(bphi[i], phi_entry_bound(d_i, 1.0))
-            assert np.array_equal(bpsi[i], psi_entry_bound(d_i, 1.0))
+            # instantiation i alone scales its entries, and so their bounds, by sqrt(3)
+            d_i = instantiation(flat, 3, i)
+            np.testing.assert_allclose(math.sqrt(3) * bphi[i], phi_entry_bound(d_i, 1.0),
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_allclose(math.sqrt(3) * bpsi[i], psi_entry_bound(d_i, 1.0),
+                                       rtol=1e-15, atol=0)
 
     def test_bound_requires_negative_shape(self):
         dec = decomposition_for(Activation("sine"))
