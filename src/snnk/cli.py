@@ -91,6 +91,7 @@ class EstimateConfig:
     feature_counts: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512)
     instantiations: int = 100
     A: float = 0.0
+    # iid values only; kept because perfbench/workloads.py passes them (ROADMAP item 15)
     strategy: str = "iid"
     block_size: int = 0
     seed: int = 1
@@ -109,24 +110,16 @@ class EstimateConfig:
             # the benchmark quantifies one output entry; wider layers are
             # covered by the layer-level tests
             raise ConfigError("l", f"pointwise estimation is defined for l = 1, got {self.l}")
-        if self.activation == "arccos":
-            # the relu map draws no frequencies, so it ignores A and block_size;
-            # the strategy name is still checked
-            UrfConfig(m=1, strategy=self.strategy, block_size=1)
+        if self.strategy != "iid":
+            raise ConfigError("strategy", f"must be 'iid', got {self.strategy!r}")
+        if self.block_size != 0:
+            raise ConfigError("block_size", f"must be 0, got {self.block_size}")
+        if self.activation == "arccos":  # the relu map draws no frequencies, so it ignores A
             n_active, per = 1, ""
         else:
+            UrfConfig(m=1, A=self.A)
             n_active = len(decomposition_for(Activation(self.activation)).active())
             per = f" per component ({n_active} components)"
-            for p in self.feature_counts:  # each count's sampling config, before any runs
-                try:
-                    UrfConfig(m=_per_component(p, n_active), A=self.A,
-                              strategy=self.strategy, block_size=self.block_size)
-                except ConfigError as exc:
-                    if exc.key != "block_size":
-                        raise
-                    raise ConfigError("block_size", (
-                        f"{exc.problem}, the features per component of feature count {p} "
-                        f"({n_active} components)")) from None
         # every count reads a prefix of the same features (_urf_run), so a
         # repeated count would only repeat another's rows
         seen = {}
@@ -172,16 +165,13 @@ def _urf_run(cfg, dec, xk, wk, ms):
     Instantiation t owns the run [t*M, (t+1)*M) of each component, and count
     c reads the first m_c entries of every run (``UrfDraws.instantiations``),
     so each count's estimates keep their law, while the counts share
-    features.  Under the block strategy ``EstimateConfig`` has checked that
-    the block size divides every m_c, so no block spans two trials or the
-    end of a prefix.  The towers of the flat set carry 1/sqrt(T) each, so
-    each count's products are rescaled by T / m_c.
+    features.  The towers of the flat set carry 1/sqrt(T) each, so each
+    count's products are rescaled by T / m_c.
     """
     n, k = cfg.instantiations, len(xk)
     T = n * max(ms)
     seed = derive_seed(cfg.seed, 401)
-    draws = sample_draws(dec, k, UrfConfig(m=T, A=cfg.A, strategy=cfg.strategy,
-                                           block_size=cfg.block_size, seed=seed))
+    draws = sample_draws(dec, k, UrfConfig(m=T, A=cfg.A, seed=seed))
     px = phi(xk, draws).entries
     if cfg.A != 0 and cfg.d > k:
         # each g_i's d - k coordinates off span{x, w} enter Lambda only through
@@ -237,7 +227,7 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     return EstimateReport(rows=rows, aggregates=aggregates)
 
 
-SWEEP_AXES = ("A", "strategy", "activation")
+SWEEP_AXES = ("A", "activation")
 
 
 def run_sweep(axis: str, values: list, base: EstimateConfig):
@@ -254,11 +244,7 @@ def _sweep_point(axis: str, value, base: EstimateConfig) -> EstimateConfig:
     try:
         if axis == "A":
             return replace(base, A=float(value))
-        if axis == "activation":
-            return replace(base, activation=_estimate_activation(value))
-        if isinstance(value, str) and value.startswith("block:"):
-            return replace(base, strategy="block", block_size=int(value.split(":")[1]))
-        return replace(base, strategy=str(value))
+        return replace(base, activation=_estimate_activation(value))
     except ConfigError as exc:
         raise ValueError(f"values: {value!r} is not a valid {axis} value: {exc}") from None
     except (TypeError, ValueError):
@@ -495,6 +481,8 @@ def _cmd_bundle(args) -> int:
     if not layers:
         raise ValueError("layers: expected at least one layer, got []")
     urf_conf = _read(conf["urf"], BUNDLE_URF_KEYS, "urf")
+    if not math.isfinite(conf["init_std"]):
+        raise ConfigError("init_std", f"must be finite, got {conf['init_std']}")
     seed = args.seed if args.seed is not None else conf["seed"]
     cfg = _in_section("urf", UrfConfig, m=urf_conf["m"], A=urf_conf["A"],
                       seed=derive_seed(seed, 500))
@@ -534,8 +522,9 @@ def _bundle_artifact(bn: BundledNetwork, conf, seed, cfg) -> dict:
 TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
 TRAIN_KEYS = {"seed": (_int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
               "train": (_as_is, {})}
-TRAIN_DATA_KEYS = {"n": (_int, _REQUIRED), "d": (_positive_int, _REQUIRED), "k": (_int, _REQUIRED),
-                   "separation": (float, _REQUIRED), "validation_frac": (float, 0.25)}
+TRAIN_DATA_KEYS = {"n": (_positive_int, _REQUIRED), "d": (_positive_int, _REQUIRED),
+                   "k": (_int, _REQUIRED), "separation": (float, _REQUIRED),
+                   "validation_frac": (float, 0.25)}
 TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_positive_int, 16),
                     "features": (_positive_int, 32), "activation": (_activation, None),
                     "m": (_int, 16), "A": (float, 0.0)}

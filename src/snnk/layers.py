@@ -294,7 +294,7 @@ def gated_residual_block(X: np.ndarray, layer: SnnkLayer, v: np.ndarray) -> np.n
 
 
 def gated_param_count(d: int, n_features: int) -> int:
-    """Reported trainable parameters of the gated block: (d + 1) * M."""
+    """Reported trainable parameters of the gated block, (d + 1) * M."""
     return (d + 1) * n_features
 
 

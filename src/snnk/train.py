@@ -65,8 +65,8 @@ def check_blobs(k: int, separation: float):
     """A ConfigError naming ``k`` or ``separation`` if ``generate_blobs`` cannot use it."""
     if k < 2:
         raise ConfigError("k", f"must be >= 2, got {k}")
-    if not separation > 0:
-        raise ConfigError("separation", f"must be > 0, got {separation}")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ConfigError("separation", f"must be finite and > 0, got {separation}")
 
 
 def generate_blobs(n: int, d: int, k: int, separation: float, seed: int) -> Dataset:

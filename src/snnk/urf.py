@@ -80,17 +80,14 @@ class ConfigError(ValueError):
 class UrfConfig:
     """Sampling configuration for one feature map.
 
-    ``m`` random features per active transform component, shape parameter
-    ``A <= 0`` (more negative trades variance for tighter boundedness),
-    ``strategy`` either "iid" or "block" (one frequency shared inside each
-    block of ``block_size`` Gaussians).  A value that fails a check raises a
-    ConfigError naming its field.
+    ``m`` iid random features per active transform component and shape
+    parameter ``A <= 0`` (more negative trades variance for tighter
+    boundedness).  A value that fails a check raises a ConfigError naming
+    its field.
     """
 
     m: int
     A: float = -0.1
-    strategy: str = "iid"
-    block_size: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -98,10 +95,6 @@ class UrfConfig:
             raise ConfigError("m", f"must be >= 1, got {self.m}")
         if not (math.isfinite(self.A) and self.A <= 0):
             raise ConfigError("A", f"must be finite and <= 0, got {self.A}")
-        if self.strategy not in ("iid", "block"):
-            raise ConfigError("strategy", f"expected 'iid' or 'block', got {self.strategy!r}")
-        if self.strategy == "block" and (self.block_size < 1 or self.m % self.block_size):
-            raise ConfigError("block_size", f"{self.block_size} does not divide m = {self.m}")
 
 
 @dataclass(frozen=True)
@@ -175,21 +168,16 @@ class UrfDraws:
         Instantiation t takes the first ``m`` (all, by default) entries of each
         component's t-th run of config.m / n, components in order: the first m
         of a run of iid features are an iid m-feature set.  ``n`` must divide
-        config.m, and under the block strategy the block size must divide the
-        run and ``m``, so that no block of shared frequencies spans two
-        instantiations.  Each tower carries 1/sqrt(config.m), so the product
-        of two rows is an instantiation's estimate times m / config.m.
+        config.m.  Each tower carries 1/sqrt(config.m), so the product of two
+        rows is an instantiation's estimate times m / config.m.
         """
-        cfg = self.config
-        block = cfg.block_size if cfg.strategy == "block" else 1
-        if n < 1 or cfg.m % (n * block):
-            raise ValueError(f"n must be >= 1 and divide m = {cfg.m} into runs of whole "
-                             f"blocks (block size {block}), got {n}")
-        run = cfg.m // n
+        total = self.config.m
+        if n < 1 or total % n:
+            raise ValueError(f"n must be >= 1 and divide m = {total}, got {n}")
+        run = total // n
         m = run if m is None else m
-        if not 1 <= m <= run or m % block:
-            raise ValueError(f"m must be in [1, {run}] and a multiple of the block size "
-                             f"{block}, got {m}")
+        if not 1 <= m <= run:
+            raise ValueError(f"m must be in [1, {run}], got {m}")
         runs = entries.reshape(len(self.axes), n, run)
         return runs[:, :, :m].swapaxes(0, 1).reshape(n, -1)
 
@@ -271,15 +259,13 @@ def sample_draws(decomp: FourierDecomposition, dim: int, cfg: UrfConfig) -> UrfD
     """
     comps = decomp.active()
     m = cfg.m
-    reps = cfg.block_size if cfg.strategy == "block" else 1
     xi = np.empty(len(comps) * m)
     ratio = np.empty_like(xi)
     G = np.empty(xi.shape + (dim,))
     for j, comp in enumerate(comps):
         rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
-        drawn = _sample_xi(comp, m // reps, partial(rng_for, cfg.seed, axis_id, 0, XI_STREAM))
-        for dest, a in zip((xi, ratio), drawn):  # one frequency per run of reps Gaussians
-            dest[rows] = np.repeat(a, reps)
+        xi_stream = partial(rng_for, cfg.seed, axis_id, 0, XI_STREAM)
+        xi[rows], ratio[rows] = _sample_xi(comp, m, xi_stream)
         G[rows] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((m, dim))
     axes = tuple((c.axis, complex(c.mass * AXIS_PHASE[c.axis])) for c in comps)
     return UrfDraws(dim=dim, config=cfg, axes=axes, xi=xi, G=G, ratio=ratio)

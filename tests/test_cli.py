@@ -129,17 +129,14 @@ class TestEstimateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
-        ({"strategy": "bogus"}, "strategy: expected 'iid' or 'block', got 'bogus'"),
-        # tanh has two components: p=8 gives m=4, but p=12 gives m=6
-        ({"activation": "tanh", "feature_counts": [8, 12], "strategy": "block", "block_size": 4},
-         "block_size: 4 does not divide m = 6, the features per component of feature "
-         "count 12 (2 components)"),
-        ({"strategy": "block"},
-         "block_size: 0 does not divide m = 4, the features per component of feature "
-         "count 8 (2 components)"),
+        # iid is the one sampling scheme: strategy and block_size accept only its values
+        ({"strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
+        ({"block_size": 4}, "block_size: must be 0, got 4"),
+        ({"strategy": "block"}, "strategy: must be 'iid', got 'block'"),
+        ({"strategy": "block", "block_size": 4}, "strategy: must be 'iid', got 'block'"),
         ({"A": 0.5}, "A: must be finite and <= 0, got 0.5"),
-        ({"activation": "arccos", "strategy": "bogus"},
-         "strategy: expected 'iid' or 'block', got 'bogus'"),
+        ({"activation": "arccos", "strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
+        ({"activation": "arccos", "block_size": 4}, "block_size: must be 0, got 4"),
         ({"feature_counts": []}, "feature_counts: must be a nonempty list of counts >= 1, got []"),
         ({"activation": "arccos", "feature_counts": []},
          "feature_counts: must be a nonempty list of counts >= 1, got []"),
@@ -160,10 +157,9 @@ class TestEstimateCommand:
         ({"activation": "arccos", "feature_counts": [8, 16, 8]},
          "feature_counts: 8 and 8 both give 8 features, so they would read the same "
          "features; give distinct counts"),
-    ], ids=["strategy", "block_size", "no-block-size", "A", "arccos-strategy", "no-counts",
-            "arccos-no-counts", "zero-count", "instantiations", "l", "zero-d", "negative-d",
-            "repeated-sine",
-            "repeated-tanh", "repeated-arccos"])
+    ], ids=["strategy", "block_size", "no-block-size", "block", "A", "arccos-strategy",
+            "arccos-block_size", "no-counts", "arccos-no-counts", "zero-count", "instantiations",
+            "l", "zero-d", "negative-d", "repeated-sine", "repeated-tanh", "repeated-arccos"])
     def test_sampling_keys_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     change, message):
         def no_trial(*args):
@@ -177,8 +173,8 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_arccos_ignores_A_and_block_size(self):
-        cli.EstimateConfig(activation="arccos", A=0.5, strategy="block", block_size=5)
+    def test_arccos_ignores_A(self):
+        cli.EstimateConfig(activation="arccos", A=0.5)
 
     def test_unknown_activation_names_its_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", dict(ESTIMATE_CFG, activation="sinee"))
@@ -367,18 +363,15 @@ class TestPerCountDraws:
         monkeypatch.setattr(cli, "sample_draws", recording)
         return sets
 
-    @pytest.mark.parametrize("activation, d, A, strategy, block_size", [
-        ("sine", 16, 0.0, "iid", 0),
-        ("sine", 16, -0.1, "iid", 0),  # the chi^2 factor
-        ("tanh", 16, 0.0, "block", 2),
-        ("sigmoid", 2, -0.1, "iid", 0),  # k = d: no chi^2 factor
+    @pytest.mark.parametrize("activation, d, A", [
+        ("sine", 16, 0.0),
+        ("sine", 16, -0.1),  # the chi^2 factor
+        ("sigmoid", 2, -0.1),  # k = d: no chi^2 factor
     ])
-    def test_trials_are_rows_of_one_batched_computation(self, drawn, activation, d, A,
-                                                        strategy, block_size):
+    def test_trials_are_rows_of_one_batched_computation(self, drawn, activation, d, A):
         n = 5
         cfg = EstimateConfig(activation=activation, d=d, feature_counts=(24, 12, 36),
-                             instantiations=n, A=A, strategy=strategy,
-                             block_size=block_size, seed=9)
+                             instantiations=n, A=A, seed=9)
         x, w = cli._draw_inputs(cfg)
         xk, wk = cli._span_coords(x, w)
         dec = decomposition_for(Activation(activation))
@@ -387,8 +380,7 @@ class TestPerCountDraws:
         M = max(ms)
         T = n * M
         seed = derive_seed(cfg.seed, 401)
-        draws = sample_draws(dec, len(xk), UrfConfig(m=T, A=A, strategy=strategy,
-                                                     block_size=block_size, seed=seed))
+        draws = sample_draws(dec, len(xk), UrfConfig(m=T, A=A, seed=seed))
         px = phi(xk, draws).entries
         if A != 0 and d > len(xk):
             chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(d - len(xk), C * T)
@@ -469,20 +461,6 @@ class TestSweepCommand:
         stripped = [r[:1] + [""] + r[2:] for r in sweep_rows[1:]]
         assert stripped == est_rows[1:]
 
-    def test_strategy_sweep_means_agree(self, tmp_path):
-        report = run_sweep(
-            "strategy",
-            ["iid", "block:4"],
-            EstimateConfig(
-                activation="sine", d=16, feature_counts=(32,),
-                instantiations=200, seed=7,
-            ),
-        )
-        (_, iid), (_, blk) = report
-        m_iid, s_iid = iid.aggregates[0][1], iid.aggregates[0][2] / math.sqrt(200)
-        m_blk, s_blk = blk.aggregates[0][1], blk.aggregates[0][2] / math.sqrt(200)
-        assert abs(m_iid - m_blk) < 3 * math.hypot(s_iid, s_blk)
-
     def test_shape_parameter_sweep_unbiased_with_varying_spread(self, tmp_path):
         cfg = EstimateConfig(
             activation="sine", d=16, feature_counts=(32,), instantiations=300, seed=8
@@ -517,11 +495,11 @@ class TestSweepCommand:
     ])
     def test_values_must_be_a_list(self, tmp_path, capsys, values, message):
         cfg = write_json(tmp_path / "sweep.json",
-                         {"axis": "strategy", "values": values, "base": ESTIMATE_CFG})
+                         {"axis": "A", "values": values, "base": ESTIMATE_CFG})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("axis, value", [("A", "x"), ("strategy", "block:x")])
+    @pytest.mark.parametrize("axis, value", [("A", "x")])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, axis, value):
         cfg = write_json(tmp_path / "sweep.json",
                          {"axis": axis, "values": [value], "base": ESTIMATE_CFG})
@@ -536,31 +514,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: axis: missing required key\n"
 
     @pytest.mark.parametrize("payload, message", [
-        ({"axis": "strategy", "values": ["iid", "bogus"], "base": ESTIMATE_CFG},
-         "values: 'bogus' is not a valid strategy value: "
-         "strategy: expected 'iid' or 'block', got 'bogus'"),
-        ({"axis": "strategy", "values": ["iid", "block:4"],
-          "base": dict(ESTIMATE_CFG, activation="tanh", feature_counts=[8, 12])},
-         "values: 'block:4' is not a valid strategy value: block_size: 4 does not divide "
-         "m = 6, the features per component of feature count 12 (2 components)"),
-        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, strategy="bogus")},
-         "base.strategy: expected 'iid' or 'block', got 'bogus'"),
-        ({"axis": "A", "values": [0.0],
-          "base": dict(ESTIMATE_CFG, strategy="block", block_size=3)},
-         "base.block_size: 3 does not divide m = 4, the features per component of "
-         "feature count 8 (2 components)"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, strategy="block")},
+         "base.strategy: must be 'iid', got 'block'"),
+        ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, block_size=3)},
+         "base.block_size: must be 0, got 3"),
         ({"axis": "A", "values": [0.0, 0.5], "base": ESTIMATE_CFG},
          "values: 0.5 is not a valid A value: A: must be finite and <= 0, got 0.5"),
         ({"axis": "bogus", "values": [1], "base": ESTIMATE_CFG},
-         "axis: expected one of ('A', 'strategy', 'activation'), got 'bogus'"),
+         "axis: expected one of ('A', 'activation'), got 'bogus'"),
+        ({"axis": "strategy", "values": ["iid", "block:4"], "base": ESTIMATE_CFG},
+         "axis: expected one of ('A', 'activation'), got 'strategy'"),
         ({"axis": "A", "values": [], "base": ESTIMATE_CFG},
          "values: expected at least one value, got []"),
         ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, feature_counts=[])},
          "base.feature_counts: must be a nonempty list of counts >= 1, got []"),
         ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, d=0)},
          "base.d: must be >= 1, got 0"),
-    ], ids=["values-strategy", "values-block", "base-strategy", "base-block_size", "values-A",
-            "axis", "no-values", "base-feature_counts", "base-d"])
+    ], ids=["base-strategy", "base-block_size", "values-A", "axis", "axis-strategy", "no-values",
+            "base-feature_counts", "base-d"])
     def test_sampling_keys_checked_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         def no_run(cfg):
@@ -770,7 +741,10 @@ class TestBundleCommand:
         ({"layers": [{"out_dim": 0, "activation": "sine"}]},
          "layers[0].out_dim: must be >= 1, got 0"),
         ({"probes": 0}, "probes: must be >= 1, got 0"),
-    ], ids=["input_dim", "first-out_dim", "last-out_dim", "single-out_dim", "probes"])
+        ({"init_std": math.nan}, "init_std: must be finite, got nan"),
+        ({"init_std": math.inf}, "init_std: must be finite, got inf"),
+    ], ids=["input_dim", "first-out_dim", "last-out_dim", "single-out_dim", "probes",
+            "init_std-nan", "init_std-inf"])
     def test_bad_size_names_its_key_before_the_network_is_built(
             self, tmp_path, capsys, monkeypatch, change, message):
         def no_network(*args, **kwargs):
@@ -896,7 +870,10 @@ class TestTrainCommand:
          "layer.A: must be finite and <= 0, got 0.5"),
         ("data", {"d": 0}, "data.d: must be >= 1, got 0"),
         ("data", {"k": 1}, "data.k: must be >= 2, got 1"),
-        ("data", {"separation": 0.0}, "data.separation: must be > 0, got 0.0"),
+        ("data", {"separation": 0.0}, "data.separation: must be finite and > 0, got 0.0"),
+        ("data", {"separation": math.inf}, "data.separation: must be finite and > 0, got inf"),
+        ("data", {"n": 0}, "data.n: must be >= 1, got 0"),
+        ("data", {"n": -3}, "data.n: must be >= 1, got -3"),
         ("layer", {"out_dim": 0}, "layer.out_dim: must be >= 1, got 0"),
         ("layer", {"features": 0}, "layer.features: must be >= 1, got 0"),
         ("train", {"batch_size": 226},
@@ -907,8 +884,8 @@ class TestTrainCommand:
         ("train", {"learning_rate": math.inf},
          "train.learning_rate: must be finite and > 0, got inf"),
     ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A", "d", "k",
-            "separation", "out_dim", "features", "batch_size-rows", "mse", "momentum",
-            "learning_rate"])
+            "separation", "separation-inf", "n-zero", "n-negative", "out_dim", "features",
+            "batch_size-rows", "mse", "momentum", "learning_rate"])
     def test_bad_value_names_its_key_before_the_data_is_built(
             self, tmp_path, capsys, monkeypatch, section, change, message):
         def no_blobs(**kwargs):

@@ -76,7 +76,6 @@ PINNED_DRAWS = [
     ("sine-iid", "sine", UrfConfig(m=4, seed=11)),
     ("cosine-iid", "cosine", UrfConfig(m=4, seed=12)),
     ("tanh-iid", "tanh", UrfConfig(m=4, seed=13)),
-    ("tanh-block4", "tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=14)),
     ("cosine-n3", "cosine", UrfConfig(m=12, seed=16)),
     ("tanh-n3", "tanh", UrfConfig(m=12, seed=17)),
 ]
@@ -166,7 +165,7 @@ class TestSampleDraws:
 
     @pytest.mark.parametrize("kind, cfg", [
         ("tanh", UrfConfig(m=8, seed=3)),  # density components, grid proposal
-        ("tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=3)),
+        ("tanh", UrfConfig(m=8, A=-0.1, seed=3)),  # and the A|g|^2 term
         ("sigmoid", UrfConfig(m=8, seed=3)),  # an atomic DC and two density components
         ("cosine", UrfConfig(m=8, seed=4)),  # two atoms, categorical draw
         ("sine", UrfConfig(m=8, seed=4)),  # one atom per component
@@ -193,10 +192,9 @@ class TestSampleDraws:
         ("sine", UrfConfig(m=4, seed=41)),
         ("cosine", UrfConfig(m=4, seed=42)),
         ("tanh", UrfConfig(m=4, seed=43)),  # grid proposal
-        ("tanh", UrfConfig(m=8, strategy="block", block_size=4, seed=44)),
         ("sigmoid", UrfConfig(m=4, seed=45)),  # an atomic DC and two density components
         ("sine", UrfConfig(m=4, A=-0.1, seed=46)),
-    ], ids=["sine", "cosine", "tanh", "tanh-block4", "sigmoid", "sine-A-0.1"])
+    ], ids=["sine", "cosine", "tanh", "sigmoid", "sine-A-0.1"])
     def test_split_of_a_flat_set_is_the_batched_set(self, kind, cfg):
         # a flat set of n * m features per component, split into the rows of its
         # n instantiations: row t is run t of each component's flat entries
@@ -219,36 +217,16 @@ class TestSampleDraws:
             np.testing.assert_allclose(math.sqrt(n) * rows_w[t], psi(x, 0.4, single).entries,
                                        rtol=1e-14, atol=0)
 
-    def test_split_keeps_blocks_inside_an_instantiation(self):
-        dec = decomposition_for(Activation("tanh"))
-        flat = sample_draws(dec, 2, UrfConfig(m=8, strategy="block", block_size=4, seed=47))
-        entries = phi(np.zeros(2), flat).entries
-        with pytest.raises(ValueError, match=re.escape("divide m = 8 into runs of whole blocks "
-                                                       "(block size 4), got 4")):
-            flat.instantiations(entries, 4)  # each run is half a block
-        with pytest.raises(ValueError, match=re.escape("m must be in [1, 4] and a multiple of "
-                                                       "the block size 4, got 2")):
-            flat.instantiations(entries, 2, 2)  # each prefix ends inside a block
-        with pytest.raises(ValueError, match="divide m = 8 into runs of whole blocks .*, got 3$"):
-            flat.instantiations(entries, 3)
-        assert flat.instantiations(entries, 2, 4).shape == (2, 8)
-
     def test_instantiation_count_must_be_positive(self):
         draws = sample_draws(decomposition_for(Activation("sine")), 3, UrfConfig(m=4))
         entries = phi(np.zeros(3), draws).entries
-        with pytest.raises(ValueError, match="^n must be >= 1 and divide m = 4 .*, got 0$"):
-            draws.instantiations(entries, 0)
+        for n in (0, 3):  # 3 does not divide m = 4
+            with pytest.raises(ValueError, match=f"^n must be >= 1 and divide m = 4, got {n}$"):
+                draws.instantiations(entries, n)
         for m in (0, 3):
-            with pytest.raises(ValueError, match=re.escape(f"m must be in [1, 2] and a multiple "
-                                                           f"of the block size 1, got {m}")):
+            with pytest.raises(ValueError, match=re.escape(f"m must be in [1, 2], got {m}")):
                 draws.instantiations(entries, 2, m)
-
-    def test_block_strategy_reuses_xi(self):
-        dec = decomposition_for(Activation("tanh"))
-        draws = sample_draws(dec, 2, UrfConfig(m=8, strategy="block", block_size=4, seed=3))
-        for blk in draws.blocks:
-            assert len(np.unique(blk.xi)) == 2
-            assert np.all(blk.xi[:4] == blk.xi[0])
+        assert draws.instantiations(entries, 2, 2).shape == (2, 4)
 
     def test_grid_proposal_ratios_near_one(self):
         # a density component is drawn over its tabulation cells
@@ -306,10 +284,8 @@ class TestSampleDraws:
         for A in (0.5, math.nan, -math.inf, math.inf):
             with pytest.raises(ConfigError, match="^A: must be finite and <= 0, got "):
                 UrfConfig(m=4, A=A)
-        with pytest.raises(ConfigError, match="^block_size: 3 does not divide m = 4$"):
-            UrfConfig(m=4, strategy="block", block_size=3)
-        with pytest.raises(ConfigError, match="^strategy: expected 'iid' or 'block', got 'x'$"):
-            UrfConfig(m=4, strategy="x")
+        with pytest.raises(TypeError):  # one sampling scheme: there is no strategy to pick
+            UrfConfig(m=4, strategy="iid")
 
     def test_determinism(self):
         dec = decomposition_for(Activation("sigmoid"))
