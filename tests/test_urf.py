@@ -217,12 +217,27 @@ class TestSampleDraws:
             np.testing.assert_allclose(math.sqrt(n) * rows_w[t], psi(x, 0.4, single).entries,
                                        rtol=1e-14, atol=0)
 
+    def test_split_keeps_blocks_inside_an_instantiation(self):
+        # each instantiation's features of a component are one contiguous run of
+        # the flat set, or a prefix of it: no row reaches across a run boundary
+        flat = sample_draws(decomposition_for(Activation("tanh")), 2, UrfConfig(m=8, seed=47))
+        C = len(flat.axes)
+        labels = np.arange(C * 8)
+        for n, m in [(2, None), (4, None), (2, 3)]:
+            run = 8 // n
+            rows = flat.instantiations(labels, n, m).reshape(n, C, -1)
+            for t in range(n):
+                for j in range(C):
+                    start = j * 8 + t * run
+                    assert np.array_equal(rows[t, j], np.arange(start, start + (m or run)))
+        with pytest.raises(ValueError, match="^n must be >= 1 and divide m = 8, got 3$"):
+            flat.instantiations(labels, 3)
+
     def test_instantiation_count_must_be_positive(self):
         draws = sample_draws(decomposition_for(Activation("sine")), 3, UrfConfig(m=4))
         entries = phi(np.zeros(3), draws).entries
-        for n in (0, 3):  # 3 does not divide m = 4
-            with pytest.raises(ValueError, match=f"^n must be >= 1 and divide m = 4, got {n}$"):
-                draws.instantiations(entries, n)
+        with pytest.raises(ValueError, match="^n must be >= 1 and divide m = 4, got 0$"):
+            draws.instantiations(entries, 0)
         for m in (0, 3):
             with pytest.raises(ValueError, match=re.escape(f"m must be in [1, 2], got {m}")):
                 draws.instantiations(entries, 2, m)
