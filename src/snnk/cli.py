@@ -528,6 +528,8 @@ TRAIN_DATA_KEYS = {"n": (_positive_int, _REQUIRED), "d": (_positive_int, _REQUIR
 TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_positive_int, 16),
                     "features": (_positive_int, 32), "activation": (_activation, None),
                     "m": (_int, 16), "A": (float, 0.0)}
+# the layer keys that only one kind reads; a layer of the other kind refuses them
+TRAIN_LAYER_ONLY = {"relu": ("features",), "urf": ("m", "A", "activation")}
 TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
                   "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
 
@@ -543,6 +545,11 @@ def _cmd_train(args) -> int:
             raise ValueError("layer.activation: missing required key")
         urf_cfg = _in_section("layer", UrfConfig, m=layer_conf["m"], A=layer_conf["A"],
                               seed=derive_seed(seed, 603))
+    other = "urf" if layer_conf["kind"] == "relu" else "relu"
+    for key in TRAIN_LAYER_ONLY[other]:
+        if key in conf["layer"]:
+            raise ConfigError(f"layer.{key}", f"only a {other} layer reads this key, and "
+                              f"layer.kind is {layer_conf['kind']!r}")
     cfg = _in_section("train", TrainConfig, seed=derive_seed(seed, 606), **fit)
     if cfg.loss == "mse":
         raise ConfigError("train.loss", "'mse' needs real targets and the blobs have class "

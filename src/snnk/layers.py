@@ -133,10 +133,15 @@ def relu_feature_map(dim: int, n_features: int, seed: int) -> ReluFeatureMap:
 def relu_snnk_features(v: np.ndarray, G: np.ndarray) -> np.ndarray:
     """max(0, G v / sqrt(l')) for v or each row of a (..., d) stack, as one
     matrix product ``v @ G.T``; the same map serves inputs and weights.  G is
-    (l', d), or a stack (..., l', d) of such matrices against a 1-D v."""
+    (l', d), or a stack (..., l', d) of such matrices against a 1-D v.  The
+    scaling and the max run in place in the product's buffer, so no
+    temporary of the output's size is made."""
     G = np.asarray(G, dtype=float)
     v = input_rows(np.asarray(v, dtype=float), G.shape[-1])
-    return np.maximum(0.0, v @ np.swapaxes(G, -1, -2) / math.sqrt(G.shape[-2]))
+    P = v @ np.swapaxes(G, -1, -2)
+    P /= math.sqrt(G.shape[-2])
+    # 0.0 first: an entry of -0.0 or NaN comes out with its own bits
+    return np.maximum(0.0, P, out=P)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ leaderboard accuracy.  The step runs in place: A_s, W and b are views of
 one flat buffer, the gradients are written into views of a second one, and
 one momentum update over a third steps them all.  Cross-entropy targets
 are one-hot rows built once per fit, and a full split's loss runs on a
-class-major copy of its outputs.
+class-major copy of its outputs.  A full split's outputs are formed in
+row panels of ``PANEL_ROWS`` rows, one product per panel into one output
+array: with OpenBLAS 0.3.31 on a 2-core x86_64 VM, a (3000 x 512) design
+times (512 x 4) weights took 1.3-1.8 ms as one call and 0.5-0.7 ms as
+256-row panels; 128-row panels were slower there, and 512-row panels as slow
+as one call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ import numpy as np
 from ._seeds import MISC_STREAM, rng_for
 from .layers import SnnkLayer
 from .urf import ConfigError
+
+
+# the row height of a full split's output products; see the module docstring
+PANEL_ROWS = 256
 
 
 class DivergenceDetected(RuntimeError):
@@ -252,16 +261,21 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None, targe
     ``targets`` is ``_targets(data, loss, k)``; each is computed here when
     not given.  The head is folded into the layer's weights first, so the
     pass over the design yields the k outputs directly; the cross-entropy
-    runs on their class-major copy.
+    runs on their class-major copy.  The outputs are written one panel of
+    ``PANEL_ROWS`` design rows at a time, a product that this thin shape
+    runs 2-3x faster than one call over the whole design (module
+    docstring); a split of at most one panel is one product.
     """
     if feats is None:
         feats = layer.feature_map.features_many(data.X)
     feats = real_design(feats)
     A = _stack_weights(layer.A, feats)
-    if head is None:
-        pred = feats @ A.T
-    else:
-        pred = feats @ (head.W @ A).T + head.b
+    V = A if head is None else head.W @ A
+    pred = np.empty((len(feats), len(V)))
+    for start in range(0, len(feats), PANEL_ROWS):
+        np.matmul(feats[start : start + PANEL_ROWS], V.T, out=pred[start : start + PANEL_ROWS])
+    if head is not None:
+        pred += head.b
     if targets is None:
         targets = _targets(data, loss, pred.shape[1])
     if loss == "mse":

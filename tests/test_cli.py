@@ -883,9 +883,17 @@ class TestTrainCommand:
         ("train", {"momentum": -0.5}, "train.momentum: must be >= 0 and < 1, got -0.5"),
         ("train", {"learning_rate": math.inf},
          "train.learning_rate: must be finite and > 0, got inf"),
+        ("layer", {"m": 0, "A": 0.5, "activation": "tanh"},
+         "layer.m: only a urf layer reads this key, and layer.kind is 'relu'"),
+        ("layer", {"A": -0.1}, "layer.A: only a urf layer reads this key, and layer.kind is 'relu'"),
+        ("layer", {"activation": "tanh"},
+         "layer.activation: only a urf layer reads this key, and layer.kind is 'relu'"),
+        ("layer", {"kind": "urf", "activation": "sine", "features": 32},
+         "layer.features: only a relu layer reads this key, and layer.kind is 'urf'"),
     ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A", "d", "k",
             "separation", "separation-inf", "n-zero", "n-negative", "out_dim", "features",
-            "batch_size-rows", "mse", "momentum", "learning_rate"])
+            "batch_size-rows", "mse", "momentum", "learning_rate", "relu-urf-keys", "relu-A",
+            "relu-activation", "urf-features"])
     def test_bad_value_names_its_key_before_the_data_is_built(
             self, tmp_path, capsys, monkeypatch, section, change, message):
         def no_blobs(**kwargs):

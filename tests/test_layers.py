@@ -302,6 +302,24 @@ class TestReluFeatures:
         with pytest.raises(ShapeMismatch):
             relu_snnk_features(np.zeros((3, 4)), G)
 
+    @pytest.mark.parametrize("case", ["exact-zeros", "arccos-stack"])
+    def test_in_place_map_matches_the_out_of_place_expression(self, case):
+        if case == "exact-zeros":
+            # rows whose pre-activations are exact zeros, from zero inputs of
+            # either sign and from +-1 cancellations, and a NaN row
+            V = np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, -1.0], [-1.0, 1.0], [np.nan, 1.0],
+                          [0.5, 2.0]]).reshape(2, 3, 2)
+            G = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, -1.0], [-0.0, 2.0]])
+        else:
+            # the (instantiations, p, k) prefix of a Gaussian stack against one
+            # span-coordinate vector, as the arccos estimate reads it
+            V = rng_for(10, 0, 0, MISC_STREAM).standard_normal(2)
+            G = rng_for(11, 0, 0, MISC_STREAM).standard_normal((5, 64, 2))[:, :24]
+        expected = np.maximum(0.0, V @ np.swapaxes(G, -1, -2) / math.sqrt(G.shape[-2]))
+        out = relu_snnk_features(V, G)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_kernel_expectation_matches_first_order_arc_cosine(self):
         rng = rng_for(7, 0, 0, MISC_STREAM)
         x = rng.standard_normal(4)

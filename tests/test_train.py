@@ -385,6 +385,44 @@ class TestFeatureReuse:
         assert np.array_equal(given, fresh, equal_nan=True)
 
 
+class TestPanelOutputs:
+    """evaluate forms a split taller than one panel panel by panel."""
+
+    @pytest.mark.parametrize("case", ["urf-ce-head", "relu-mse-headless"])
+    def test_matches_one_product(self, case):
+        n = 1000  # three full panels and a partial one
+        assert n > 2 * train_module.PANEL_ROWS and n % train_module.PANEL_ROWS
+        data = generate_blobs(n=n, d=6, k=4, separation=4.0, seed=110)
+        if case == "urf-ce-head":
+            data = Dataset(X=data.X / np.max(np.linalg.norm(data.X, axis=1)), Y=data.Y)
+            fmap = urf_feature_map(Activation("sine"), 6, UrfConfig(m=32, seed=111))
+            layer, head = make_learnable_layer(fmap, 8, seed=112), make_head(4, 8, seed=113)
+            loss = "cross_entropy"
+        else:
+            data = Dataset(X=data.X, Y=np.eye(4)[data.Y] + 0.1 * np.arange(4))
+            layer, head = make_learnable_layer(relu_feature_map(6, 96, seed=111), 4, seed=112), None
+            loss = "mse"
+        # a few epochs, so that the outputs are not one class for every row
+        layer, head, _ = fit_A(layer, head, data, TrainConfig(learning_rate=0.05, epochs=2,
+                                                              batch_size=50, loss=loss, seed=114))
+        # the oracle: one product over the whole design, a row-wise loss
+        F = real_design(layer.feature_map.features_many(data.X))
+        A = np.ascontiguousarray(np.conjugate(layer.A)).view(float)
+        pred = F @ A.T if head is None else F @ (head.W @ A).T + head.b
+        if loss == "mse":
+            want_loss, want_acc = float(np.sum((pred - data.Y) ** 2) / n), math.nan
+        else:
+            z = pred - pred.max(axis=1, keepdims=True)
+            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            want_loss = float(-np.mean(log_probs[np.arange(n), data.Y]))
+            want_acc = float(np.mean(pred.argmax(axis=1) == data.Y))
+        got_loss, got_acc = evaluate(layer, head, data, loss)
+        assert got_loss == pytest.approx(want_loss, rel=1e-13, abs=0)
+        assert np.array_equal(got_acc, want_acc, equal_nan=True)
+        if head is not None:
+            assert 0.25 < got_acc < 1.0
+
+
 def reference_fit(layer, head, data, cfg, validation):
     """Complex-arithmetic SGD on A as the trainer once ran it: Re(Phi A^T),
     gradients against conj(Phi), a complex velocity for a complex A."""
