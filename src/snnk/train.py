@@ -14,15 +14,20 @@ once per split, with no copy, and reuses it for every SGD batch and every
 epoch's full-split loss.  Plain SGD with optional momentum and an
 ``l2 (|A|^2 + |W|^2)`` penalty; the point is validated trainability, not
 leaderboard accuracy.  The step runs in place: A_s, W and b are views of
-one flat buffer, the gradients are written into views of a second one, and
-one momentum update over a third steps them all.  Cross-entropy targets
-are one-hot rows built once per fit, and a full split's loss runs on a
-class-major copy of its outputs.  A full split's outputs are formed in
-row panels of ``PANEL_ROWS`` rows, one product per panel into one output
-array: with OpenBLAS 0.3.31 on a 2-core x86_64 VM, a (3000 x 512) design
-times (512 x 4) weights took 1.3-1.8 ms as one call and 0.5-0.7 ms as
-256-row panels; 128-row panels were slower there, and 512-row panels as slow
-as one call.
+one flat buffer and the gradients are written into views of a second one.
+At momentum 0 one update, theta -= lr g, steps them all; with momentum a
+heavy-ball update runs through a third, velocity buffer.  A step reads of
+its batch objective only whether it is finite, so a cross-entropy batch
+tests the sum of its softmax instead of forming the log-likelihood, an
+equivalent test (``_loss``); mse batches and the l2 term keep their values.
+Cross-entropy targets are one-hot rows built once per fit; each epoch
+permutes the target rows once and slices its batches from that copy.  A
+full split's loss runs on a class-major copy of its outputs, which are
+formed in row panels of ``PANEL_ROWS`` rows, one product per panel into one
+output array: with OpenBLAS 0.3.31 on a 2-core x86_64 VM, a (3000 x 512)
+design times (512 x 4) weights took 1.3-1.8 ms as one call and 0.5-0.7 ms
+as 256-row panels; 128-row panels were slower there, and 512-row panels as
+slow as one call.
 """
 
 from __future__ import annotations
@@ -209,8 +214,12 @@ def _unstack_weights(A_s: np.ndarray, complex_weights: bool) -> np.ndarray:
 def _targets(data: Dataset, loss: str, k: int) -> np.ndarray:
     """The targets of ``data`` as rows: for cross-entropy the one-hot rows of
     its labels over k classes, for mse its target rows (a 1-d target is one
-    column)."""
+    column).  A cross-entropy label outside [0, k) raises a ValueError."""
     if loss == "cross_entropy":
+        outside = data.Y[(data.Y < 0) | (data.Y >= k)]
+        if outside.size:
+            raise ValueError(f"cross-entropy label {outside[0]} is outside the {k} classes "
+                             f"[0, {k})")
         T = np.zeros((data.n, k))
         T[np.arange(data.n), data.Y] = 1.0
         return T
@@ -219,7 +228,7 @@ def _targets(data: Dataset, loss: str, k: int) -> np.ndarray:
     return data.Y if data.Y.ndim == 2 else data.Y[:, None]
 
 
-def _loss(Z, T, loss) -> float:
+def _loss(Z, T, loss, objective=True) -> float:
     """Mean loss of the predictions ``Z`` (k, n), one column per sample,
     against the targets ``T`` of its shape; Z is overwritten by the
     residual Z - T (mse) or the softmax (cross-entropy).
@@ -232,6 +241,13 @@ def _loss(Z, T, loss) -> float:
     sample's row; ``evaluate`` passes a C-contiguous class-major copy, whose
     column-wise passes are faster over few classes and give the same bits
     for k < 8.
+
+    With ``objective`` False, a cross-entropy loss is formed only when the
+    softmax has a non-finite entry, and 0.0 is returned otherwise.  A column
+    whose max is finite has softmax entries in [0, 1], so every
+    ``-log(p + 1e-300)`` lies in [0, 690.8]; a column whose max is NaN or
+    infinite is NaN throughout.  So the loss is finite exactly when the
+    softmax's sum is, and NaN when it is not.
     """
     if loss == "mse":
         Z -= T
@@ -239,12 +255,14 @@ def _loss(Z, T, loss) -> float:
     Z -= Z.max(axis=0)
     np.exp(Z, out=Z)
     Z /= Z.sum(axis=0)
+    if not objective and math.isfinite(Z.sum()):
+        return 0.0
     return float(-np.log((Z * T).sum(axis=0) + 1e-300).sum() / Z.shape[1])
 
 
-def _loss_and_grad(Z, T, loss):
+def _loss_and_grad(Z, T, loss, objective=True):
     """``_loss`` of ``Z`` and d(loss)/d(Z) written over Z."""
-    value = _loss(Z, T, loss)
+    value = _loss(Z, T, loss, objective)
     if loss == "mse":
         Z *= 2.0
     else:
@@ -288,24 +306,27 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None, targe
 # training
 
 
-def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None)):
+def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None), objective=True):
     """Objective ``loss + l2 (|A|^2 + |W|^2)`` and its gradients in A, W, b.
 
     ``feats`` is a real design, ``A`` its stacked weights and ``Y`` the
     target rows (``_targets``); the output is linear in A, so its gradient
     is an exact outer product with the design.  The gradients are written
     into ``out``'s C-contiguous arrays of their shapes, or fresh arrays
-    where an entry is None.
+    where an entry is None.  With ``objective`` False a finite cross-entropy
+    loss counts as 0.0 (``_loss``): the value is then finite exactly when
+    the objective is, and equal to it when not, which is all an SGD step
+    reads of it.
     """
     gA, gW, gb = out
     hidden = feats @ A.T  # (n, l)
     if W is None:
-        value, dpred = _loss_and_grad(hidden.T, Y.T, loss)
+        value, dpred = _loss_and_grad(hidden.T, Y.T, loss, objective)
         gA = np.matmul(dpred, feats, out=gA)
     else:
         pred = hidden @ W.T
         pred += b
-        value, dpred = _loss_and_grad(pred.T, Y.T, loss)
+        value, dpred = _loss_and_grad(pred.T, Y.T, loss, objective)
         gA = np.matmul(W.T, dpred @ feats, out=gA)
         gW = np.matmul(dpred, hidden, out=gW)
         gb = dpred.sum(axis=1, out=gb)
@@ -326,13 +347,19 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     Training runs in real coordinates: Phi is computed once for the training
     split and once for the validation split and read through its real
     design ``real_design(Phi)``, a view, and a complex A trains as the
-    interleaved ``conj(A).view(float)``.  The training design and target
-    rows (one-hot for cross-entropy) are sliced for every SGD batch, and
-    both splits' designs and target rows are reused for every epoch's
-    full-split loss.  The stacked A, W and b are views of one flat buffer,
-    and so are the gradients ``_grads`` writes, so one momentum update
-    steps every parameter.  History rows are (epoch, split, loss, accuracy),
-    evaluated before training and after each epoch.  Raises
+    interleaved ``conj(A).view(float)``.  Each SGD batch gathers its rows of
+    the training design; the target rows (one-hot for cross-entropy) are
+    permuted once per epoch and sliced for each batch.  Both splits' designs
+    and target rows are reused for every epoch's full-split loss.  The
+    stacked A, W and b are views of one flat buffer, and so are the
+    gradients ``_grads`` writes, so one update steps every parameter: at
+    momentum 0 the plain ``theta -= lr g``, otherwise the heavy-ball
+    ``v = momentum v - lr g; theta += v`` with a velocity buffer.  A batch
+    objective is checked only for finiteness; for cross-entropy that test
+    reads the softmax's sum and forms the loss only when it fails
+    (``_loss``), so the error names the same value.  History rows are
+    (epoch, split, loss, accuracy), evaluated before training and after each
+    epoch.  Raises
     DivergenceDetected if the training loss is non-finite, the initial one
     included, or passes 10x its starting value; a non-finite mini-batch loss
     raises at once, before that batch's step, and so does a non-finite entry
@@ -354,7 +381,8 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     )
     parts = [_stack_weights(layer.A, feats)] + ([] if head is None else [head.W, head.b])
     theta = np.concatenate([p.ravel() for p in parts])
-    grad, velocity = np.empty_like(theta), np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    velocity = np.zeros_like(theta) if cfg.momentum > 0 else None
     ends = np.cumsum([p.size for p in parts])[:-1]
     pad = [None] * (3 - len(parts))  # no head: W and b are None
     A, W, b = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends), parts)] + pad
@@ -370,10 +398,11 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs + 1):
         if epoch > 0:
             order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
+            epoch_Y = Y[order]
             for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
-                idx = order[start : start + cfg.batch_size]
-                batch_loss, *grads = _grads(feats[idx], A, W, b, Y[idx], cfg.loss, cfg.l2,
-                                            grad_parts)
+                rows = slice(start, start + cfg.batch_size)
+                batch_loss, *grads = _grads(feats[order[rows]], A, W, b, epoch_Y[rows],
+                                            cfg.loss, cfg.l2, grad_parts, objective=False)
                 if not math.isfinite(batch_loss):
                     raise DivergenceDetected(
                         f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
@@ -381,11 +410,13 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
                 for part, g in zip(grad_parts, grads):
                     if g is not part:  # a gradient _grads did not write in place
                         part[...] = g
-                # v <- momentum v - lr g;  theta <- theta + v
-                velocity *= cfg.momentum
                 grad *= cfg.learning_rate
-                velocity -= grad
-                theta += velocity
+                if velocity is None:  # theta <- theta - lr g
+                    theta -= grad
+                else:  # v <- momentum v - lr g;  theta <- theta + v
+                    velocity *= cfg.momentum
+                    velocity -= grad
+                    theta += velocity
         if not np.all(np.isfinite(A)):
             raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
         lay, hd = snapshot()

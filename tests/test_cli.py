@@ -865,8 +865,9 @@ class TestTrainCommand:
          "data.validation_frac: must leave at least one of the 300 rows in each split, got 1.0"),
         ("data", {"validation_frac": 0.0},
          "data.validation_frac: must leave at least one of the 300 rows in each split, got 0.0"),
-        ("layer", {"kind": "urf", "activation": "sine", "m": 0}, "layer.m: must be >= 1, got 0"),
-        ("layer", {"kind": "urf", "activation": "sine", "A": 0.5},
+        ("layer", {"kind": "urf", "activation": "sine", "m": 0, "features": None},
+         "layer.m: must be >= 1, got 0"),
+        ("layer", {"kind": "urf", "activation": "sine", "A": 0.5, "features": None},
          "layer.A: must be finite and <= 0, got 0.5"),
         ("data", {"d": 0}, "data.d: must be >= 1, got 0"),
         ("data", {"k": 1}, "data.k: must be >= 2, got 1"),
@@ -900,8 +901,10 @@ class TestTrainCommand:
             raise AssertionError("blobs built before the config was checked")
 
         monkeypatch.setattr(cli, "generate_blobs", no_blobs)
-        cfg = write_json(tmp_path / "train.json",
-                         dict(TRAIN_CFG, **{section: dict(TRAIN_CFG[section], **change)}))
+        # a key changed to None is dropped: the urf rows leave out the relu layer's features
+        changed = {key: value for key, value in dict(TRAIN_CFG[section], **change).items()
+                   if value is not None}
+        cfg = write_json(tmp_path / "train.json", dict(TRAIN_CFG, **{section: changed}))
         out = tmp_path / "t.csv"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -202,6 +202,48 @@ class TestFitA:
         assert all(math.isfinite(v) for v in losses[:-1])
         assert not math.isfinite(losses[-1])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_no_step_after_first_non_finite_cross_entropy_batch(self, monkeypatch):
+        # the step forms no cross-entropy loss while the softmax is finite;
+        # it must still stop at the batch whose loss the oracle finds non-finite
+        full = generate_blobs(n=250, d=5, k=3, separation=6.0, seed=96)
+        train_set, val_set = split_dataset(full, 0.2, seed=97)
+        layer = make_learnable_layer(relu_feature_map(5, 24, seed=98), 8, seed=99)
+        head = make_head(3, 8, seed=100)
+        cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, loss="cross_entropy",
+                          seed=101)
+        expected = []
+        A, *_ = per_array_fit(layer, head, train_set, cfg, val_set, batch_losses=expected)
+        first = len(expected) - 1
+        assert 0 < first < 13 and not math.isfinite(expected[first])  # within epoch 1
+        calls = []
+        real_grads = train_module._grads
+
+        def counting_grads(*args, **kwargs):
+            calls.append(args[1].copy())  # the stacked A this batch reads
+            return real_grads(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "_grads", counting_grads)
+        with pytest.raises(DivergenceDetected,
+                           match=rf"^loss nan at epoch 1, batch {first} is non-finite$"):
+            fit_A(layer, head, train_set, cfg, validation=val_set)
+        assert len(calls) == first + 1
+        # the steps before that batch match the oracle's four-ufunc updates
+        assert np.array_equal(calls[-1], A, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_is_refused(self, bad):
+        rng = rng_for(48, 0, 0, MISC_STREAM)
+        labels = np.arange(30) % 3
+        labels[7] = bad
+        data = Dataset(X=rng.standard_normal((30, 4)), Y=labels)
+        layer = make_learnable_layer(relu_feature_map(4, 8, seed=49), 6, seed=50)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=10, loss="cross_entropy")
+        with pytest.raises(ValueError,
+                           match=rf"cross-entropy label {bad} is outside the 3 classes \[0, 3\)"):
+            fit_A(layer, make_head(3, 6, seed=51), data, cfg)
+
     def test_non_finite_A_after_last_batch_is_divergence(self, monkeypatch):
         # one batch per epoch: the step that breaks A is followed by the
         # epoch's snapshot, not by another batch loss
@@ -465,10 +507,12 @@ def reference_fit(layer, head, data, cfg, validation):
     return A, W, b, history
 
 
-def per_array_fit(layer, head, data, cfg, validation):
+def per_array_fit(layer, head, data, cfg, validation, batch_losses=None):
     """fit_A's SGD with one array per parameter: fresh gradient arrays, four
     update ufuncs for each of A, W and b, a row-major softmax and the label
-    entries picked by fancy indexing; losses on the full splits likewise."""
+    entries picked by fancy indexing; losses on the full splits likewise.
+    Every batch's objective is appended to ``batch_losses`` when given, and
+    fitting stops at the first non-finite one, before its step."""
     feats = real_design(layer.feature_map.features_many(data.X))
     val_feats = real_design(layer.feature_map.features_many(validation.X))
     A = np.ascontiguousarray(np.conjugate(layer.A)).view(float)
@@ -510,14 +554,19 @@ def per_array_fit(layer, head, data, cfg, validation):
                 f = feats[idx]
                 hidden = f @ A.T
                 if W is None:
-                    _, dpred = loss_and_grad(hidden, Y[idx])
+                    value, dpred = loss_and_grad(hidden, Y[idx])
                     grads = [dpred.T @ f]
                 else:
-                    _, dpred = loss_and_grad(hidden @ W.T + b, Y[idx])
+                    value, dpred = loss_and_grad(hidden @ W.T + b, Y[idx])
                     grads = [W.T @ (dpred.T @ f), dpred.T @ hidden, dpred.sum(axis=0)]
                 if cfg.l2 > 0:
                     for g, p in zip(grads[:2], params[:2]):
                         g += (2.0 * cfg.l2) * p
+                    value += cfg.l2 * sum(float(np.sum(p * p)) for p in params[:2])
+                if batch_losses is not None:
+                    batch_losses.append(value)
+                    if not math.isfinite(value):
+                        return A, W, b, history
                 for p, v, g in zip(params, velocities, grads):
                     v *= cfg.momentum
                     g *= cfg.learning_rate
@@ -531,8 +580,8 @@ def per_array_fit(layer, head, data, cfg, validation):
 class TestFlatBufferStep:
     """fit_A's in-place step on one flat buffer reproduces per-array SGD bit for bit."""
 
-    @pytest.mark.parametrize("case", ["relu-ce-k4", "urf-ce-momentum-l2", "relu-mse-headless",
-                                      "relu-ce-k10"])
+    @pytest.mark.parametrize("case", ["relu-ce-k4", "urf-ce-momentum-l2", "urf-ce-plain",
+                                      "relu-mse-headless", "relu-ce-k10"])
     def test_matches_per_array_sgd(self, case):
         k = 10 if case == "relu-ce-k10" else 3 if case.startswith("urf") else 4
         full = generate_blobs(n=250, d=5, k=k, separation=6.0, seed=96)
@@ -546,6 +595,7 @@ class TestFlatBufferStep:
             fmap = relu_feature_map(5, 24, seed=98)
         loss, l2, momentum = {"relu-ce-k4": ("cross_entropy", 0.0, 0.0),
                               "urf-ce-momentum-l2": ("cross_entropy", 1e-4, 0.9),
+                              "urf-ce-plain": ("cross_entropy", 0.0, 0.0),
                               "relu-mse-headless": ("mse", 1e-3, 0.0),
                               "relu-ce-k10": ("cross_entropy", 0.0, 0.5)}[case]
         if loss == "mse":
