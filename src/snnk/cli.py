@@ -531,7 +531,7 @@ TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_positive_int, 16
 # the layer keys that only one kind reads; a layer of the other kind refuses them
 TRAIN_LAYER_ONLY = {"relu": ("features",), "urf": ("m", "A", "activation")}
 TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
-                  "loss": (_as_is, "cross_entropy"), "l2": (float, 0.0), "momentum": (float, 0.0)}
+                  "loss": (_as_is, "cross_entropy")}
 
 
 def _cmd_train(args) -> int:

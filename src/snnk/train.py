@@ -11,18 +11,17 @@ are [Re A_ij, -Im A_ij], so Re(Phi A^T) = F A_s^T and every product is a
 real GEMM; relu features and weights are real already and pass through.
 Phi depends only on the inputs and the frozen draws, so ``fit_A`` builds F
 once per split, with no copy, and reuses it for every SGD batch and every
-epoch's full-split loss.  Plain SGD with optional momentum and an
-``l2 (|A|^2 + |W|^2)`` penalty; the point is validated trainability, not
-leaderboard accuracy.  The step runs in place: A_s, W and b are views of
-one flat buffer and the gradients are written into views of a second one.
-At momentum 0 one update, theta -= lr g, steps them all; with momentum a
-heavy-ball update runs through a third, velocity buffer.  A step reads of
-its batch objective only whether it is finite, so a cross-entropy batch
-tests the sum of its softmax instead of forming the log-likelihood, an
-equivalent test (``_loss``); mse batches and the l2 term keep their values.
-Cross-entropy targets are one-hot rows built once per fit; each epoch
-permutes the target rows once and slices its batches from that copy.  A
-full split's loss runs on a class-major copy of its outputs, which are
+epoch's full-split loss.  Plain mini-batch SGD on the mean loss; with the
+features frozen that objective is convex in the product of the head and A.
+The point is validated trainability, not leaderboard accuracy.  The step
+runs in place: A_s, W and b are views of one flat buffer and the gradients
+are written into views of a second one, so one update, theta -= lr g,
+steps them all.  A step reads of its batch loss only whether it is finite,
+so a cross-entropy batch tests the sum of its softmax instead of forming
+the log-likelihood, an equivalent test (``_loss``); mse batches keep their
+values.  Cross-entropy targets are one-hot rows built once per fit; each
+epoch permutes the target rows once and slices its batches from that copy.
+A full split's loss runs on a class-major copy of its outputs, which are
 formed in row panels of ``PANEL_ROWS`` rows, one product per panel into one
 output array: with OpenBLAS 0.3.31 on a 2-core x86_64 VM, a (3000 x 512)
 design times (512 x 4) weights took 1.3-1.8 ms as one call and 0.5-0.7 ms
@@ -133,22 +132,16 @@ class TrainConfig:
     batch_size: int
     loss: str = "mse"  # or "cross_entropy"
     seed: int = 0
-    l2: float = 0.0
-    momentum: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("momentum", f"must be >= 0 and < 1, got {self.momentum}")
         if self.epochs < 0:
             raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.loss not in ("mse", "cross_entropy"):
             raise ConfigError("loss", f"expected 'mse' or 'cross_entropy', got {self.loss!r}")
-        if not self.l2 >= 0:
-            raise ConfigError("l2", f"must be >= 0, got {self.l2}")
 
 
 @dataclass
@@ -214,8 +207,12 @@ def _unstack_weights(A_s: np.ndarray, complex_weights: bool) -> np.ndarray:
 def _targets(data: Dataset, loss: str, k: int) -> np.ndarray:
     """The targets of ``data`` as rows: for cross-entropy the one-hot rows of
     its labels over k classes, for mse its target rows (a 1-d target is one
-    column).  A cross-entropy label outside [0, k) raises a ValueError."""
+    column).  Cross-entropy targets other than 1-d integer labels, and a
+    label outside [0, k), raise a ValueError."""
     if loss == "cross_entropy":
+        if not data.is_classification:
+            raise ValueError(f"cross-entropy expects 1-d integer labels, got {data.Y.dtype} "
+                             f"{data.Y.shape}")
         outside = data.Y[(data.Y < 0) | (data.Y >= k)]
         if outside.size:
             raise ValueError(f"cross-entropy label {outside[0]} is outside the {k} classes "
@@ -306,8 +303,8 @@ def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None, targe
 # training
 
 
-def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None), objective=True):
-    """Objective ``loss + l2 (|A|^2 + |W|^2)`` and its gradients in A, W, b.
+def _grads(feats, A, W, b, Y, loss, out=(None, None, None), objective=True):
+    """The mean ``loss`` of a batch and its gradients in A, W, b.
 
     ``feats`` is a real design, ``A`` its stacked weights and ``Y`` the
     target rows (``_targets``); the output is linear in A, so its gradient
@@ -315,7 +312,7 @@ def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None), objective=True):
     into ``out``'s C-contiguous arrays of their shapes, or fresh arrays
     where an entry is None.  With ``objective`` False a finite cross-entropy
     loss counts as 0.0 (``_loss``): the value is then finite exactly when
-    the objective is, and equal to it when not, which is all an SGD step
+    the loss is, and equal to it when not, which is all an SGD step
     reads of it.
     """
     gA, gW, gb = out
@@ -330,13 +327,6 @@ def _grads(feats, A, W, b, Y, loss, l2, out=(None, None, None), objective=True):
         gA = np.matmul(W.T, dpred @ feats, out=gA)
         gW = np.matmul(dpred, hidden, out=gW)
         gb = dpred.sum(axis=1, out=gb)
-    if l2 > 0:
-        penalty = float(np.sum(A * A))
-        gA += (2.0 * l2) * A
-        if W is not None:
-            penalty += float(np.sum(W * W))
-            gW += (2.0 * l2) * W
-        value += l2 * penalty
     return value, gA, gW, gb
 
 
@@ -352,15 +342,14 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     permuted once per epoch and sliced for each batch.  Both splits' designs
     and target rows are reused for every epoch's full-split loss.  The
     stacked A, W and b are views of one flat buffer, and so are the
-    gradients ``_grads`` writes, so one update steps every parameter: at
-    momentum 0 the plain ``theta -= lr g``, otherwise the heavy-ball
-    ``v = momentum v - lr g; theta += v`` with a velocity buffer.  A batch
-    objective is checked only for finiteness; for cross-entropy that test
-    reads the softmax's sum and forms the loss only when it fails
-    (``_loss``), so the error names the same value.  History rows are
-    (epoch, split, loss, accuracy), evaluated before training and after each
-    epoch.  Raises
-    DivergenceDetected if the training loss is non-finite, the initial one
+    gradients ``_grads`` writes, so one plain SGD update, ``theta -= lr g``,
+    steps every parameter.  A batch loss is checked only for finiteness;
+    for cross-entropy that test reads the softmax's sum and forms the loss
+    only when it fails (``_loss``), so the error names the same value.
+    History rows are (epoch, split, loss, accuracy), evaluated before
+    training and after each epoch.  The epochs run with numpy's overflow and
+    invalid-value warnings off, so a diverging fit reports itself only
+    through its DivergenceDetected.  Raises DivergenceDetected if the training loss is non-finite, the initial one
     included, or passes 10x its starting value; a non-finite mini-batch loss
     raises at once, before that batch's step, and so does a non-finite entry
     of A at the end of an epoch.  An input of the wrong width raises the
@@ -382,7 +371,6 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
     parts = [_stack_weights(layer.A, feats)] + ([] if head is None else [head.W, head.b])
     theta = np.concatenate([p.ravel() for p in parts])
     grad = np.empty_like(theta)
-    velocity = np.zeros_like(theta) if cfg.momentum > 0 else None
     ends = np.cumsum([p.size for p in parts])[:-1]
     pad = [None] * (3 - len(parts))  # no head: W and b are None
     A, W, b = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends), parts)] + pad
@@ -395,44 +383,41 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
         return lay, hd
 
     history = []
-    for epoch in range(cfg.epochs + 1):
-        if epoch > 0:
-            order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
-            epoch_Y = Y[order]
-            for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
-                rows = slice(start, start + cfg.batch_size)
-                batch_loss, *grads = _grads(feats[order[rows]], A, W, b, epoch_Y[rows],
-                                            cfg.loss, cfg.l2, grad_parts, objective=False)
-                if not math.isfinite(batch_loss):
-                    raise DivergenceDetected(
-                        f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
-                    )
-                for part, g in zip(grad_parts, grads):
-                    if g is not part:  # a gradient _grads did not write in place
-                        part[...] = g
-                grad *= cfg.learning_rate
-                if velocity is None:  # theta <- theta - lr g
+    # the finiteness checks below report a diverging run, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs + 1):
+            if epoch > 0:
+                order = rng_for(cfg.seed, 310, epoch, MISC_STREAM).permutation(data.n)
+                epoch_Y = Y[order]
+                for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
+                    rows = slice(start, start + cfg.batch_size)
+                    batch_loss, *grads = _grads(feats[order[rows]], A, W, b, epoch_Y[rows],
+                                                cfg.loss, grad_parts, objective=False)
+                    if not math.isfinite(batch_loss):
+                        raise DivergenceDetected(
+                            f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
+                        )
+                    for part, g in zip(grad_parts, grads):
+                        if g is not part:  # a gradient _grads did not write in place
+                            part[...] = g
+                    grad *= cfg.learning_rate
                     theta -= grad
-                else:  # v <- momentum v - lr g;  theta <- theta + v
-                    velocity *= cfg.momentum
-                    velocity -= grad
-                    theta += velocity
-        if not np.all(np.isfinite(A)):
-            raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
-        lay, hd = snapshot()
-        loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats, targets=Y)
-        history.append((epoch, "train", loss_value, acc))
-        if epoch == 0:
-            initial_loss = loss_value
-        if validation is not None:
-            vloss, vacc = evaluate(lay, hd, validation, cfg.loss, feats=val_feats,
-                                   targets=val_Y)
-            history.append((epoch, "validation", vloss, vacc))
-        if not math.isfinite(loss_value) or loss_value > 10.0 * max(initial_loss, 1e-30):
-            raise DivergenceDetected(
-                f"loss {loss_value:.3e} at epoch {epoch} is non-finite or exceeded "
-                f"10x initial {initial_loss:.3e}"
-            )
+            if not np.all(np.isfinite(A)):
+                raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
+            lay, hd = snapshot()
+            loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats, targets=Y)
+            history.append((epoch, "train", loss_value, acc))
+            if epoch == 0:
+                initial_loss = loss_value
+            if validation is not None:
+                vloss, vacc = evaluate(lay, hd, validation, cfg.loss, feats=val_feats,
+                                       targets=val_Y)
+                history.append((epoch, "validation", vloss, vacc))
+            if not math.isfinite(loss_value) or loss_value > 10.0 * max(initial_loss, 1e-30):
+                raise DivergenceDetected(
+                    f"loss {loss_value:.3e} at epoch {epoch} is non-finite or exceeded "
+                    f"10x initial {initial_loss:.3e}"
+                )
     return lay, hd, history
 
 
@@ -441,13 +426,13 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
 
 
 def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
-               step: float = 1e-5, max_entries: int = 64, l2: float = 0.0) -> float:
+               step: float = 1e-5, max_entries: int = 64) -> float:
     """Max relative error, analytic vs central finite differences.
 
-    Differentiates the training objective, ``loss + l2 (|A|^2 + |W|^2)``,
-    in the real coordinates ``fit_A`` trains: the entries of A (for complex
-    features, the Re A and the -Im A entries of the interleaved stacked
-    weights, its even and odd columns, as two arrays) and of the head, up to
+    Differentiates the training objective, the mean ``loss``, in the real
+    coordinates ``fit_A`` trains: the entries of A (for complex features,
+    the Re A and the -Im A entries of the interleaved stacked weights, its
+    even and odd columns, as two arrays) and of the head, up to
     ``max_entries`` per array, scanning each in a fixed order.
     """
     feats = real_design(layer.feature_map.features_many(data_batch.X))
@@ -457,9 +442,9 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
     Y = _targets(data_batch, loss, len(params[-1]))
 
     def objective():
-        return _grads(feats, A, W, b, Y, loss, l2)[0]
+        return _grads(feats, A, W, b, Y, loss)[0]
 
-    _, gA, *head_grads = _grads(feats, A, W, b, Y, loss, l2)
+    _, gA, *head_grads = _grads(feats, A, W, b, Y, loss)
     k = A.shape[1] // layer.n_features  # 2 for complex weights, 1 for real
     # views, so bumping an entry of a half bumps A
     arrays = [(A[:, h::k], gA[:, h::k]) for h in range(k)]

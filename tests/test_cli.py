@@ -806,8 +806,7 @@ class TestTrainCommand:
         losses = [float(r[2]) for r in rows[1:] if r[1] == "train"]
         assert losses[-1] < losses[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_fails_cleanly(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "train.json",
@@ -881,7 +880,8 @@ class TestTrainCommand:
          "train.batch_size: must be <= the 225 training rows, got 226"),
         ("train", {"loss": "mse"}, "train.loss: 'mse' needs real targets and the blobs have class "
                                    "labels; use 'cross_entropy'"),
-        ("train", {"momentum": -0.5}, "train.momentum: must be >= 0 and < 1, got -0.5"),
+        ("train", {"momentum": 0.9}, "train.momentum: unknown key"),
+        ("train", {"l2": 1e-3}, "train.l2: unknown key"),
         ("train", {"learning_rate": math.inf},
          "train.learning_rate: must be finite and > 0, got inf"),
         ("layer", {"m": 0, "A": 0.5, "activation": "tanh"},
@@ -893,7 +893,7 @@ class TestTrainCommand:
          "layer.features: only a relu layer reads this key, and layer.kind is 'urf'"),
     ], ids=["epochs", "batch_size", "validation_frac-1", "validation_frac-0", "m", "A", "d", "k",
             "separation", "separation-inf", "n-zero", "n-negative", "out_dim", "features",
-            "batch_size-rows", "mse", "momentum", "learning_rate", "relu-urf-keys", "relu-A",
+            "batch_size-rows", "mse", "momentum", "l2", "learning_rate", "relu-urf-keys", "relu-A",
             "relu-activation", "urf-features"])
     def test_bad_value_names_its_key_before_the_data_is_built(
             self, tmp_path, capsys, monkeypatch, section, change, message):
