@@ -96,11 +96,18 @@ class TestTrainConfig:
             TrainConfig(**{**settings, key: value})
         assert (err.value.key, err.value.problem) == (key, problem)
 
-    @pytest.mark.parametrize("key", ["momentum", "l2"])
-    def test_removed_option_is_a_type_error(self, key):
-        # fit_A is plain SGD on the mean loss: no heavy-ball step, no penalty
+    @pytest.mark.parametrize("key, value", [
+        ("momentum", -0.5),
+        ("momentum", 1.0),
+        ("momentum", math.inf),
+        ("momentum", math.nan),
+        ("l2", 0.9),
+    ])
+    def test_removed_option_is_a_type_error(self, key, value):
+        # fit_A is plain SGD on the mean loss: no heavy-ball step, no penalty,
+        # so the option is refused whatever its value
         with pytest.raises(TypeError, match=key):
-            TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, **{key: 0.9})
+            TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, **{key: value})
 
 
 class TestFitA:
