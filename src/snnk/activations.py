@@ -122,6 +122,8 @@ class GridCells(NamedTuple):
     total: float
     cdf: np.ndarray  # cumulative cell probabilities; empty when total <= 0
     guide: np.ndarray  # (GUIDE + 1,) cell index of each bucket edge; empty when total <= 0
+    width: np.ndarray  # grid[j + 1] - grid[j] of each cell
+    proposal: np.ndarray  # mass / total / width: the proposal density on each cell; empty when total <= 0
 
     def search(self, key: np.ndarray) -> np.ndarray:
         """``cdf.searchsorted(key, side="right")`` for keys in [0, 1), index
@@ -174,15 +176,17 @@ class FourierComponent:
     def cells(self) -> GridCells:
         """The tabulation cells, with the CDF formed as ``Generator.choice``
         forms it from p = mass / total, so that searching it draws the same
-        cells from the same stream, and its guide table (128 KiB)."""
-        mass = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
+        cells from the same stream, its guide table (128 KiB), and each cell's
+        width and proposal density, which a draw gathers once per sample."""
+        width = np.diff(self.grid)
+        mass = 0.5 * (self.values[1:] + self.values[:-1]) * width
         total = mass.sum()
         if total <= 0:
-            return GridCells(mass, total, np.empty(0), np.empty(0, dtype=np.intp))
+            return GridCells(mass, total, np.empty(0), np.empty(0, dtype=np.intp), width, np.empty(0))
         cdf = (mass / total).cumsum()
         cdf /= cdf[-1]
         guide = cdf.searchsorted(np.arange(GUIDE + 1) / GUIDE, side="right")
-        return GridCells(mass, total, cdf, guide)
+        return GridCells(mass, total, cdf, guide, width, mass / total / width)
 
 
 def _atomic_component(axis, atoms) -> FourierComponent:

@@ -495,7 +495,12 @@ def _cmd_bundle(args) -> int:
 
     rng = rng_for(seed, 501, 0, MISC_STREAM)
     probes = rng.uniform(-1.0, 1.0, (conf["probes"], net.input_dim))
-    err = np.abs(bundled_forward(probes, bundled) - network_forward(probes, net))
+    with np.errstate(over="ignore", invalid="ignore"):  # the count below reports it
+        approx = bundled_forward(probes, bundled)
+    bad = int(np.count_nonzero(~np.isfinite(approx)))
+    if bad:
+        raise ValueError(f"probe_mae: {bad} of {approx.size} bundled probe outputs are non-finite")
+    err = np.abs(approx - network_forward(probes, net))
     mae = float(np.mean(err.mean(axis=-1)))
     _write_csv(
         args.out,

@@ -19,18 +19,27 @@ summand, laid out component after component; their bilinear dot product is
 an unbiased estimate of f(w.x + b).
 
 A draw set is fused: its M = components x m entries share one frequency
-vector, one ratio vector and one M x dim Gaussian matrix ``G``, and
-``UrfDraws.terms`` caches the per-entry constants.  Lambda of either side is
-one function, ``_tower``: scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z)
-over all M entries, with one ``Tower(coef, quad, scale)`` triple per side.
-Under the fixed policy the input tower (z = x) is (sqrt(1-4A) 2 pi i xi_i,
-2 pi^2 xi_i^2, prefactor / sqrt(m)) and the parameter tower (z = w) is
-(sqrt(1-4A), -1/2, prefactor); ``psi_many`` puts the weight, ratio and
-bias phase of each entry in front.  ``_tower`` forms g.z of a real (..., d)
-stack as one matrix product (``phi``/``psi`` are its calls on one row) and
-exponentiates in place in one array, adding A|g_i|^2 only when A != 0.  A
-complex row z (a bundled stage input, an absorbed weight row) goes through
-the real G as the pair [Re z, Im z].
+vector, one ratio vector and one M x dim Gaussian matrix ``G``.  Either
+tower is one real matrix product and one exp: the exponent of every entry,
+its norm term and its normaliser included, is a packed real matrix against
+an augmented row,
+
+    input tower (z = x):  [c_i g_i | q_i | A|g_i|^2 + log s] . [i z, z.z, 1]
+    param tower (z = w):  [r g_i | -1/2 | 2 pi xi_i | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+                           . [w, w.w, i b, i, 1]
+
+with r = sqrt(1-4A), c_i = 2 pi r xi_i, q_i = 2 pi^2 xi_i^2, the prefactor
+p = (1-4A)^(d/4), s = p / sqrt(m), and c_j the signed mass of entry i's
+component.  The fixed policy puts rho(xi) = 2 pi i xi on the input side (the
+i rides on the augmented row) and the bias phase exp(2 pi i xi b) and the
+signed mass in the parameter exponent, so ``psi_many`` only multiplies the
+exponential by each entry's importance ratio.  The product meets each
+augmented row as its (K, 2) float pairs [Re a, Im a]: the packed matrix is
+real, and the (M, 2) result is the row's complex exponent, exponentiated in
+place.  A (..., d) stack is that product for each row, so every row equals
+its single call bit for bit.  ``UrfDraws.input_matrix`` is packed once per
+draw set, on first use, since serving reuses it; the parameter matrix is
+packed per ``psi_many`` call and not kept.
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg)`` reads each
 component's frequencies and Gaussians off its own (seed, axis, XI/G) streams
@@ -43,10 +52,10 @@ entries ``UrfDraws.instantiations`` regroups into one row per instantiation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,35 +118,16 @@ class AxisDraws:
     ratio: np.ndarray  # (m,), p_j(xi)/proposal(xi), >= 0
 
 
-class Tower(NamedTuple):
-    """One side's constants of Lambda: scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z)."""
-
-    coef: np.ndarray | float  # the coefficient of g_i.z
-    quad: np.ndarray | float  # the coefficient of z.z
-    scale: float  # the factor in front of the exponential
-
-
-class LambdaTerms(NamedTuple):
-    """Per-entry constants of Lambda for one shape A: shared by both towers,
-    then one triple per tower."""
-
-    agg: np.ndarray | float  # A |g_i|^2; 0.0 when A = 0
-    freq: np.ndarray  # 2 pi i xi_i, the coefficient of the bias
-    weight: np.ndarray  # c_i / sqrt(m), the signed mass of entry i's component
-    input: Tower  # rho(xi) x: (sqrt(1-4A) 2 pi i xi_i, 2 pi^2 xi_i^2, (1-4A)^(d/4) / sqrt(m))
-    param: Tower  # eta(xi) w: (sqrt(1-4A), -1/2, (1-4A)^(d/4))
-
-
 @dataclass(frozen=True)
 class UrfDraws:
     """Draws for every active component, fused along one feature axis.
 
     Component j (``axes[j]``) owns entries j*m to (j+1)*m - 1 of ``xi`` and
     ``ratio`` and those rows of the one Gaussian matrix ``G``, with m =
-    ``config.m``; ``blocks`` views them per component.  The per-entry
-    constants ``terms`` are computed once per draw set on first use, so the
-    arrays must not be modified in place after a feature map has been
-    evaluated: the cached terms would go stale.
+    ``config.m``; ``blocks`` views them per component.  The packed input
+    tower ``input_matrix`` is computed once per draw set on first use, so the
+    arrays must not be modified in place after ``phi`` has been evaluated:
+    the cached matrix would go stale.
     """
 
     dim: int
@@ -181,25 +171,50 @@ class UrfDraws:
         runs = entries.reshape(len(self.axes), n, run)
         return runs[:, :, :m].swapaxes(0, 1).reshape(n, -1)
 
+    @property
+    def prefactor(self) -> float:
+        """Lambda's prefactor (1-4A)^(d/4)."""
+        return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0)
+
+    def _packed(self, g_scale, n_middle: int, log_scale, order: str) -> np.ndarray:
+        """One tower's (M, dim + n_middle + 1) packed matrix [g_scale_i g_i |
+        n_middle columns left for the caller | A|g_i|^2 + log_scale] in memory
+        ``order``; ``g_scale`` is a scalar or one value per entry, and
+        ``log_scale`` a scalar or one value per component.  Filled column by
+        column, along the entries: a loop over each row's few coordinates
+        costs 4x at the dim = 2 of an estimate run."""
+        d, A = self.dim, self.config.A
+        cols = np.empty((self.total_features, d + n_middle + 1), order=order).T
+        np.multiply(self.G.T, g_scale, out=cols[:d], order="C")
+        cols[-1].reshape(len(self.axes), -1)[:] = np.reshape(log_scale, (-1, 1))
+        if A != 0:  # the default shape skips this pass over G
+            cols[-1] += A * np.einsum("ij,ij->i", self.G, self.G)
+        return cols.T
+
     @cached_property
-    def terms(self) -> LambdaTerms:
-        A, m = self.config.A, self.config.m
-        root = math.sqrt(1.0 - 4.0 * A)
-        prefactor = (1.0 - 4.0 * A) ** (self.dim / 4.0)
-        freq = 2j * math.pi * self.xi
-        if A == 0:  # the default shape: skip the pass over G
-            agg = 0.0
-        else:
-            # |g_i|^2 one component's rows at a time: a single G-sized temporary
-            # made this 1.6x slower at M x dim = 512 x 200 on a 2-core x86_64 VM
-            agg = A * np.concatenate([np.sum(b.g * b.g, axis=-1) for b in self.blocks], axis=-1)
-        return LambdaTerms(
-            agg=agg,
-            freq=freq,
-            weight=np.repeat([c / math.sqrt(m) for _, c in self.axes], m),
-            input=Tower(root * freq, 2.0 * math.pi**2 * self.xi**2, prefactor / math.sqrt(m)),
-            param=Tower(root, -0.5, prefactor),
-        )
+    def input_matrix(self) -> np.ndarray:
+        """[c_i g_i | q_i | A|g_i|^2 + log s] against [i x, x.x, 1]: c_i =
+        sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = prefactor / sqrt(m).
+        Row-major: a single row's product reads it fastest."""
+        root = math.sqrt(1.0 - 4.0 * self.config.A)
+        P = self._packed(2.0 * math.pi * root * self.xi, 1,
+                         math.log(self.prefactor / math.sqrt(self.config.m)), "C")
+        q = np.square(self.xi, out=P[:, self.dim])
+        q *= 2.0 * math.pi**2
+        return P
+
+    def param_matrix(self) -> np.ndarray:
+        """[sqrt(1-4A) g_i | -1/2 | 2 pi xi_i | arg c_j | A|g_i|^2 + log(p |c_j| /
+        sqrt(m))] against [w, w.w, i b, i, 1], with c_j the signed mass of
+        entry i's component.  Column-major: built per call, its columns are
+        contiguous, and a tall product with few columns reads it faster."""
+        d, root = self.dim, math.sqrt(1.0 - 4.0 * self.config.A)
+        norm = self.prefactor / math.sqrt(self.config.m)
+        P = self._packed(root, 3, [math.log(norm * abs(c)) for _, c in self.axes], "F")
+        P[:, d] = -0.5
+        np.multiply(self.xi, 2.0 * math.pi, out=P[:, d + 1])
+        P[:, d + 2].reshape(len(self.axes), -1)[:] = [[cmath.phase(c)] for _, c in self.axes]
+        return P
 
 
 @dataclass(frozen=True)
@@ -236,16 +251,15 @@ def _sample_xi(component: FourierComponent, n_xi: int, stream):
         else:
             xi = locs[stream().choice(len(locs), size=n_xi, p=probs)]
         return xi, np.ones(n_xi)
-    grid, cells = component.grid, component.cells
+    cells = component.cells
     if cells.total <= 0:
         raise ProposalMismatch("grid proposal over an empty tabulation")
     rng = stream()
     # rng.choice(p=mass / total) without rebuilding the CDF per call
     idx = cells.search(rng.random(n_xi))
     u = rng.random(n_xi)
-    xi = grid[idx] + u * (grid[idx + 1] - grid[idx])
-    pbar = cells.mass[idx] / cells.total / (grid[idx + 1] - grid[idx])
-    ratio = component.density(xi) / component.mass / pbar
+    xi = component.grid[idx] + u * cells.width[idx]
+    ratio = component.density(xi) / component.mass / cells.proposal[idx]
     return xi, ratio
 
 
@@ -254,8 +268,8 @@ def sample_draws(decomp: FourierDecomposition, dim: int, cfg: UrfConfig) -> UrfD
 
     Deterministic in ``cfg.seed``; each component uses its own derived
     streams, so adding or removing components does not perturb the others.
-    ``G`` is allocated once and each component's Gaussian stream is copied
-    into its rows.
+    ``G`` is allocated once and each component's Gaussian stream fills its
+    rows in place.
     """
     comps = decomp.active()
     m = cfg.m
@@ -266,7 +280,7 @@ def sample_draws(decomp: FourierDecomposition, dim: int, cfg: UrfConfig) -> UrfD
         rows, axis_id = slice(j * m, (j + 1) * m), AXIS_ID[comp.axis]
         xi_stream = partial(rng_for, cfg.seed, axis_id, 0, XI_STREAM)
         xi[rows], ratio[rows] = _sample_xi(comp, m, xi_stream)
-        G[rows] = rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal((m, dim))
+        rng_for(cfg.seed, axis_id, 0, G_STREAM).standard_normal(out=G[rows])
     axes = tuple((c.axis, complex(c.mass * AXIS_PHASE[c.axis])) for c in comps)
     return UrfDraws(dim=dim, config=cfg, axes=axes, xi=xi, G=G, ratio=ratio)
 
@@ -289,31 +303,24 @@ def lambda_feature(g: np.ndarray, z: np.ndarray, A: float) -> complex:
     return prefactor * np.exp(exponent)
 
 
-def _project(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """g_i.z for every row g_i of G (M, d) and each row z of Z (..., d).
-
-    A real Z is one matrix product ``Z @ G.T``.  A complex z goes through the
-    real G as the (d, 2) pair [Re z, Im z], one product per row, which serves
-    a single 256-wide stage probe faster than the two products Re Z @ G.T,
-    Im Z @ G.T.
-    """
-    if np.iscomplexobj(Z):
-        Z = np.ascontiguousarray(Z, dtype=complex)
-        return (G @ Z.view(float).reshape(*Z.shape, 2)).view(complex)[..., 0]
-    return Z @ G.T
+def _tower(packed: np.ndarray, aug: np.ndarray) -> np.ndarray:
+    """exp(packed . a) for each augmented row a of ``aug`` (..., K) complex:
+    the real (M, K) matrix against the (K, 2) float pairs [Re a, Im a] of
+    each row, whose (M, 2) result is the complex exponent, exponentiated in
+    place; (..., M) complex."""
+    E = (packed @ aug.view(float).reshape(*aug.shape, 2)).view(complex)[..., 0]
+    return np.exp(E, out=E)
 
 
-def _tower(Z, draws, tower: Tower):
-    """scale * exp(A|g_i|^2 + coef_i g_i.z + quad_i z.z) for each row z of
-    Z (..., d) and every entry i of the draw set."""
-    zz = (Z * Z).sum(axis=-1, keepdims=True)  # bilinear; complex-safe
-    E = tower.coef * _project(draws.G, Z)  # already the full (..., M) shape and dtype
-    if draws.config.A != 0:
-        E += draws.terms.agg
-    E += tower.quad * zz
-    np.exp(E, out=E)
-    E *= tower.scale
-    return E
+def _augment(Z: np.ndarray, n_middle: int) -> np.ndarray:
+    """[z, z.z, n_middle columns left for the caller, 1] for each row z of
+    ``Z`` (..., d), with the bilinear (non-conjugated) square z.z; complex."""
+    d = Z.shape[-1]
+    aug = np.empty(Z.shape[:-1] + (d + n_middle + 2,), dtype=complex)
+    aug[..., :d] = Z
+    np.matmul(Z[..., None, :], Z[..., :, None], out=aug[..., d : d + 1, None])
+    aug[..., -1] = 1.0
+    return aug
 
 
 def input_rows(X, dim: int, what: str = "input") -> np.ndarray:
@@ -340,7 +347,9 @@ def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; ``phi(x)`` is the call on the one row x.
     """
-    return _tower(input_rows(X, draws.dim), draws, draws.terms.input)
+    aug = _augment(input_rows(X, draws.dim), 0)
+    aug[..., : draws.dim] *= 1j
+    return _tower(draws.input_matrix, aug)
 
 
 def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
@@ -349,15 +358,29 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; ``psi(w, b)`` is the call on the one row w.
     """
-    W = input_rows(W, draws.dim, "weights")
-    t = draws.terms
-    b = np.asarray(b)[..., None]
-    return t.weight * (draws.ratio * np.exp(t.freq * b)) * _tower(W, draws, t.param)
+    d = draws.dim
+    aug = _augment(input_rows(W, d, "weights"), 2)
+    aug.real[..., d + 1] = 0.0
+    aug.imag[..., d + 1] = b
+    aug[..., d + 2] = 1j
+    E = _tower(draws.param_matrix(), aug)
+    E *= draws.ratio
+    return E
 
 
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
-    """Re of the bilinear feature dot product (the estimator proper)."""
-    return kernel_estimate_complex(px, pw).real
+    """Re of the bilinear feature dot product (the estimator proper).
+
+    Formed as ``snnk_forward`` forms Re(A Phi(x)): the conjugated input
+    features' float view [Re phi_j, -Im phi_j] against pw's [Re psi_j,
+    Im psi_j], one real (1, 2M) @ (2M, 1) product per row, so no imaginary
+    half is computed, and a one-row layer's output is the estimate bit for
+    bit.  One pair gives a Python float.
+    """
+    x = np.conjugate(px.entries, dtype=complex).view(float)
+    w = np.ascontiguousarray(pw.entries, dtype=complex).view(float)
+    est = (x[..., None, :] @ w[..., None])[..., 0, 0]
+    return float(est) if est.ndim == 0 else est
 
 
 def kernel_estimate_complex(px: FeatureVector, pw: FeatureVector) -> complex | np.ndarray:
@@ -383,8 +406,8 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
     real inputs, and -(z.z)/2 = 2 pi^2 xi^2 |x|^2, so the bound is the
     prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.
     """
-    t = draws.terms.input
-    return t.scale * np.exp(t.quad * max_norm_x**2)
+    scale = draws.prefactor / math.sqrt(draws.config.m)
+    return scale * np.exp(2.0 * math.pi**2 * draws.xi**2 * max_norm_x**2)
 
 
 def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
@@ -400,4 +423,5 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
     R = max_norm_w
     exponent = (1.0 - 4.0 * A) * R * R / (4.0 * abs(A)) - R * R / 2.0
     mass = np.repeat([abs(c) for _, c in draws.axes], draws.config.m)
-    return draws.terms.input.scale * mass * draws.ratio * math.exp(exponent)
+    scale = draws.prefactor / math.sqrt(draws.config.m)
+    return scale * mass * draws.ratio * math.exp(exponent)

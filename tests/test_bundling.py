@@ -151,19 +151,19 @@ def row_gap_terms(X, steps):
     through ``steps``: stage draw sets, sine layers and a final W_bar.
 
     A product's rounding is bounded by its terms |W| |z|, and an input gap
-    ROW_TOL * S_in adds |W| S_in.  Sine is 1-Lipschitz.  A stage's exponent
-    coef_i g_i.z + quad_i z.z + A|g_i|^2 has the same two parts, and exp
-    turns an exponent gap into a gap relative to the entry's magnitude.
+    ROW_TOL * S_in adds |W| S_in.  Sine is 1-Lipschitz.  A stage's exponent,
+    its packed matrix P against [i z, z.z, 1], has the same two parts, and
+    exp turns an exponent gap into a gap relative to the entry's magnitude.
     """
     Z = np.asarray(X)
     S = np.zeros(Z.shape)
     for step in steps:
         reach = np.abs(Z) + S
         if isinstance(step, UrfDraws):
-            t = step.terms
-            expo = (np.abs(t.input.coef) * (reach @ np.abs(step.G).T)
-                    + np.abs(t.input.quad) * np.sum(np.abs(Z) * (reach + S), axis=-1, keepdims=True)
-                    + np.abs(t.agg))
+            P, d = np.abs(step.input_matrix), step.dim
+            expo = (reach @ P[:, :d].T
+                    + P[:, d] * np.sum(np.abs(Z) * (reach + S), axis=-1, keepdims=True)
+                    + P[:, d + 1])
             Z = chain_features(Z, (step,))
             S = np.abs(Z) * expo
         elif isinstance(step, FflSpec):

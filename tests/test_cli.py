@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -784,6 +785,23 @@ class TestBundleCommand:
             "error: bundling stage 2: 2560 of 2560 entries of W_bar are non-finite\n"
         )
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings stay off
+    @pytest.mark.parametrize("kind", ["sine", "gelu"])
+    def test_non_finite_probe_outputs_fail_cleanly(self, tmp_path, capsys, kind):
+        # W_bar is finite, but the chained features of the probes overflow
+        payload = dict(
+            BUNDLE_CFG, input_dim=64, seed=1, init_std=0.8, urf={"m": 128, "A": 0.0}, probes=16,
+            layers=[{"out_dim": n, "activation": kind} for n in (256, 256, 10)],
+        )
+        cfg = write_json(tmp_path / "bundle.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["bundle", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: probe_mae: [1-9]\d* of 160 bundled probe outputs are "
+                            r"non-finite\n", err), err
+        assert not out.exists()
+        assert not (tmp_path / "o.csv.artifact.json").exists()
 
 
 TRAIN_CFG = {

@@ -57,17 +57,15 @@ def zeroed_g(draws):
     return dataclasses.replace(draws, G=np.zeros_like(draws.G))
 
 
-# a row of a batch against the same row alone: g.z is one matrix product for
-# the batch and one matrix-vector product alone, which sum the same terms in
-# different orders; the exponent's gap is bounded relative to
-# |coef_i| sum_k |g_ik z_k|, and exp carries it into the entry relative to
-# the entry's magnitude
-ROW_TOL = 1e-13
-
-
-def assert_rows_near_singles(many, singles, Z, draws, coef):
-    terms = np.abs(coef) * (np.abs(Z) @ np.abs(draws.G).T)
-    assert np.all(np.abs(many - singles) <= ROW_TOL * np.abs(singles) * terms)
+def exponent_terms(packed, Z, *extra):
+    """sum_k |P_ik a_k| for the augmented rows a = [Z, Z.Z, extra..., 1] of a
+    tower (up to the phases i of the input tower's z, of the bias and of the
+    parameter tower's phase entry)."""
+    Z = np.asarray(Z)
+    cols = [np.abs(Z), np.abs(np.sum(Z * Z, axis=-1))[..., None]]
+    cols += [np.abs(np.broadcast_to(e, Z.shape[:-1]))[..., None] for e in extra]
+    cols.append(np.ones(Z.shape[:-1] + (1,)))
+    return np.concatenate(cols, axis=-1) @ np.abs(packed).T
 
 
 # sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config);
@@ -385,8 +383,8 @@ class TestFeatureMaps:
             singles = np.array([psi(w, bi, draws).entries for w, bi in zip(W, b)])
             for w, bi, single in zip(W, b, singles):
                 assert np.array_equal(single, psi_many(w[None], bi[None], draws)[0])
-            assert_rows_near_singles(psi_many(W, b, draws), singles, W, draws,
-                                     draws.terms.param.coef)
+            # each row meets the packed matrix in its own product, as alone
+            assert np.array_equal(psi_many(W, b, draws), singles)
 
     def test_phi_many_matches_phi_rows(self):
         dec = decomposition_for(Activation("sine"))
@@ -408,53 +406,49 @@ class TestFeatureMaps:
                 assert np.array_equal(single, phi_many(x[None], draws)[0])
             many = phi_many(X, draws)
             assert many.shape == (len(X), draws.total_features)
-            assert_rows_near_singles(many, singles, X, draws, draws.terms.input.coef)
+            assert np.array_equal(many, singles)
 
 
-def split_project(g, z):
-    """g z with a complex z taken as the real pair [Re z, Im z], as the kernel does."""
-    if not np.iscomplexobj(z):
-        return g @ z
-    pair = g @ np.stack([z.real, z.imag], axis=-1)
-    return pair[:, 0] + 1j * pair[:, 1]
-
-
-def complex_project(g, z):
-    return g.astype(complex) @ z
-
-
-def direct_lambda(z, draws, coef, quad, project):
-    """(prefactor, exp(...)) of Lambda for each block's entries, re-deriving
+def direct_lambda(z, draws, coef, quad):
+    """(prefactor, exponent) of Lambda for each block's entries, re-deriving
     every constant per call."""
     A = draws.config.A
     out = []
     for blk in draws.blocks:
-        exponent = (
-            A * np.sum(blk.g * blk.g, axis=1)
-            + coef(blk) * project(blk.g, z)
-            + quad(blk) * np.sum(z * z)
-        )
-        out.append(np.exp(exponent))
+        out.append(A * np.sum(blk.g * blk.g, axis=1) + coef(blk) * (blk.g @ z)
+                   + quad(blk) * np.sum(z * z))
     return (1.0 - 4.0 * A) ** (draws.dim / 4.0), out
 
 
-def direct_phi(x, draws, project=split_project):
+def direct_phi(x, draws):
     """Phi written out per block."""
     root = math.sqrt(1.0 - 4.0 * draws.config.A)
     prefactor, exps = direct_lambda(x, draws, lambda blk: root * (2j * math.pi * blk.xi),
-                                    lambda blk: 2.0 * math.pi**2 * blk.xi**2, project)
-    return np.concatenate([prefactor / math.sqrt(draws.config.m) * e for e in exps])
+                                    lambda blk: 2.0 * math.pi**2 * blk.xi**2)
+    return np.concatenate([prefactor / math.sqrt(draws.config.m) * np.exp(e) for e in exps])
 
 
-def direct_psi(w, b, draws, project):
+def direct_psi(w, b, draws):
     """Psi written out per block."""
     root = math.sqrt(1.0 - 4.0 * draws.config.A)
-    prefactor, exps = direct_lambda(w, draws, lambda blk: root, lambda blk: -0.5, project)
+    prefactor, exps = direct_lambda(w, draws, lambda blk: root, lambda blk: -0.5)
     return np.concatenate([
         blk.c / math.sqrt(draws.config.m) * (blk.ratio * np.exp(2j * math.pi * blk.xi * b))
-        * (prefactor * e)
+        * (prefactor * np.exp(e))
         for blk, e in zip(draws.blocks, exps)
     ])
+
+
+# the packed towers fold the prefactor and normaliser into the exponent and
+# round c_i g_ik before the sum, so they agree with the direct formula to a
+# few ulps of the exponent, not bit for bit: |d phi| <= 16 eps (1 + |E|) |phi|
+# with |E| the exponent's summed term magnitudes, the constant A|g_i|^2 + log
+# scale among them
+PACKED_ULPS = 16 * np.finfo(float).eps
+
+
+def assert_near_direct(got, direct, exponent):
+    assert np.all(np.abs(got - direct) <= PACKED_ULPS * (1.0 + exponent) * np.abs(direct))
 
 
 class TestCachedConstants:
@@ -462,21 +456,25 @@ class TestCachedConstants:
         dec = decomposition_for(Activation("tanh"))
         draws = sample_draws(dec, 6, UrfConfig(m=16, A=-0.1, seed=5))
         x = rng_for(6, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
-        assert "terms" not in draws.__dict__
+        assert "input_matrix" not in draws.__dict__
         cold = phi(x, draws).entries
-        assert "terms" in draws.__dict__
+        assert "input_matrix" in draws.__dict__
         warm = phi(x, draws).entries
-        assert np.array_equal(cold, direct_phi(x, draws))
-        assert np.array_equal(warm, direct_phi(x, draws))
+        assert np.array_equal(cold, warm)
+        assert_near_direct(cold, direct_phi(x, draws), exponent_terms(draws.input_matrix, x))
 
     def test_zero_shape_skips_the_gaussian_pass(self):
         dec = decomposition_for(Activation("tanh"))
         draws = sample_draws(dec, 6, UrfConfig(m=16, A=0.0, seed=5))
         x = rng_for(6, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
         w = rng_for(7, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, 6)
-        assert draws.terms.agg == 0.0
-        assert np.array_equal(phi(x, draws).entries, direct_phi(x, draws))
-        assert np.array_equal(psi(w, 0.3, draws).entries, direct_psi(w, 0.3, draws, split_project))
+        # with no A|g|^2 term each entry's constant is the log of its scale alone
+        assert np.all(draws.input_matrix[:, -1] == math.log(1.0 / math.sqrt(16)))
+        masses = np.repeat([math.log(abs(c) / math.sqrt(16)) for _, c in draws.axes], 16)
+        assert np.array_equal(draws.param_matrix()[:, -1], masses)
+        assert_near_direct(phi(x, draws).entries, direct_phi(x, draws), exponent_terms(draws.input_matrix, x))
+        assert_near_direct(psi(w, 0.3, draws).entries, direct_psi(w, 0.3, draws),
+                           exponent_terms(draws.param_matrix(), w, 0.3, 1.0))
 
     def test_complex_stage_input_matches_direct_lambda(self):
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
@@ -485,12 +483,50 @@ class TestCachedConstants:
         z = phi(x, bn.stages[0]).entries  # the stage-1 input of bundled_forward
         assert np.iscomplexobj(z)
         draws = dataclasses.replace(bn.stages[1])  # bundle_full has filled the caches
-        assert "terms" not in draws.__dict__
+        assert "input_matrix" not in draws.__dict__
         cold = phi(z, draws).entries
-        assert "terms" in draws.__dict__
+        assert "input_matrix" in draws.__dict__
         warm = phi(z, draws).entries
-        assert np.array_equal(cold, direct_phi(z, draws))
-        assert np.array_equal(warm, direct_phi(z, draws))
+        assert np.array_equal(cold, warm)
+        assert_near_direct(cold, direct_phi(z, draws), exponent_terms(draws.input_matrix, z))
+
+
+class TestBatchOfOne:
+    """The single call is the batch call of that one row, bit for bit, for
+    real and complex rows, with and without the A|g|^2 term; so is every row
+    of a stack, whatever its leading axes."""
+
+    NET = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
+
+    def _rows(self, A, complex_rows):
+        bn = bundle_full(self.NET, UrfConfig(m=8, A=A, seed=8))
+        X = rng_for(10, 0, 0, MISC_STREAM).uniform(-0.5, 0.5, (4, 5))
+        if complex_rows:  # the stage-1 inputs of bundled_forward, against stage 1
+            return phi_many(X, bn.stages[0]), bn.stages[1]
+        return X, bn.stages[0]
+
+    @pytest.mark.parametrize("A", [0.0, -0.1])
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_phi_many(self, A, complex_rows):
+        Z, draws = self._rows(A, complex_rows)
+        assert np.iscomplexobj(Z) == complex_rows
+        for z in Z:
+            assert np.array_equal(phi(z, draws).entries, phi_many(z[None], draws)[0])
+            assert np.array_equal(phi_many(z, draws), phi_many(z[None, None], draws)[0, 0])
+        stacked = phi_many(Z.reshape(2, 2, -1), draws).reshape(len(Z), -1)
+        assert np.array_equal(stacked, [phi(z, draws).entries for z in Z])
+
+    @pytest.mark.parametrize("A", [0.0, -0.1])
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_psi_many(self, A, complex_rows):
+        W, draws = self._rows(A, complex_rows)
+        b = rng_for(11, 0, 0, MISC_STREAM).uniform(-1.0, 1.0, len(W))
+        for w, bi in zip(W, b):
+            single = psi(w, bi, draws).entries
+            assert np.array_equal(single, psi_many(w[None], bi[None], draws)[0])
+            assert np.array_equal(single, psi_many(w[None, None], bi[None, None], draws)[0, 0])
+        stacked = psi_many(W.reshape(2, 2, -1), b.reshape(2, 2), draws).reshape(len(W), -1)
+        assert np.array_equal(stacked, [psi(w, bi, draws).entries for w, bi in zip(W, b)])
 
 
 class TestComplexProjection:
@@ -509,7 +545,7 @@ class TestComplexProjection:
         many = phi_many(Z, draws)
         for i, z in enumerate(Z):
             assert np.array_equal(many[i], phi(z, draws).entries)
-            np.testing.assert_allclose(many[i], direct_phi(z, draws, complex_project),
+            np.testing.assert_allclose(many[i], direct_phi(z, draws),
                                        rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("m", [5, 7, 16])
@@ -521,7 +557,7 @@ class TestComplexProjection:
         mat = psi_many(absorbed.W, absorbed.b, draws)
         for i, (w, b) in enumerate(zip(absorbed.W, absorbed.b)):
             assert np.array_equal(mat[i], psi(w, b, draws).entries)
-            np.testing.assert_allclose(mat[i], direct_psi(w, b, draws, complex_project),
+            np.testing.assert_allclose(mat[i], direct_psi(w, b, draws),
                                        rtol=1e-12, atol=0)
 
 
