@@ -25,8 +25,8 @@ its norm term and its normaliser included, is a packed real matrix against
 an augmented row,
 
     input tower (z = x):  [c_i g_i | q_i | A|g_i|^2 + log s] . [i z, z.z, 1]
-    param tower (z = w):  [r g_i | -1/2 | 2 pi xi_i | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
-                           . [w, w.w, i b, i, 1]
+    param tower (z = w):  [r g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+                           . [w, i b, w.w, i, 1]
 
 with r = sqrt(1-4A), c_i = 2 pi r xi_i, q_i = 2 pi^2 xi_i^2, the prefactor
 p = (1-4A)^(d/4), s = p / sqrt(m), and c_j the signed mass of entry i's
@@ -176,17 +176,18 @@ class UrfDraws:
         """Lambda's prefactor (1-4A)^(d/4)."""
         return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0)
 
-    def _packed(self, g_scale, n_middle: int, log_scale, order: str) -> np.ndarray:
-        """One tower's (M, dim + n_middle + 1) packed matrix [g_scale_i g_i |
-        n_middle columns left for the caller | A|g_i|^2 + log_scale] in memory
-        ``order``; ``g_scale`` is a scalar or one value per entry, and
-        ``log_scale`` a scalar or one value per component.  Filled column by
-        column, along the entries: a loop over each row's few coordinates
-        costs 4x at the dim = 2 of an estimate run."""
+    def _packed(self, g_scale, constants: list, order: str) -> np.ndarray:
+        """One tower's packed matrix [g_scale_i g_i | entry column | constants]
+        in memory ``order``, its entry column (index dim) left for the caller:
+        ``g_scale`` is a scalar or one value per entry, and each of the
+        ``constants`` columns one value per component ([[v_j] for each j]),
+        the last of them plus A|g_i|^2.  Filled column by column, along the
+        entries: a loop over each row's few coordinates costs 4x at the dim = 2
+        of an estimate run."""
         d, A = self.dim, self.config.A
-        cols = np.empty((self.total_features, d + n_middle + 1), order=order).T
+        cols = np.empty((self.total_features, d + 1 + len(constants)), order=order).T
         np.multiply(self.G.T, g_scale, out=cols[:d], order="C")
-        cols[-1].reshape(len(self.axes), -1)[:] = np.reshape(log_scale, (-1, 1))
+        cols[d + 1 :].reshape(len(constants), len(self.axes), self.config.m)[:] = constants
         if A != 0:  # the default shape skips this pass over G
             cols[-1] += A * np.einsum("ij,ij->i", self.G, self.G)
         return cols.T
@@ -197,23 +198,22 @@ class UrfDraws:
         sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = prefactor / sqrt(m).
         Row-major: a single row's product reads it fastest."""
         root = math.sqrt(1.0 - 4.0 * self.config.A)
-        P = self._packed(2.0 * math.pi * root * self.xi, 1,
-                         math.log(self.prefactor / math.sqrt(self.config.m)), "C")
+        log_scale = math.log(self.prefactor / math.sqrt(self.config.m))
+        P = self._packed(2.0 * math.pi * root * self.xi, [[[log_scale]] * len(self.axes)], "C")
         q = np.square(self.xi, out=P[:, self.dim])
         q *= 2.0 * math.pi**2
         return P
 
     def param_matrix(self) -> np.ndarray:
-        """[sqrt(1-4A) g_i | -1/2 | 2 pi xi_i | arg c_j | A|g_i|^2 + log(p |c_j| /
-        sqrt(m))] against [w, w.w, i b, i, 1], with c_j the signed mass of
+        """[sqrt(1-4A) g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| /
+        sqrt(m))] against [w, i b, w.w, i, 1], with c_j the signed mass of
         entry i's component.  Column-major: built per call, its columns are
         contiguous, and a tall product with few columns reads it faster."""
-        d, root = self.dim, math.sqrt(1.0 - 4.0 * self.config.A)
         norm = self.prefactor / math.sqrt(self.config.m)
-        P = self._packed(root, 3, [math.log(norm * abs(c)) for _, c in self.axes], "F")
-        P[:, d] = -0.5
-        np.multiply(self.xi, 2.0 * math.pi, out=P[:, d + 1])
-        P[:, d + 2].reshape(len(self.axes), -1)[:] = [[cmath.phase(c)] for _, c in self.axes]
+        constants = [[[-0.5]] * len(self.axes), [[cmath.phase(c)] for _, c in self.axes],
+                     [[math.log(norm * abs(c))] for _, c in self.axes]]
+        P = self._packed(math.sqrt(1.0 - 4.0 * self.config.A), constants, "F")
+        np.multiply(self.xi, 2.0 * math.pi, out=P[:, self.dim])
         return P
 
 
@@ -244,11 +244,11 @@ def _sample_xi(component: FourierComponent, n_xi: int, stream):
     searches only the others, so every index equals the full search's.
     """
     if component.is_atomic:
-        locs = np.array([x for x, _ in component.atoms])
-        probs = np.array([w for _, w in component.atoms]) / component.mass
-        if len(locs) == 1:
-            xi = np.full(n_xi, locs[0])
+        if len(component.atoms) == 1:
+            xi = np.full(n_xi, component.atoms[0][0])
         else:
+            locs = np.array([x for x, _ in component.atoms])
+            probs = np.array([w for _, w in component.atoms]) / component.mass
             xi = locs[stream().choice(len(locs), size=n_xi, p=probs)]
         return xi, np.ones(n_xi)
     cells = component.cells
@@ -312,15 +312,9 @@ def _tower(packed: np.ndarray, aug: np.ndarray) -> np.ndarray:
     return np.exp(E, out=E)
 
 
-def _augment(Z: np.ndarray, n_middle: int) -> np.ndarray:
-    """[z, z.z, n_middle columns left for the caller, 1] for each row z of
-    ``Z`` (..., d), with the bilinear (non-conjugated) square z.z; complex."""
-    d = Z.shape[-1]
-    aug = np.empty(Z.shape[:-1] + (d + n_middle + 2,), dtype=complex)
-    aug[..., :d] = Z
-    np.matmul(Z[..., None, :], Z[..., :, None], out=aug[..., d : d + 1, None])
-    aug[..., -1] = 1.0
-    return aug
+def _square(Z: np.ndarray) -> np.ndarray:
+    """The bilinear (non-conjugated) square z.z of each row z of ``Z`` (..., d)."""
+    return (Z[..., None, :] @ Z[..., :, None])[..., 0, 0]
 
 
 def input_rows(X, dim: int, what: str = "input") -> np.ndarray:
@@ -347,8 +341,11 @@ def phi_many(X: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; ``phi(x)`` is the call on the one row x.
     """
-    aug = _augment(input_rows(X, draws.dim), 0)
-    aug[..., : draws.dim] *= 1j
+    Z, d = input_rows(X, draws.dim), draws.dim
+    aug = np.empty(Z.shape[:-1] + (d + 2,), dtype=complex)
+    np.multiply(Z, 1j, out=aug[..., :d])
+    aug[..., d] = _square(Z)
+    aug[..., d + 1] = 1.0
     return _tower(draws.input_matrix, aug)
 
 
@@ -358,11 +355,12 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
     Any leading axes are allowed; ``psi(w, b)`` is the call on the one row w.
     """
-    d = draws.dim
-    aug = _augment(input_rows(W, d, "weights"), 2)
-    aug.real[..., d + 1] = 0.0
-    aug.imag[..., d + 1] = b
-    aug[..., d + 2] = 1j
+    W, d = input_rows(W, draws.dim, "weights"), draws.dim
+    aug = np.zeros(W.shape[:-1] + (d + 4,), dtype=complex)
+    aug[..., :d] = W
+    aug.imag[..., d] = b
+    aug[..., d + 1] = _square(W)
+    aug[..., d + 2 :] = 1j, 1.0
     E = _tower(draws.param_matrix(), aug)
     E *= draws.ratio
     return E

@@ -57,15 +57,17 @@ def zeroed_g(draws):
     return dataclasses.replace(draws, G=np.zeros_like(draws.G))
 
 
-def exponent_terms(packed, Z, *extra):
-    """sum_k |P_ik a_k| for the augmented rows a = [Z, Z.Z, extra..., 1] of a
-    tower (up to the phases i of the input tower's z, of the bias and of the
-    parameter tower's phase entry)."""
+def exponent_terms(packed, Z, *entries):
+    """sum_k |P_ik a_k| for the augmented rows a = [z, entries...] of a tower,
+    each entry one value per row z of ``Z``."""
     Z = np.asarray(Z)
-    cols = [np.abs(Z), np.abs(np.sum(Z * Z, axis=-1))[..., None]]
-    cols += [np.abs(np.broadcast_to(e, Z.shape[:-1]))[..., None] for e in extra]
-    cols.append(np.ones(Z.shape[:-1] + (1,)))
+    cols = [np.abs(Z)] + [np.abs(np.broadcast_to(e, Z.shape[:-1]))[..., None] for e in entries]
     return np.concatenate(cols, axis=-1) @ np.abs(packed).T
+
+
+def square(Z):
+    """The bilinear square z.z of each row."""
+    return np.sum(np.asarray(Z) ** 2, axis=-1)
 
 
 # sample_draws cases whose output is pinned in draw_streams.json: (name, kind, config);
@@ -461,7 +463,8 @@ class TestCachedConstants:
         assert "input_matrix" in draws.__dict__
         warm = phi(x, draws).entries
         assert np.array_equal(cold, warm)
-        assert_near_direct(cold, direct_phi(x, draws), exponent_terms(draws.input_matrix, x))
+        assert_near_direct(cold, direct_phi(x, draws),
+                           exponent_terms(draws.input_matrix, x, square(x), 1.0))
 
     def test_zero_shape_skips_the_gaussian_pass(self):
         dec = decomposition_for(Activation("tanh"))
@@ -472,9 +475,10 @@ class TestCachedConstants:
         assert np.all(draws.input_matrix[:, -1] == math.log(1.0 / math.sqrt(16)))
         masses = np.repeat([math.log(abs(c) / math.sqrt(16)) for _, c in draws.axes], 16)
         assert np.array_equal(draws.param_matrix()[:, -1], masses)
-        assert_near_direct(phi(x, draws).entries, direct_phi(x, draws), exponent_terms(draws.input_matrix, x))
+        assert_near_direct(phi(x, draws).entries, direct_phi(x, draws),
+                           exponent_terms(draws.input_matrix, x, square(x), 1.0))
         assert_near_direct(psi(w, 0.3, draws).entries, direct_psi(w, 0.3, draws),
-                           exponent_terms(draws.param_matrix(), w, 0.3, 1.0))
+                           exponent_terms(draws.param_matrix(), w, 0.3, square(w), 1.0, 1.0))
 
     def test_complex_stage_input_matches_direct_lambda(self):
         net = network([5, 8, 3], [Activation("sine")] * 2, seed=7, init_std=0.8)
@@ -488,7 +492,8 @@ class TestCachedConstants:
         assert "input_matrix" in draws.__dict__
         warm = phi(z, draws).entries
         assert np.array_equal(cold, warm)
-        assert_near_direct(cold, direct_phi(z, draws), exponent_terms(draws.input_matrix, z))
+        assert_near_direct(cold, direct_phi(z, draws),
+                           exponent_terms(draws.input_matrix, z, square(z), 1.0))
 
 
 class TestBatchOfOne:
