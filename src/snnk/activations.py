@@ -123,7 +123,7 @@ class GridCells(NamedTuple):
     cdf: np.ndarray  # cumulative cell probabilities; empty when total <= 0
     guide: np.ndarray  # (GUIDE + 1,) cell index of each bucket edge; empty when total <= 0
     width: np.ndarray  # grid[j + 1] - grid[j] of each cell
-    proposal: np.ndarray  # mass / total / width: the proposal density on each cell; empty when total <= 0
+    proposal: np.ndarray  # mass / total / width, the proposal density; empty when total <= 0
 
     def search(self, key: np.ndarray) -> np.ndarray:
         """``cdf.searchsorted(key, side="right")`` for keys in [0, 1), index
@@ -182,7 +182,8 @@ class FourierComponent:
         mass = 0.5 * (self.values[1:] + self.values[:-1]) * width
         total = mass.sum()
         if total <= 0:
-            return GridCells(mass, total, np.empty(0), np.empty(0, dtype=np.intp), width, np.empty(0))
+            empty = np.empty(0)
+            return GridCells(mass, total, empty, np.empty(0, dtype=np.intp), width, empty)
         cdf = (mass / total).cumsum()
         cdf /= cdf[-1]
         guide = cdf.searchsorted(np.arange(GUIDE + 1) / GUIDE, side="right")
