@@ -25,8 +25,8 @@ its norm term and its normaliser included, is a packed real matrix against
 an augmented row,
 
     input tower (z = x):  [c_i g_i | q_i | A|g_i|^2 + log s] . [i z, z.z, 1]
-    param tower (z = w):  [r g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
-                           . [w, i b, w.w, i, 1]
+    param tower (z = w):  [g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+                           . [r w, i b, w.w, i, 1]
 
 with r = sqrt(1-4A), c_i = 2 pi r xi_i, q_i = 2 pi^2 xi_i^2, the prefactor
 p = (1-4A)^(d/4), s = p / sqrt(m), and c_j the signed mass of entry i's
@@ -176,20 +176,17 @@ class UrfDraws:
         """Lambda's prefactor (1-4A)^(d/4)."""
         return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0)
 
-    def _packed(self, g_scale, constants: list, order: str) -> np.ndarray:
-        """One tower's packed matrix [g_scale_i g_i | entry column | constants]
-        in memory ``order``, its entry column (index dim) left for the caller:
-        ``g_scale`` is a scalar or one value per entry, and each of the
-        ``constants`` columns one value per component ([[v_j] for each j]),
-        the last of them plus A|g_i|^2.  Filled column by column, along the
+    def _packed(self, constants: list, order: str) -> np.ndarray:
+        """A tower's packed matrix in memory ``order``, its Gaussian block
+        (columns :dim) and entry column (dim) left for the caller, then the
+        ``constants`` columns, each one value per component ([[v_j] for each
+        j]), the last of them plus A|g_i|^2.  Callers fill columns along the
         entries: a loop over each row's few coordinates costs 4x at the dim = 2
         of an estimate run."""
-        d, A = self.dim, self.config.A
-        cols = np.empty((self.total_features, d + 1 + len(constants)), order=order).T
-        np.multiply(self.G.T, g_scale, out=cols[:d], order="C")
-        cols[d + 1 :].reshape(len(constants), len(self.axes), self.config.m)[:] = constants
-        if A != 0:  # the default shape skips this pass over G
-            cols[-1] += A * np.einsum("ij,ij->i", self.G, self.G)
+        cols = np.empty((self.total_features, self.dim + 1 + len(constants)), order=order).T
+        cols[self.dim + 1 :].reshape(len(constants), len(self.axes), self.config.m)[:] = constants
+        if self.config.A != 0:  # the default shape skips this pass over G
+            cols[-1] += self.config.A * np.einsum("ij,ij->i", self.G, self.G)
         return cols.T
 
     @cached_property
@@ -197,22 +194,23 @@ class UrfDraws:
         """[c_i g_i | q_i | A|g_i|^2 + log s] against [i x, x.x, 1]: c_i =
         sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = prefactor / sqrt(m).
         Row-major: a single row's product reads it fastest."""
-        root = math.sqrt(1.0 - 4.0 * self.config.A)
+        d, root = self.dim, math.sqrt(1.0 - 4.0 * self.config.A)
         log_scale = math.log(self.prefactor / math.sqrt(self.config.m))
-        P = self._packed(2.0 * math.pi * root * self.xi, [[[log_scale]] * len(self.axes)], "C")
-        q = np.square(self.xi, out=P[:, self.dim])
+        P = self._packed([[[log_scale]] * len(self.axes)], "C")
+        np.multiply(self.G.T, 2.0 * math.pi * root * self.xi, out=P.T[:d], order="C")
+        q = np.square(self.xi, out=P[:, d])
         q *= 2.0 * math.pi**2
         return P
 
     def param_matrix(self) -> np.ndarray:
-        """[sqrt(1-4A) g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| /
-        sqrt(m))] against [w, i b, w.w, i, 1], with c_j the signed mass of
+        """[g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+        against [sqrt(1-4A) w, i b, w.w, i, 1], with c_j the signed mass of
         entry i's component.  Column-major: built per call, its columns are
         contiguous, and a tall product with few columns reads it faster."""
         norm = self.prefactor / math.sqrt(self.config.m)
-        constants = [[[-0.5]] * len(self.axes), [[cmath.phase(c)] for _, c in self.axes],
-                     [[math.log(norm * abs(c))] for _, c in self.axes]]
-        P = self._packed(math.sqrt(1.0 - 4.0 * self.config.A), constants, "F")
+        P = self._packed([[[-0.5]] * len(self.axes), [[cmath.phase(c)] for _, c in self.axes],
+                          [[math.log(norm * abs(c))] for _, c in self.axes]], "F")
+        P[:, : self.dim] = self.G
         np.multiply(self.xi, 2.0 * math.pi, out=P[:, self.dim])
         return P
 
@@ -314,7 +312,7 @@ def _tower(packed: np.ndarray, aug: np.ndarray) -> np.ndarray:
 
 def _square(Z: np.ndarray) -> np.ndarray:
     """The bilinear (non-conjugated) square z.z of each row z of ``Z`` (..., d)."""
-    return (Z[..., None, :] @ Z[..., :, None])[..., 0, 0]
+    return np.add.reduce(Z * Z, axis=-1)
 
 
 def input_rows(X, dim: int, what: str = "input") -> np.ndarray:
@@ -357,7 +355,7 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
     """
     W, d = input_rows(W, draws.dim, "weights"), draws.dim
     aug = np.zeros(W.shape[:-1] + (d + 4,), dtype=complex)
-    aug[..., :d] = W
+    aug[..., :d] = W * math.sqrt(1.0 - 4.0 * draws.config.A)
     aug.imag[..., d] = b
     aug[..., d + 1] = _square(W)
     aug[..., d + 2 :] = 1j, 1.0
@@ -377,7 +375,7 @@ def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
     """
     x = np.conjugate(px.entries, dtype=complex).view(float)
     w = np.ascontiguousarray(pw.entries, dtype=complex).view(float)
-    est = (x[..., None, :] @ w[..., None])[..., 0, 0]
+    est = np.matmul(x[..., None, :], w[..., None])[..., 0, 0]
     return float(est) if est.ndim == 0 else est
 
 
