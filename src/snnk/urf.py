@@ -177,12 +177,11 @@ class UrfDraws:
         return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0)
 
     def _packed(self, constants: list, order: str) -> np.ndarray:
-        """A tower's packed matrix in memory ``order``, its Gaussian block
+        """A tower's packed matrix in memory ``order``: the Gaussian block
         (columns :dim) and entry column (dim) left for the caller, then the
-        ``constants`` columns, each one value per component ([[v_j] for each
-        j]), the last of them plus A|g_i|^2.  Callers fill columns along the
-        entries: a loop over each row's few coordinates costs 4x at the dim = 2
-        of an estimate run."""
+        ``constants`` columns ([[v_j] for each component j]), the last plus
+        A|g_i|^2.  Columns are filled along the entries: a loop over each
+        row's few coordinates costs 4x at the dim = 2 of an estimate run."""
         cols = np.empty((self.total_features, self.dim + 1 + len(constants)), order=order).T
         cols[self.dim + 1 :].reshape(len(constants), len(self.axes), self.config.m)[:] = constants
         if self.config.A != 0:  # the default shape skips this pass over G
@@ -365,14 +364,10 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
 
 
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
-    """Re of the bilinear feature dot product (the estimator proper).
-
-    Formed as ``snnk_forward`` forms Re(A Phi(x)): the conjugated input
-    features' float view [Re phi_j, -Im phi_j] against pw's [Re psi_j,
-    Im psi_j], one real (1, 2M) @ (2M, 1) product per row, so no imaginary
-    half is computed, and a one-row layer's output is the estimate bit for
-    bit.  One pair gives a Python float.
-    """
+    """Re of the bilinear feature dot product (the estimator proper), formed
+    as ``snnk_forward`` forms Re(A Phi(x)): [Re phi_j, -Im phi_j] against
+    [Re psi_j, Im psi_j], one real product per row, so a one-row layer's
+    output is the estimate bit for bit.  One pair gives a Python float."""
     x = np.conjugate(px.entries, dtype=complex).view(float)
     w = np.ascontiguousarray(pw.entries, dtype=complex).view(float)
     est = np.matmul(x[..., None, :], w[..., None])[..., 0, 0]
