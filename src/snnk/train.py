@@ -13,20 +13,28 @@ Phi depends only on the inputs and the frozen draws, so ``fit_A`` builds F
 once per split, with no copy, and reuses it for every SGD batch and every
 epoch's full-split loss.  Plain mini-batch SGD on the mean loss; with the
 features frozen that objective is convex in the product of the head and A.
-The point is validated trainability, not leaderboard accuracy.  The step
-runs in place: A_s, W and b are views of one flat buffer and the gradients
-are written into views of a second one, so one update, theta -= lr g,
-steps them all.  A step reads of its batch loss only whether it is finite,
-so a cross-entropy batch tests the sum of its softmax instead of forming
-the log-likelihood, an equivalent test (``_loss``); mse batches keep their
-values.  Cross-entropy targets are one-hot rows built once per fit; each
-epoch permutes the target rows once and slices its batches from that copy.
-A full split's loss runs on a class-major copy of its outputs, which are
-formed in row panels of ``PANEL_ROWS`` rows, one product per panel into one
-output array: with OpenBLAS 0.3.31 on a 2-core x86_64 VM, a (3000 x 512)
-design times (512 x 4) weights took 1.3-1.8 ms as one call and 0.5-0.7 ms
-as 256-row panels; 128-row panels were slower there, and 512-row panels as
-slow as one call.
+The point is validated trainability, not leaderboard accuracy.
+
+Every output, of an SGD batch or of a full split, is formed one way
+(``_outputs``): the head is folded into the weights first, P = W A_s, so
+one product with the design gives the k outputs, F P^T + b.  A batch's
+gradients are read off the one product dF = dpred F of the output
+gradient with its design rows: gA = W^T dF and gW = dF A_s^T (headless,
+gA = dF).  The step runs in place: A_s, W and b are views of one flat
+buffer and the gradients are written into views of a second one, so one
+update, theta -= lr g, steps them all.  A step reads of its batch loss
+only whether it is finite, so a cross-entropy batch tests the sum of its
+softmax instead of forming the log-likelihood, an equivalent test
+(``_loss``); mse batches keep their values.  Cross-entropy targets are
+one-hot rows built once per fit; each epoch permutes the target rows once
+and slices its batches from that copy.  A full split's loss runs on a
+class-major copy of its outputs.
+
+Outputs of more than ``PANEL_ROWS`` rows are formed in row panels, one
+product per panel into one output array: with OpenBLAS 0.3.31 on a 2-core
+x86_64 VM, a (3000 x 512) design times (512 x 4) weights took 1.3-1.8 ms
+as one call and 0.5-0.7 ms as 256-row panels; 128-row panels were slower
+there, and 512-row panels as slow as one call.
 """
 
 from __future__ import annotations
@@ -38,10 +46,10 @@ import numpy as np
 
 from ._seeds import MISC_STREAM, rng_for
 from .layers import SnnkLayer
-from .urf import ConfigError
+from .urf import ConfigError, ShapeMismatch
 
 
-# the row height of a full split's output products; see the module docstring
+# the row height of the output products of a taller design; see the module docstring
 PANEL_ROWS = 256
 
 
@@ -144,14 +152,27 @@ class TrainConfig:
             raise ConfigError("loss", f"expected 'mse' or 'cross_entropy', got {self.loss!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineHead:
+    """The classifier ``W h + b`` on a layer's outputs h: a 2-D W and a b
+    with one entry per row of W, both finite, else ShapeMismatch or
+    ValueError naming the array."""
+
     W: np.ndarray  # (k, l)
     b: np.ndarray  # (k,)
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        W = np.asarray(self.W, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if W.ndim != 2:
+            raise ShapeMismatch(f"W must be 2-D, got shape {W.shape}")
+        if b.shape != (len(W),):
+            raise ShapeMismatch(f"b {b.shape} incompatible with W {W.shape}")
+        for name, value in (("W", W), ("b", b)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite entries")
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "b", b)
 
 
 def make_learnable_layer(feature_map, out_dim: int, seed: int) -> SnnkLayer:
@@ -268,29 +289,39 @@ def _loss_and_grad(Z, T, loss, objective=True):
     return value, Z
 
 
+def _outputs(design, A, W, b) -> np.ndarray:
+    """The (n, k) outputs ``design (W A)^T + b`` of the stacked weights A,
+    or ``design A^T`` without a head (W None): one product with the folded
+    weights, taken in panels of ``PANEL_ROWS`` rows for a taller design,
+    which this thin shape runs 2-3x faster (module docstring)."""
+    V = A if W is None else W @ A
+    if len(design) <= PANEL_ROWS:
+        pred = design @ V.T
+    else:
+        pred = np.empty((len(design), len(V)))
+        for start in range(0, len(design), PANEL_ROWS):
+            rows = slice(start, start + PANEL_ROWS)
+            np.matmul(design[rows], V.T, out=pred[rows])
+    if W is not None:
+        pred += b
+    return pred
+
+
 def evaluate(layer: SnnkLayer, head, data: Dataset, loss: str, feats=None, targets=None):
     """(loss, accuracy) on the full split; accuracy is NaN for mse.
 
     ``feats`` is ``layer.feature_map.features_many(data.X)`` or its real
     design ``real_design(...)`` (the same array for real features), and
     ``targets`` is ``_targets(data, loss, k)``; each is computed here when
-    not given.  The head is folded into the layer's weights first, so the
-    pass over the design yields the k outputs directly; the cross-entropy
-    runs on their class-major copy.  The outputs are written one panel of
-    ``PANEL_ROWS`` design rows at a time, a product that this thin shape
-    runs 2-3x faster than one call over the whole design (module
-    docstring); a split of at most one panel is one product.
+    not given.  The outputs are the ``_outputs`` of the design, as an SGD
+    batch's are; the cross-entropy runs on their class-major copy.
     """
     if feats is None:
         feats = layer.feature_map.features_many(data.X)
     feats = real_design(feats)
     A = _stack_weights(layer.A, feats)
-    V = A if head is None else head.W @ A
-    pred = np.empty((len(feats), len(V)))
-    for start in range(0, len(feats), PANEL_ROWS):
-        np.matmul(feats[start : start + PANEL_ROWS], V.T, out=pred[start : start + PANEL_ROWS])
-    if head is not None:
-        pred += head.b
+    W, b = (None, None) if head is None else (head.W, head.b)
+    pred = _outputs(feats, A, W, b)
     if targets is None:
         targets = _targets(data, loss, pred.shape[1])
     if loss == "mse":
@@ -307,26 +338,24 @@ def _grads(feats, A, W, b, Y, loss, out=(None, None, None), objective=True):
     """The mean ``loss`` of a batch and its gradients in A, W, b.
 
     ``feats`` is a real design, ``A`` its stacked weights and ``Y`` the
-    target rows (``_targets``); the output is linear in A, so its gradient
-    is an exact outer product with the design.  The gradients are written
-    into ``out``'s C-contiguous arrays of their shapes, or fresh arrays
-    where an entry is None.  With ``objective`` False a finite cross-entropy
-    loss counts as 0.0 (``_loss``): the value is then finite exactly when
-    the loss is, and equal to it when not, which is all an SGD step
-    reads of it.
+    target rows (``_targets``).  The outputs are the ``_outputs`` of the
+    design, as a full split's are; they are linear in W A, whose gradient
+    ``dF = dpred F`` gives ``gA = W^T dF`` and ``gW = dF A^T`` (headless,
+    ``gA = dF``).  The gradients are written into ``out``'s C-contiguous
+    arrays of their shapes, or fresh arrays where an entry is None.  With
+    ``objective`` False a finite cross-entropy loss counts as 0.0
+    (``_loss``): the value is then finite exactly when the loss is, and
+    equal to it when not, which is all an SGD step reads of it.
     """
     gA, gW, gb = out
-    hidden = feats @ A.T  # (n, l)
+    pred = _outputs(feats, A, W, b)
+    value, dpred = _loss_and_grad(pred.T, Y.T, loss, objective)
     if W is None:
-        value, dpred = _loss_and_grad(hidden.T, Y.T, loss, objective)
-        gA = np.matmul(dpred, feats, out=gA)
-    else:
-        pred = hidden @ W.T
-        pred += b
-        value, dpred = _loss_and_grad(pred.T, Y.T, loss, objective)
-        gA = np.matmul(W.T, dpred @ feats, out=gA)
-        gW = np.matmul(dpred, hidden, out=gW)
-        gb = dpred.sum(axis=1, out=gb)
+        return value, np.matmul(dpred, feats, out=gA), gW, gb
+    dF = dpred @ feats  # (k, M)
+    gA = np.matmul(W.T, dF, out=gA)
+    gW = np.matmul(dF, A.T, out=gW)
+    gb = dpred.sum(axis=1, out=gb)
     return value, gA, gW, gb
 
 
@@ -334,27 +363,35 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
           validation: Dataset | None = None):
     """Mini-batch SGD on A (and the affine head); returns (layer, head, history).
 
-    Training runs in real coordinates: Phi is computed once for the training
-    split and once for the validation split and read through its real
-    design ``real_design(Phi)``, a view, and a complex A trains as the
-    interleaved ``conj(A).view(float)``.  Each SGD batch gathers its rows of
-    the training design; the target rows (one-hot for cross-entropy) are
-    permuted once per epoch and sliced for each batch.  Both splits' designs
-    and target rows are reused for every epoch's full-split loss.  The
-    stacked A, W and b are views of one flat buffer, and so are the
-    gradients ``_grads`` writes, so one plain SGD update, ``theta -= lr g``,
-    steps every parameter.  A batch loss is checked only for finiteness;
-    for cross-entropy that test reads the softmax's sum and forms the loss
-    only when it fails (``_loss``), so the error names the same value.
+    Phi is computed once for the training split and once for the validation
+    split, and read through its real design ``real_design(Phi)``, a view; a
+    complex A trains as the interleaved ``conj(A).view(float)``.  Each SGD
+    batch gathers its rows of the training design, and its target rows
+    (one-hot for cross-entropy) are sliced from a copy permuted once per
+    epoch.  Both splits' designs and target rows are reused for every
+    epoch's full-split loss.  The stacked A, W and b are views of one flat
+    buffer, and so are the gradients ``_grads`` writes, so one plain SGD
+    update, ``theta -= lr g``, steps every parameter.
+
     History rows are (epoch, split, loss, accuracy), evaluated before
-    training and after each epoch.  The epochs run with numpy's overflow and
-    invalid-value warnings off, so a diverging fit reports itself only
-    through its DivergenceDetected.  Raises DivergenceDetected if the training loss is non-finite, the initial one
-    included, or passes 10x its starting value; a non-finite mini-batch loss
-    raises at once, before that batch's step, and so does a non-finite entry
-    of A at the end of an epoch.  An input of the wrong width raises the
+    training and after each epoch.  A batch loss is checked only for
+    finiteness; for cross-entropy that test reads the softmax's sum and
+    forms the loss only when it fails (``_loss``), so the error names the
+    same value.  The epochs run with numpy's overflow and invalid-value
+    warnings off, so a diverging fit reports itself only through its
+    DivergenceDetected.
+
+    Raises DivergenceDetected if the training loss is non-finite, the
+    initial one included, or passes 10x its starting value.  A non-finite
+    mini-batch loss raises at once, before that batch's step, and so does a
+    non-finite entry of A, W or b at the end of an epoch.  A head whose W
+    does not have one column per layer output raises ShapeMismatch before
+    any feature is built, and an input of the wrong width raises the
     feature map's ShapeMismatch.
     """
+    if head is not None and head.W.shape[1] != layer.out_dim:
+        raise ShapeMismatch(f"W {head.W.shape} incompatible with the layer's "
+                            f"{layer.out_dim} outputs")
     if cfg.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
     if cfg.loss == "cross_entropy" and head is None:
@@ -402,8 +439,9 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
                             part[...] = g
                     grad *= cfg.learning_rate
                     theta -= grad
-            if not np.all(np.isfinite(A)):
-                raise DivergenceDetected(f"A has non-finite entries at epoch {epoch}")
+            for name, part in (("A", A), ("W", W), ("b", b)):
+                if part is not None and not np.all(np.isfinite(part)):
+                    raise DivergenceDetected(f"{name} has non-finite entries at epoch {epoch}")
             lay, hd = snapshot()
             loss_value, acc = evaluate(lay, hd, data, cfg.loss, feats=feats, targets=Y)
             history.append((epoch, "train", loss_value, acc))

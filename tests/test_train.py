@@ -20,6 +20,7 @@ from snnk.layers import (
     urf_feature_map,
 )
 from snnk.train import (
+    AffineHead,
     Dataset,
     DivergenceDetected,
     TrainConfig,
@@ -280,6 +281,49 @@ class TestFitA:
         with pytest.raises(DivergenceDetected, match="A has non-finite entries at epoch 1"):
             fit_A(layer, None, data, cfg)
 
+    def test_non_finite_head_after_last_batch_is_divergence(self, monkeypatch):
+        # a head that breaks at an epoch's last step is a divergence, not a
+        # malformed head refused by the snapshot's AffineHead
+        data = generate_blobs(n=30, d=4, k=3, separation=4.0, seed=48)
+        layer = make_learnable_layer(relu_feature_map(4, 8, seed=49), 6, seed=50)
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=30, loss="cross_entropy")
+        real_grads = train_module._grads
+
+        def nan_head_gradient(*args, **kwargs):
+            loss, gA, gW, gb = real_grads(*args, **kwargs)
+            return loss, gA, np.full_like(gW, math.nan), gb
+
+        monkeypatch.setattr(train_module, "_grads", nan_head_gradient)
+        with pytest.raises(DivergenceDetected, match="^W has non-finite entries at epoch 1$"):
+            fit_A(layer, make_head(3, 6, seed=51), data, cfg)
+
+    @pytest.mark.parametrize("W, b, error, message", [
+        (np.ones(5), np.zeros(1), ShapeMismatch, r"W must be 2-D, got shape \(5,\)"),
+        (np.ones((3, 5)), np.zeros(2), ShapeMismatch, r"b \(2,\) incompatible with W \(3, 5\)"),
+        (np.full((3, 5), math.nan), np.zeros(3), ValueError, "W has non-finite entries"),
+        (np.ones((3, 5)), np.array([0.0, math.inf, 0.0]), ValueError,
+         "b has non-finite entries"),
+    ], ids=["1-d-W", "short-b", "nan-W", "inf-b"])
+    def test_malformed_head_is_refused(self, W, b, error, message):
+        data = generate_blobs(n=30, d=4, k=3, separation=4.0, seed=48)
+        layer = make_learnable_layer(relu_feature_map(4, 8, seed=49), 5, seed=50)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=10, loss="cross_entropy")
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_A(layer, AffineHead(W=W, b=b), data, cfg)
+
+    def test_head_of_the_wrong_width_is_refused_before_features(self, monkeypatch):
+        data = generate_blobs(n=30, d=4, k=3, separation=4.0, seed=48)
+        layer = make_learnable_layer(relu_feature_map(4, 8, seed=49), 5, seed=50)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=10, loss="cross_entropy")
+
+        def no_features(*args):
+            raise AssertionError("built features before the head was checked")
+
+        monkeypatch.setattr(ReluFeatureMap, "features_many", no_features)
+        with pytest.raises(ShapeMismatch,
+                           match=r"^W \(3, 4\) incompatible with the layer's 5 outputs$"):
+            fit_A(layer, make_head(3, 4, seed=51), data, cfg)
+
     def test_non_finite_initial_loss_is_divergence(self):
         fmap = relu_feature_map(4, 8, seed=49)
         layer = make_learnable_layer(fmap, 2, seed=50)
@@ -518,6 +562,8 @@ def per_array_fit(layer, head, data, cfg, validation, batch_losses=None):
     """fit_A's SGD with one array per parameter: fresh gradient arrays, two
     update ufuncs for each of A, W and b, a row-major softmax and the label
     entries picked by fancy indexing; losses on the full splits likewise.
+    Its products are fit_A's: a batch's outputs through the folded weights
+    W A, and the head's A and W gradients both from dF = dpred^T f.
     Every batch's objective is appended to ``batch_losses`` when given, and
     fitting stops at the first non-finite one, before its step."""
     feats = real_design(layer.feature_map.features_many(data.X))
@@ -558,13 +604,14 @@ def per_array_fit(layer, head, data, cfg, validation, batch_losses=None):
             for start in range(0, data.n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 f = feats[idx]
-                hidden = f @ A.T
                 if W is None:
-                    value, dpred = loss_and_grad(hidden, Y[idx])
+                    value, dpred = loss_and_grad(f @ A.T, Y[idx])
                     grads = [dpred.T @ f]
                 else:
-                    value, dpred = loss_and_grad(hidden @ W.T + b, Y[idx])
-                    grads = [W.T @ (dpred.T @ f), dpred.T @ hidden, dpred.sum(axis=0)]
+                    V = W @ A
+                    value, dpred = loss_and_grad(f @ V.T + b, Y[idx])
+                    dF = dpred.T @ f
+                    grads = [W.T @ dF, dF @ A.T, dpred.sum(axis=0)]
                 if batch_losses is not None:
                     batch_losses.append(value)
                     if not math.isfinite(value):
@@ -581,7 +628,7 @@ class TestFlatBufferStep:
     """fit_A's in-place step on one flat buffer reproduces per-array SGD bit for bit."""
 
     @pytest.mark.parametrize("case", ["relu-ce-k4", "urf-ce-plain", "relu-mse-headless",
-                                      "relu-ce-k10"])
+                                      "relu-ce-k10", "relu-mse-head", "urf-mse-head"])
     def test_matches_per_array_sgd(self, case):
         k = 10 if case == "relu-ce-k10" else 3 if case.startswith("urf") else 4
         full = generate_blobs(n=250, d=5, k=k, separation=6.0, seed=96)
@@ -593,10 +640,11 @@ class TestFlatBufferStep:
             fmap = urf_feature_map(Activation("sine"), 5, UrfConfig(m=12, seed=98))
         else:
             fmap = relu_feature_map(5, 24, seed=98)
-        loss = "mse" if case == "relu-mse-headless" else "cross_entropy"
+        loss = "mse" if "-mse-" in case else "cross_entropy"
         if loss == "mse":
             train_set, val_set = (Dataset(X=ds.X, Y=np.eye(k)[ds.Y] + 0.1 * np.arange(k))
                                   for ds in (train_set, val_set))
+        if case.endswith("headless"):
             layer, head = make_learnable_layer(fmap, k, seed=99), None
         else:
             layer, head = make_learnable_layer(fmap, 8, seed=99), make_head(k, 8, seed=100)
