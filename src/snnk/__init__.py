@@ -23,7 +23,6 @@ from .bundling import (
     bundled_forward,
     chain_features,
     closed_form_regression,
-    error_propagation_bound,
     fold_following_linear,
     network,
     network_forward,

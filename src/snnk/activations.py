@@ -216,13 +216,6 @@ class FourierDecomposition:
         if tuple(c.axis for c in self.components) != AXES:
             raise ValueError("components must be ordered re+, re-, im+, im-")
 
-    @property
-    def masses(self) -> np.ndarray:
-        """Signed complex masses c_j, axis order re+, re-, im+, im-."""
-        return np.array(
-            [AXIS_PHASE[c.axis] * c.mass for c in self.components], dtype=complex
-        )
-
     def component(self, axis: str) -> FourierComponent:
         return self.components[AXES.index(axis)]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -235,34 +235,15 @@ def bundled_flop_count(bn: BundledNetwork) -> int:
 # folding an approximated layer into the following linear map
 
 
-@dataclass(frozen=True)
-class FoldedAffine:
-    """A feature map with the following affine map folded in:
-    x -> Re(features(x) @ matrix) + bias."""
-
-    feature_map: object  # UrfFeatureMap or ReluFeatureMap
-    matrix: np.ndarray  # (M, d_out)
-    bias: np.ndarray  # (d_out,)
-
-    def __call__(self, x) -> np.ndarray:
-        feats = self.feature_map.features(x)
-        return (feats @ self.matrix).real + self.bias
-
-    def param_count(self) -> int:
-        return int(self.matrix.size + self.bias.size)
-
-
-def fold_following_linear(layer: SnnkLayer, W2: np.ndarray, b2: np.ndarray) -> FoldedAffine:
-    """Fold y -> W2 y + b2 into the layer: the stored matrix is (W2 A)^T."""
+def fold_following_linear(layer: SnnkLayer, W2: np.ndarray) -> SnnkLayer:
+    """Fold y -> W2 y into the layer: the same features against W2 A.
+    A following bias has nothing to fold into; the caller adds it."""
     W2 = np.asarray(W2)
-    b2 = np.asarray(b2, dtype=float)
     if W2.ndim != 2 or W2.shape[1] != layer.out_dim:
         raise ShapeMismatch(
             f"W2 {W2.shape} must have {layer.out_dim} columns (the layer's outputs)"
         )
-    if b2.shape != (W2.shape[0],):
-        raise ShapeMismatch("b2 must match W2's row count")
-    return FoldedAffine(feature_map=layer.feature_map, matrix=(W2 @ layer.A).T, bias=b2)
+    return SnnkLayer(feature_map=layer.feature_map, A=W2 @ layer.A)
 
 
 # ---------------------------------------------------------------------------
@@ -313,37 +294,3 @@ def default_ridge(Xbar: np.ndarray) -> float:
     Xbar = np.asarray(Xbar)
     return float(1e-8 * np.sum(np.abs(Xbar) ** 2) / Xbar.shape[1])
 
-
-# ---------------------------------------------------------------------------
-# error propagation across bundled depth
-
-
-class PropagationBound(NamedTuple):
-    printed_bound: float
-    corrected_bound: float
-    accumulated_eps: float
-
-
-def error_propagation_bound(
-    eps: float, m: int, c: float, depth: int,
-    delta: Callable[[float], float],
-) -> PropagationBound:
-    """Failure-probability bounds for a depth-layer bundle, both variants.
-
-    ``accumulated_eps`` is eps + delta(eps) + delta(delta(eps)) + ... with
-    depth - 1 compositions.  ``printed_bound`` is depth * 2 exp(-eps^2 /
-    (8 m c^2)) exactly as stated at the source; its exponent weakens as m
-    grows, contradicting the surrounding reasoning, so the standard
-    bounded-increment form depth * 2 exp(-m eps^2 / (8 c^2)) is returned
-    alongside it.  Neither is capped at 1.
-    """
-    if eps <= 0 or c <= 0 or m < 1 or depth < 1:
-        raise ValueError("need eps > 0, c > 0, m >= 1, depth >= 1")
-    acc = eps
-    cur = eps
-    for _ in range(depth - 1):
-        cur = delta(cur)
-        acc += cur
-    printed = depth * 2.0 * math.exp(-(eps**2) / (8.0 * m * c * c))
-    corrected = depth * 2.0 * math.exp(-(m * eps**2) / (8.0 * c * c))
-    return PropagationBound(printed, corrected, acc)

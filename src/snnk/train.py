@@ -428,15 +428,12 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
                 epoch_Y = Y[order]
                 for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
                     rows = slice(start, start + cfg.batch_size)
-                    batch_loss, *grads = _grads(feats[order[rows]], A, W, b, epoch_Y[rows],
-                                                cfg.loss, grad_parts, objective=False)
+                    batch_loss = _grads(feats[order[rows]], A, W, b, epoch_Y[rows], cfg.loss,
+                                        grad_parts, objective=False)[0]
                     if not math.isfinite(batch_loss):
                         raise DivergenceDetected(
                             f"loss {batch_loss:.3e} at epoch {epoch}, batch {batch} is non-finite"
                         )
-                    for part, g in zip(grad_parts, grads):
-                        if g is not part:  # a gradient _grads did not write in place
-                            part[...] = g
                     grad *= cfg.learning_rate
                     theta -= grad
             for name, part in (("A", A), ("W", W), ("b", b)):

@@ -25,21 +25,22 @@ its norm term and its normaliser included, is a packed real matrix against
 an augmented row,
 
     input tower (z = x):  [c_i g_i | q_i | A|g_i|^2 + log s] . [i z, z.z, 1]
-    param tower (z = w):  [g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+    param tower (z = w):  [g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(s |c_j|)]
                            . [r w, i b, w.w, i, 1]
 
-with r = sqrt(1-4A), c_i = 2 pi r xi_i, q_i = 2 pi^2 xi_i^2, the prefactor
-p = (1-4A)^(d/4), s = p / sqrt(m), and c_j the signed mass of entry i's
-component.  The fixed policy puts rho(xi) = 2 pi i xi on the input side (the
-i rides on the augmented row) and the bias phase exp(2 pi i xi b) and the
-signed mass in the parameter exponent, so ``psi_many`` only multiplies the
-exponential by each entry's importance ratio.  The product meets each
-augmented row as its (K, 2) float pairs [Re a, Im a]: the packed matrix is
-real, and the (M, 2) result is the row's complex exponent, exponentiated in
-place.  A (..., d) stack is that product for each row, so every row equals
-its single call bit for bit.  ``UrfDraws.input_matrix`` is packed once per
-draw set, on first use, since serving reuses it; the parameter matrix is
-packed per ``psi_many`` call and not kept.
+with r = sqrt(1-4A), c_i = 2 pi r xi_i, q_i = 2 pi^2 xi_i^2, the tower
+normaliser s = (1-4A)^(d/4) / sqrt(m) (``UrfDraws.scale``), and c_j the
+signed mass of entry i's component.  The fixed policy puts rho(xi) = 2 pi i
+xi on the input side (the i rides on the augmented row) and the bias phase
+exp(2 pi i xi b) and the signed mass in the parameter exponent, so
+``psi_many`` only multiplies the exponential by each entry's importance
+ratio.  The product meets each augmented row as its (K, 2) float pairs
+[Re a, Im a]: the packed matrix is real, and the (M, 2) result is the row's
+complex exponent, exponentiated in place.  A (..., d) stack is that product
+for each row, so every row equals its single call bit for bit.
+``UrfDraws.input_matrix`` is packed once per draw set, on first use, since
+serving reuses it; the parameter matrix is packed per ``psi_many`` call and
+not kept.
 
 There is one sampling scheme: ``sample_draws(decomp, dim, cfg)`` reads each
 component's frequencies and Gaussians off its own (seed, axis, XI/G) streams
@@ -172,9 +173,10 @@ class UrfDraws:
         return runs[:, :, :m].swapaxes(0, 1).reshape(n, -1)
 
     @property
-    def prefactor(self) -> float:
-        """Lambda's prefactor (1-4A)^(d/4)."""
-        return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0)
+    def scale(self) -> float:
+        """The tower normaliser s = (1-4A)^(d/4) / sqrt(m): Lambda's prefactor
+        over the root of the features per component."""
+        return (1.0 - 4.0 * self.config.A) ** (self.dim / 4.0) / math.sqrt(self.config.m)
 
     def _packed(self, constants: list, order: str) -> np.ndarray:
         """A tower's packed matrix in memory ``order``: the Gaussian block
@@ -191,24 +193,22 @@ class UrfDraws:
     @cached_property
     def input_matrix(self) -> np.ndarray:
         """[c_i g_i | q_i | A|g_i|^2 + log s] against [i x, x.x, 1]: c_i =
-        sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = prefactor / sqrt(m).
+        sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = ``scale``.
         Row-major: a single row's product reads it fastest."""
         d, root = self.dim, math.sqrt(1.0 - 4.0 * self.config.A)
-        log_scale = math.log(self.prefactor / math.sqrt(self.config.m))
-        P = self._packed([[[log_scale]] * len(self.axes)], "C")
+        P = self._packed([[[math.log(self.scale)]] * len(self.axes)], "C")
         np.multiply(self.G.T, 2.0 * math.pi * root * self.xi, out=P.T[:d], order="C")
         q = np.square(self.xi, out=P[:, d])
         q *= 2.0 * math.pi**2
         return P
 
     def param_matrix(self) -> np.ndarray:
-        """[g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(p |c_j| / sqrt(m))]
+        """[g_i | 2 pi xi_i | -1/2 | arg c_j | A|g_i|^2 + log(s |c_j|)]
         against [sqrt(1-4A) w, i b, w.w, i, 1], with c_j the signed mass of
         entry i's component.  Column-major: built per call, its columns are
         contiguous, and a tall product with few columns reads it faster."""
-        norm = self.prefactor / math.sqrt(self.config.m)
         P = self._packed([[[-0.5]] * len(self.axes), [[cmath.phase(c)] for _, c in self.axes],
-                          [[math.log(norm * abs(c))] for _, c in self.axes]], "F")
+                          [[math.log(self.scale * abs(c))] for _, c in self.axes]], "F")
         P[:, : self.dim] = self.G
         np.multiply(self.xi, 2.0 * math.pi, out=P[:, self.dim])
         return P
@@ -395,10 +395,9 @@ def phi_entry_bound(draws: UrfDraws, max_norm_x: float) -> np.ndarray:
 
     sup over g of exp(A|g|^2) is 1, the g.z term is purely imaginary for
     real inputs, and -(z.z)/2 = 2 pi^2 xi^2 |x|^2, so the bound is the
-    prefactor times exp(2 pi^2 xi^2 R^2) at each drawn xi.
+    normaliser ``scale`` times exp(2 pi^2 xi^2 R^2) at each drawn xi.
     """
-    scale = draws.prefactor / math.sqrt(draws.config.m)
-    return scale * np.exp(2.0 * math.pi**2 * draws.xi**2 * max_norm_x**2)
+    return draws.scale * np.exp(2.0 * math.pi**2 * draws.xi**2 * max_norm_x**2)
 
 
 def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
@@ -414,5 +413,4 @@ def psi_entry_bound(draws: UrfDraws, max_norm_w: float) -> np.ndarray:
     R = max_norm_w
     exponent = (1.0 - 4.0 * A) * R * R / (4.0 * abs(A)) - R * R / 2.0
     mass = np.repeat([abs(c) for _, c in draws.axes], draws.config.m)
-    scale = draws.prefactor / math.sqrt(draws.config.m)
-    return scale * mass * draws.ratio * math.exp(exponent)
+    return draws.scale * mass * draws.ratio * math.exp(exponent)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from snnk.activations import (
     _trapezoid_ft,
+    AXIS_PHASE,
     Activation,
     QuadratureNonConvergent,
     TaperWindow,
@@ -19,6 +20,7 @@ from snnk.activations import (
     numeric_ft,
     validate_decomposition,
 )
+from snnk.urf import UrfConfig, sample_draws
 
 XI0 = 1.0 / (2.0 * math.pi)
 
@@ -85,10 +87,13 @@ class TestClosedForms:
         assert d.component("re+").atoms == ((0.0, 0.5),)
 
     def test_masses_match_components(self):
+        # a draw set carries the signed mass c_j of each active component, in order
         for kind in ("sine", "cosine", "tanh", "sigmoid"):
             d = closed_form_ft(Activation(kind))
-            for c, mass in zip(d.components, d.masses):
-                assert abs(mass) == pytest.approx(c.mass, rel=1e-12)
+            draws = sample_draws(d, 2, UrfConfig(m=4, seed=0))
+            assert [axis for axis, _ in draws.axes] == [c.axis for c in d.active()]
+            for axis, mass in draws.axes:
+                assert mass == AXIS_PHASE[axis] * d.component(axis).mass
 
     def test_parity_zeroes_components(self):
         for kind in ("sine", "tanh"):

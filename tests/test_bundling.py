@@ -20,7 +20,6 @@ from snnk.bundling import (
     chain_features,
     closed_form_regression,
     default_ridge,
-    error_propagation_bound,
     fold_following_linear,
     network,
     network_flop_count,
@@ -29,7 +28,16 @@ from snnk.bundling import (
     regression_gradient,
     regression_objective,
 )
-from snnk.layers import ShapeMismatch, FflSpec, ffl_forward, snnk_from_ffl
+from snnk.layers import (
+    ShapeMismatch,
+    FflSpec,
+    SnnkLayer,
+    ffl_forward,
+    relu_feature_map,
+    snnk_forward,
+    snnk_forward_many,
+    snnk_from_ffl,
+)
 from snnk.urf import UrfConfig, UrfDraws, sample_draws
 
 
@@ -276,31 +284,47 @@ class TestFoldFollowingLinear:
 
     def test_identity_gives_transposed_feature_weights(self):
         layer = self._layer()
-        folded = fold_following_linear(layer, np.eye(4), np.zeros(4))
-        assert np.array_equal(folded.matrix, layer.A.T)
+        folded = fold_following_linear(layer, np.eye(4))
+        assert folded.feature_map is layer.feature_map
+        assert np.array_equal(folded.A, layer.A)
 
     def test_two_paths_agree(self):
-        from snnk.layers import snnk_forward
-
         layer = self._layer(seed=8)
         rng = rng_for(9, 0, 0, MISC_STREAM)
         W2 = rng.standard_normal((16, 4))
         b2 = rng.standard_normal(16)
-        folded = fold_following_linear(layer, W2, b2)
+        folded = fold_following_linear(layer, W2)
         for _ in range(100):
             x = rng.uniform(-1, 1, 3)
             direct = W2 @ snnk_forward(x, layer) + b2
-            assert np.max(np.abs(folded(x) - direct)) <= 1e-12
+            assert np.max(np.abs(snnk_forward(x, folded) + b2 - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["urf", "relu"])
+    def test_batch_fold_matches_batch_forward(self, kind):
+        # a urf layer has a complex A, a relu layer a real one
+        rng = rng_for(12, 0, 0, MISC_STREAM)
+        if kind == "urf":
+            layer = self._layer(seed=12)
+        else:
+            layer = SnnkLayer(feature_map=relu_feature_map(3, 8, seed=12),
+                              A=rng.standard_normal((4, 8)))
+        W2 = rng.standard_normal((16, 4))
+        b2 = rng.standard_normal(16)
+        X = rng.uniform(-1, 1, (50, 3))
+        folded = snnk_forward_many(X, fold_following_linear(layer, W2)) + b2
+        direct = snnk_forward_many(X, layer) @ W2.T + b2
+        assert np.max(np.abs(folded - direct)) <= 1e-12
 
     def test_parameter_count(self):
         layer = self._layer(seed=10)
-        folded = fold_following_linear(layer, np.ones((16, 4)), np.zeros(16))
-        assert folded.param_count() == layer.A.shape[1] * 16 + 16
+        b2 = np.zeros(16)
+        folded = fold_following_linear(layer, np.ones((16, 4)))
+        assert folded.param_count() + b2.size == layer.A.shape[1] * 16 + 16
 
     def test_shape_mismatch(self):
         layer = self._layer(seed=11)
-        with pytest.raises(ShapeMismatch):
-            fold_following_linear(layer, np.ones((16, 5)), np.zeros(16))
+        with pytest.raises(ShapeMismatch, match="^W2 "):
+            fold_following_linear(layer, np.ones((16, 5)))
 
 
 def pooler_classifier_exact(Wp, bp, Wc, bc, x):
@@ -308,9 +332,10 @@ def pooler_classifier_exact(Wp, bp, Wc, bc, x):
     return Wc @ np.tanh(Wp @ x + bp) + bc
 
 
-def merged_pooler_classifier(Wp, bp, Wc, bc, cfg):
-    """The pooler's snnk layer with the classifier folded in: one (M, classes) matrix."""
-    return fold_following_linear(snnk_from_ffl(FflSpec(Wp, bp, Activation("tanh")), cfg), Wc, bc)
+def merged_pooler_classifier(Wp, bp, Wc, cfg):
+    """The pooler's snnk layer with the classifier's matrix folded in: one
+    (classes, M) A; the classifier's bias is added to its outputs."""
+    return fold_following_linear(snnk_from_ffl(FflSpec(Wp, bp, Activation("tanh")), cfg), Wc)
 
 
 class TestPoolerClassifierBundle:
@@ -325,11 +350,11 @@ class TestPoolerClassifierBundle:
         Wc = np.array([[1.0, 0.0, 0.0]])
         bc = np.array([0.25])
         cfg = UrfConfig(m=8, seed=15)
-        head = merged_pooler_classifier(Wp, bp, Wc, bc, cfg)
+        head = merged_pooler_classifier(Wp, bp, Wc, cfg)
         x = rng.uniform(-0.5, 0.5, d)
         draws = sample_draws(decomposition_for(Activation("tanh")), d, cfg)
         expected = kernel_estimate(phi(x, draws), psi(Wp[0], bp[0], draws)) + 0.25
-        assert head(x)[0] == pytest.approx(expected, rel=1e-12)
+        assert (snnk_forward(x, head) + bc)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_merged_path_tracks_exact(self):
         rng = rng_for(16, 0, 0, MISC_STREAM)
@@ -341,7 +366,7 @@ class TestPoolerClassifierBundle:
         x = rng.uniform(-0.5, 0.5, d)
         exact = pooler_classifier_exact(Wp, bp, Wc, bc, x)
         outs = np.array([
-            merged_pooler_classifier(Wp, bp, Wc, bc, UrfConfig(m=64, seed=s))(x)
+            snnk_forward(x, merged_pooler_classifier(Wp, bp, Wc, UrfConfig(m=64, seed=s))) + bc
             for s in range(300)
         ])
         se = outs.std(axis=0, ddof=1) / math.sqrt(len(outs))
@@ -394,45 +419,3 @@ class TestClosedFormRegression:
             direction /= np.linalg.norm(direction)
             assert regression_objective(X, Y, W + 1e-3 * direction, ridge) >= base
 
-
-class TestErrorPropagationBound:
-    def test_unit_case(self):
-        out = error_propagation_bound(1.0, 1, 1.0, 1, delta=lambda a: a)
-        assert out.printed_bound == pytest.approx(1.7649938051691908, abs=1e-12)
-        assert out.corrected_bound == pytest.approx(1.7649938051691908, abs=1e-12)
-
-    def test_linear_modulus_accumulation(self):
-        out = error_propagation_bound(0.1, 4, 1.0, 3, delta=lambda a: a)
-        assert out.accumulated_eps == pytest.approx(0.3, abs=1e-15)
-
-    def test_monotonicity_in_m(self):
-        ms = [1, 4, 16, 64]
-        printed = [
-            error_propagation_bound(0.5, m, 1.0, 2, delta=lambda a: a).printed_bound
-            for m in ms
-        ]
-        corrected = [
-            error_propagation_bound(0.5, m, 1.0, 2, delta=lambda a: a).corrected_bound
-            for m in ms
-        ]
-        assert all(b >= a for a, b in zip(printed, printed[1:]))
-        assert all(b <= a for a, b in zip(corrected, corrected[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            error_propagation_bound(0.0, 1, 1.0, 1, delta=lambda a: a)
-
-    def test_with_derived_increment_constant(self):
-        # the bounded-increment constant comes from the feature-entry
-        # bounds rather than being assumed
-        from snnk.activations import Activation, decomposition_for
-        from snnk.urf import UrfConfig, phi_entry_bound, psi_entry_bound, sample_draws
-
-        dec = decomposition_for(Activation("sine"))
-        draws = sample_draws(dec, 4, UrfConfig(m=32, A=-0.1, seed=9))
-        # bound on one averaged estimator term |m * phi_i * psi_i|
-        c = 32 * float(np.max(phi_entry_bound(draws, 1.0) * psi_entry_bound(draws, 1.0)))
-        assert c > 0
-        out = error_propagation_bound(0.5, 32, c, depth=3, delta=lambda a: 1.2 * a)
-        assert out.corrected_bound < out.printed_bound
-        assert out.accumulated_eps == pytest.approx(0.5 + 0.6 + 0.72)

@@ -274,8 +274,10 @@ class TestFitA:
         real_grads = train_module._grads
 
         def nan_gradient(*args, **kwargs):
+            # fit_A steps on the gradient buffers _grads writes into
             loss, gA, gW, gb = real_grads(*args, **kwargs)
-            return loss, np.full_like(gA, math.nan), gW, gb
+            gA.fill(math.nan)
+            return loss, gA, gW, gb
 
         monkeypatch.setattr(train_module, "_grads", nan_gradient)
         with pytest.raises(DivergenceDetected, match="A has non-finite entries at epoch 1"):
@@ -291,7 +293,8 @@ class TestFitA:
 
         def nan_head_gradient(*args, **kwargs):
             loss, gA, gW, gb = real_grads(*args, **kwargs)
-            return loss, gA, np.full_like(gW, math.nan), gb
+            gW.fill(math.nan)
+            return loss, gA, gW, gb
 
         monkeypatch.setattr(train_module, "_grads", nan_head_gradient)
         with pytest.raises(DivergenceDetected, match="^W has non-finite entries at epoch 1$"):
