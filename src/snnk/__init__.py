@@ -5,7 +5,6 @@ from .activations import (
     FourierComponent,
     FourierDecomposition,
     QuadratureNonConvergent,
-    TaperWindow,
     UnsupportedClosedForm,
     closed_form_ft,
     decompose,

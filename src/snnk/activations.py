@@ -330,62 +330,43 @@ def closed_form_ft(a: Activation) -> FourierDecomposition:
 # numeric transform oracle
 
 
-@dataclass(frozen=True)
-class TaperWindow:
-    """w(z) = 1 on [-flat, flat], smooth (C-infinity) roll-off to 0 at
-    flat + taper; the smoothness keeps spectral leakage super-polynomially
-    small, which matters when comparing against exponentially small
-    transform tails."""
-
-    flat: float = 10.0
-    taper: float = 30.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.flat) and self.flat >= 0):
-            raise ValueError(f"TaperWindow.flat must be finite and >= 0, got {self.flat!r}")
-        if not (math.isfinite(self.taper) and self.taper > 0):
-            raise ValueError(f"TaperWindow.taper must be finite and > 0, got {self.taper!r}")
-
-    @property
-    def cutoff(self) -> float:
-        return self.flat + self.taper
-
-    def __call__(self, z):
-        z = np.abs(np.asarray(z, dtype=float))
-        out = np.ones_like(z)
-        roll = (z > self.flat) & (z < self.cutoff)
-        t = (z[roll] - self.flat) / self.taper
-        with np.errstate(over="ignore"):
-            s = np.clip(1.0 / (1.0 - t) - 1.0 / t, -700.0, 700.0)
-            out[roll] = 1.0 / (1.0 + np.exp(s))
-        out[z >= self.cutoff] = 0.0
-        return out
+# numeric_ft's quadrature, fixed: the window is 1 on [-WINDOW_FLAT, WINDOW_FLAT]
+# and rolls off to 0 over WINDOW_TAPER more, the fine level's nodes are
+# NODE_STEP / 2 apart, and the two levels must agree to RICHARDSON_RTOL
+WINDOW_FLAT = 10.0
+WINDOW_TAPER = 30.0
+NODE_STEP = 1.0 / 128.0
+RICHARDSON_RTOL = 1e-6
 
 
-def numeric_ft(
-    a: Callable,
-    grid: np.ndarray,
-    window: TaperWindow = TaperWindow(),
-    step: float = 1.0 / 128.0,
-    rtol: float = 1e-6,
-) -> np.ndarray:
+def _window(z):
+    """w(z) = 1 on [-WINDOW_FLAT, WINDOW_FLAT], smooth (C-infinity) roll-off
+    to 0 at WINDOW_FLAT + WINDOW_TAPER; the smoothness keeps spectral leakage
+    super-polynomially small, which matters when comparing against
+    exponentially small transform tails."""
+    flat, cutoff = WINDOW_FLAT, WINDOW_FLAT + WINDOW_TAPER
+    z = np.abs(np.asarray(z, dtype=float))
+    out = np.ones_like(z)
+    roll = (z > flat) & (z < cutoff)
+    t = (z[roll] - flat) / WINDOW_TAPER
+    with np.errstate(over="ignore"):
+        s = np.clip(1.0 / (1.0 - t) - 1.0 / t, -700.0, 700.0)
+        out[roll] = 1.0 / (1.0 + np.exp(s))
+    out[z >= cutoff] = 0.0
+    return out
+
+
+def numeric_ft(a: Callable, grid: np.ndarray) -> np.ndarray:
     """Windowed trapezoid quadrature of the transform on ``grid``.
 
     ``a`` is an Activation or any other callable of a real array; ``grid``
     must be uniform and symmetric about 0.  The integrand
-    f(z) w(z) exp(-2 pi i xi z) is summed at steps ``step`` and ``step/2``
-    and Richardson-extrapolated; if the two levels disagree by more than
-    ``rtol`` relative to the transform's peak magnitude, raises
-    QuadratureNonConvergent.  Each level is one chirp-z sum
+    f(z) w(z) exp(-2 pi i xi z) is summed at steps ``NODE_STEP`` and
+    ``NODE_STEP / 2`` and Richardson-extrapolated; if the two levels disagree
+    by more than ``RICHARDSON_RTOL`` relative to the transform's peak
+    magnitude, raises QuadratureNonConvergent.  Each level is one chirp-z sum
     (``_trapezoid_ft``) over the uniform nodes and frequencies.
     """
-    if not 0 < step <= window.cutoff:
-        raise ValueError(
-            f"numeric_ft step must be > 0 and at most the window cutoff "
-            f"{window.cutoff}, got {step!r}"
-        )
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"numeric_ft rtol must be finite and > 0, got {rtol!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -396,18 +377,18 @@ def numeric_ft(
     if np.max(np.abs(grid - uniform)) > 16 * np.finfo(float).eps * grid[-1]:
         raise ValueError("grid must be uniform")
 
-    half = window.cutoff
-    n = int(round(2 * half / (step / 2))) + 1
+    half = WINDOW_FLAT + WINDOW_TAPER
+    n = int(round(2 * half / (NODE_STEP / 2))) + 1
     z = np.linspace(-half, half, n)
-    fz = a(z) * window(z)
+    fz = a(z) * _window(z)
 
     fine = _trapezoid_ft(z, fz, grid)
     coarse = _trapezoid_ft(z[::2], fz[::2], grid)
     scale = np.max(np.abs(fine)) + 1e-300
     disagreement = np.max(np.abs(fine - coarse)) / scale
-    if disagreement > rtol:
+    if disagreement > RICHARDSON_RTOL:
         raise QuadratureNonConvergent(
-            f"refinement levels disagree by {disagreement:.2e} (> {rtol:.0e})"
+            f"refinement levels disagree by {disagreement:.2e} (> {RICHARDSON_RTOL:.0e})"
         )
     # Richardson: trapezoid error is O(h^2), so (4*fine - coarse) / 3
     return (4.0 * fine - coarse) / 3.0

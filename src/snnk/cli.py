@@ -56,9 +56,13 @@ REL_ERROR_FLOOR = 1e-12
 # pointwise estimation
 
 
-def _per_component(p: int, n_active: int) -> int:
-    """Features per transform component for a requested total of ``p``."""
-    return max(1, int(p) // n_active)
+def _component_counts(activation: str, feature_counts) -> tuple[int, list[int]]:
+    """The number of active transform components, and the features per
+    component for each requested total in ``feature_counts``.  The relu map
+    (arccos) draws no frequencies, so it counts as one component."""
+    n_active = (1 if activation == "arccos"
+                else len(decomposition_for(Activation(activation)).active()))
+    return n_active, [max(1, int(p) // n_active) for p in feature_counts]
 
 
 @dataclass(frozen=True)
@@ -114,17 +118,14 @@ class EstimateConfig:
             raise ConfigError("strategy", f"must be 'iid', got {self.strategy!r}")
         if self.block_size != 0:
             raise ConfigError("block_size", f"must be 0, got {self.block_size}")
-        if self.activation == "arccos":  # the relu map draws no frequencies, so it ignores A
-            n_active, per = 1, ""
-        else:
+        if self.activation != "arccos":  # the relu map draws no frequencies, so it ignores A
             UrfConfig(m=1, A=self.A)
-            n_active = len(decomposition_for(Activation(self.activation)).active())
-            per = f" per component ({n_active} components)"
+        n_active, ms = _component_counts(self.activation, self.feature_counts)
+        per = "" if self.activation == "arccos" else f" per component ({n_active} components)"
         # every count reads a prefix of the same features (_urf_run), so a
         # repeated count would only repeat another's rows
         seen = {}
-        for p in self.feature_counts:
-            m = _per_component(p, n_active)
+        for p, m in zip(self.feature_counts, ms):
             if m in seen:
                 raise ConfigError("feature_counts", (
                     f"{seen[m]} and {p} both give {m} features{per}, so they would read "
@@ -203,18 +204,15 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     trials read a prefix of every instantiation's features."""
     x, w = _draw_inputs(cfg)
     xk, wk = _span_coords(x, w)
+    n_active, ms = _component_counts(cfg.activation, cfg.feature_counts)
+    plan = [m * n_active for m in ms]
     if cfg.activation == "arccos":
         exact = 0.5 * arc_cosine_exact(1, w, x)
-        plan = [int(p) for p in cfg.feature_counts]
-        estimates = _arccos_run(cfg, xk, wk, plan)
+        estimates = _arccos_run(cfg, xk, wk, ms)
     else:
         act = Activation(cfg.activation)
-        dec = decomposition_for(act)
         exact = float(act(np.dot(w, x) + cfg.bias))
-        n_active = len(dec.active())
-        ms = [_per_component(p, n_active) for p in cfg.feature_counts]
-        plan = [m * n_active for m in ms]
-        estimates = _urf_run(cfg, dec, xk, wk, ms)
+        estimates = _urf_run(cfg, decomposition_for(act), xk, wk, ms)
 
     estimates = np.array(estimates)  # (counts, instantiations)
     errs = np.abs(estimates - exact) / max(abs(exact), REL_ERROR_FLOOR)

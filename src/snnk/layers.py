@@ -251,25 +251,18 @@ def arc_cosine_mc_samples(
     y: np.ndarray,
     num_draws: int,
     seed: int,
-    antithetic: bool = False,
 ) -> np.ndarray:
     """Per-draw values 2 Gamma_n(x) Gamma_n(y) over omega ~ N(0, I); their
     mean estimates K_n.
 
     Gamma_n(v) = max(0, v.omega)^n for n >= 1 and the step function for
-    n = 0.  With ``antithetic`` each omega is paired with -omega.
+    n = 0.
     """
     if n not in (0, 1, 2):
         raise ValueError("only orders 0, 1, 2 are implemented")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rng = rng_for(seed, n, 0, MISC_STREAM)
-    if antithetic:
-        half = num_draws // 2
-        omega = rng.standard_normal((half, len(x)))
-        omega = np.vstack([omega, -omega])
-    else:
-        omega = rng.standard_normal((num_draws, len(x)))
+    omega = rng_for(seed, n, 0, MISC_STREAM).standard_normal((num_draws, len(x)))
     tx = omega @ x
     ty = omega @ y
     if n == 0:

@@ -180,8 +180,8 @@ def make_learnable_layer(feature_map, out_dim: int, seed: int) -> SnnkLayer:
     M = feature_map.total_features
     rng = rng_for(seed, 302, 0, MISC_STREAM)
     A = rng.standard_normal((out_dim, M)) / math.sqrt(M)
-    probe = feature_map.features(np.zeros(feature_map.in_dim))
-    if np.iscomplexobj(probe):
+    # the features of an empty batch carry the dtype and featurise no row
+    if np.iscomplexobj(feature_map.features_many(np.zeros((0, feature_map.in_dim)))):
         A = A.astype(complex)
     return SnnkLayer(feature_map=feature_map, A=A)
 

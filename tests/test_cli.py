@@ -279,7 +279,7 @@ def direct_estimates(cfg, x, w, seed):
         G = rng_for(seed, 0, 0, MISC_STREAM).standard_normal((KS_N, p, cfg.d))
         return (np.maximum(0.0, G @ x) * np.maximum(0.0, G @ w)).sum(axis=-1) / p
     dec = decomposition_for(Activation(cfg.activation))
-    m = cli._per_component(cfg.feature_counts[0], len(dec.active()))
+    m = cli._component_counts(cfg.activation, cfg.feature_counts[:1])[1][0]
     draws = sample_draws(dec, cfg.d, UrfConfig(m=KS_N * m, A=cfg.A, seed=seed))
     px, pw = (FeatureVector(draws.instantiations(f.entries, KS_N))
               for f in (phi(x, draws), psi(w, cfg.bias, draws)))
@@ -376,8 +376,7 @@ class TestPerCountDraws:
         x, w = cli._draw_inputs(cfg)
         xk, wk = cli._span_coords(x, w)
         dec = decomposition_for(Activation(activation))
-        C = len(dec.active())
-        ms = [cli._per_component(p, C) for p in cfg.feature_counts]
+        C, ms = cli._component_counts(activation, cfg.feature_counts)
         M = max(ms)
         T = n * M
         seed = derive_seed(cfg.seed, 401)
@@ -433,7 +432,7 @@ class TestPerCountDraws:
         assert len(drawn) == 1
         draws, = drawn
         C = len(draws.axes)
-        ms = [cli._per_component(p, C) for p in cfg.feature_counts]
+        ms = cli._component_counts(activation, cfg.feature_counts)[1]
         assert draws.config.m == cfg.instantiations * max(ms)
         # no two Gaussian rows are equal, so no two instantiations share one
         rows = draws.G.reshape(-1, draws.dim)

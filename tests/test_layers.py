@@ -368,16 +368,6 @@ class TestArcCosine:
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - 1.0) < 3 * se
 
-    def test_antithetic_reduces_variance(self):
-        x = np.array([0.4, 0.3, -0.2])
-        plain, anti = [], []
-        for s in range(200):
-            plain.append(arc_cosine_mc_samples(1, x, x, 2000, seed=3000 + s).mean())
-            anti.append(
-                arc_cosine_mc_samples(1, x, x, 2000, seed=3000 + s, antithetic=True).mean()
-            )
-        assert np.var(anti, ddof=1) < np.var(plain, ddof=1)
-
 
 class TestGatedResidualBlock:
     def _layer(self, d, m, seed):

@@ -436,6 +436,31 @@ class TestParameterAccounting:
         assert math.isnan(acc)
 
 
+class TestMakeLearnableLayer:
+    @pytest.mark.parametrize("kind,dtype", [("urf", np.complex128), ("relu", np.float64)])
+    def test_A_is_complex_iff_the_features_are_and_no_row_is_featurised(
+        self, monkeypatch, kind, dtype
+    ):
+        if kind == "urf":
+            fmap = urf_feature_map(Activation("sine"), 4, UrfConfig(m=8, A=0.0, seed=80))
+        else:
+            fmap = relu_feature_map(4, 16, seed=80)
+        shapes = []
+        features_many = type(fmap).features_many
+
+        def recording(self, X):
+            shapes.append(np.shape(X))
+            return features_many(self, X)
+
+        monkeypatch.setattr(type(fmap), "features", recording)
+        monkeypatch.setattr(type(fmap), "features_many", recording)
+        layer = make_learnable_layer(fmap, 3, seed=81)
+        assert layer.A.dtype == dtype
+        assert layer.A.shape == (3, fmap.total_features)
+        # every featurised batch is empty: no input row goes through the map
+        assert shapes and all(math.prod(shape[:-1]) == 0 for shape in shapes)
+
+
 class TestFeatureReuse:
     """fit_A computes Phi once per split and reuses it for every loss."""
 
