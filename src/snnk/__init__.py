@@ -9,7 +9,6 @@ from .activations import (
     closed_form_ft,
     decompose,
     decomposition_for,
-    numeric_decomposition,
     numeric_ft,
     validate_decomposition,
 )

@@ -321,9 +321,7 @@ def closed_form_ft(a: Activation) -> FourierDecomposition:
         return FourierDecomposition(
             components=(_atomic_component("re+", [(0.0, 0.5)]),) + d.components[1:]
         )
-    raise UnsupportedClosedForm(
-        f"no closed-form transform for {a.kind}; use numeric_decomposition"
-    )
+    raise UnsupportedClosedForm(f"no closed-form transform for {a.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +512,13 @@ def validate_decomposition(
 # ---------------------------------------------------------------------------
 # dispatch
 
-_NUMERIC_KINDS = ("gelu", "swish", "smoothed_relu")
-
-
-def numeric_decomposition(a: Activation) -> FourierDecomposition:
-    grid = np.linspace(-GRID_MAX, GRID_MAX, GRID_POINTS)
-    return decompose(grid, numeric_ft(a, grid))
-
 
 @lru_cache(maxsize=32)
 def decomposition_for(a: Activation) -> FourierDecomposition:
     """Closed form where vetted, tabulated numeric transform otherwise;
     computed once per activation."""
-    if a.kind in _NUMERIC_KINDS:
-        return numeric_decomposition(a)
-    return closed_form_ft(a)
-
+    try:
+        return closed_form_ft(a)
+    except UnsupportedClosedForm:
+        grid = np.linspace(-GRID_MAX, GRID_MAX, GRID_POINTS)
+        return decompose(grid, numeric_ft(a, grid))

@@ -72,10 +72,6 @@ class LayeredNetwork:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].W.shape[0]
-
 
 def network(dims: Sequence[int], activations: Sequence[Activation], weights=None,
             biases=None, seed: int = 0, init_std: float = 1.0) -> LayeredNetwork:
@@ -134,14 +130,6 @@ class BundledNetwork:
     input_dim: int
     stages: tuple[UrfDraws, ...]  # one draw set per collapsed layer, stage 0 first
     W_bar: np.ndarray  # (d_L, M_last) complex
-
-    @property
-    def n_features(self) -> int:
-        return self.W_bar.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W_bar.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def run_sweep(axis: str, values: list, base: EstimateConfig):
 def _sweep_point(axis: str, value, base: EstimateConfig) -> EstimateConfig:
     try:
         if axis == "A":
-            return replace(base, A=float(value))
+            return replace(base, A=_number(value))
         return replace(base, activation=_estimate_activation(value))
     except ConfigError as exc:
         raise ValueError(f"values: {value!r} is not a valid {axis} value: {exc}") from None
@@ -300,9 +300,17 @@ def _as_is(value):
     return value
 
 
-# operator.index rejects floats and strings: "d": 8.5 cannot pass as 8, nor
-# "816" as (8, 1, 6)
-_int = operator.index
+def _int(value) -> int:
+    if isinstance(value, bool):  # an int to Python, but "d": true is not d = 1
+        raise TypeError(value)
+    # rejects floats and strings: "d": 8.5 cannot pass as 8, nor "816" as (8, 1, 6)
+    return operator.index(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, (bool, str)):  # float(True) and float("0.5") would pass
+        raise TypeError(value)
+    return float(value)
 
 
 def _positive_int(value) -> int:
@@ -337,7 +345,7 @@ def _estimate_activation(value) -> str:
 
 
 _EXPECTED = {
-    _int: "an integer", _positive_int: "an integer", float: "a number",
+    _int: "an integer", _positive_int: "an integer", _number: "a number",
     _int_list: "a list of integers", _list: "a list",
     _layer_kind: "'relu' or 'urf'", _activation: "an activation kind",
     _estimate_activation: "an activation kind or 'arccos'",
@@ -379,11 +387,12 @@ def _convert(name: str, convert, value):
         raise ValueError(f"{name}: expected {_EXPECTED[convert]}, got {value!r}") from None
 
 
-# EstimateConfig's own fields and defaults; the annotation picks the conversion,
-# except for the activation, whose name is checked here
-_CONVERT = {"str": _as_is, "int": _int, "float": float, "tuple[int, ...]": _int_list}
-ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateConfig)}
-ESTIMATE_KEYS["activation"] = (_estimate_activation, EstimateConfig.activation)
+# EstimateConfig's fields and defaults, the annotation picking the conversion (the str
+# is the activation); l, strategy and block_size have one legal value, so no config sets them
+_CONVERT = {"str": _estimate_activation, "int": _int, "float": _number,
+            "tuple[int, ...]": _int_list}
+ESTIMATE_KEYS = {f.name: (_CONVERT[f.type], f.default) for f in fields(EstimateConfig)
+                 if f.name not in ("l", "strategy", "block_size")}
 
 
 def _in_section(section: str, make, *args, **kwargs):
@@ -467,10 +476,10 @@ BUNDLE_HEADER = [
 BUNDLE_KEYS = {
     "input_dim": (_positive_int, _REQUIRED), "layers": (_list, _REQUIRED),
     "weights": (_as_is, None), "biases": (_as_is, None), "seed": (_int, 0),
-    "init_std": (float, 1.0), "urf": (_as_is, {}), "probes": (_positive_int, 16),
+    "init_std": (_number, 1.0), "urf": (_as_is, {}), "probes": (_positive_int, 16),
 }
 BUNDLE_LAYER_KEYS = {"out_dim": (_positive_int, _REQUIRED), "activation": (_activation, _REQUIRED)}
-BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (float, 0.0)}
+BUNDLE_URF_KEYS = {"m": (_int, 128), "A": (_number, 0.0)}
 
 
 def _cmd_bundle(args) -> int:
@@ -526,14 +535,14 @@ TRAIN_HEADER = ["epoch", "split", "loss", "accuracy"]
 TRAIN_KEYS = {"seed": (_int, 0), "data": (_as_is, _REQUIRED), "layer": (_as_is, _REQUIRED),
               "train": (_as_is, {})}
 TRAIN_DATA_KEYS = {"n": (_positive_int, _REQUIRED), "d": (_positive_int, _REQUIRED),
-                   "k": (_int, _REQUIRED), "separation": (float, _REQUIRED),
-                   "validation_frac": (float, 0.25)}
+                   "k": (_int, _REQUIRED), "separation": (_number, _REQUIRED),
+                   "validation_frac": (_number, 0.25)}
 TRAIN_LAYER_KEYS = {"kind": (_layer_kind, "relu"), "out_dim": (_positive_int, 16),
                     "features": (_positive_int, 32), "activation": (_activation, None),
-                    "m": (_int, 16), "A": (float, 0.0)}
+                    "m": (_int, 16), "A": (_number, 0.0)}
 # the layer keys that only one kind reads; a layer of the other kind refuses them
 TRAIN_LAYER_ONLY = {"relu": ("features",), "urf": ("m", "A", "activation")}
-TRAIN_FIT_KEYS = {"learning_rate": (float, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
+TRAIN_FIT_KEYS = {"learning_rate": (_number, 0.05), "epochs": (_int, 20), "batch_size": (_int, 32),
                   "loss": (_as_is, "cross_entropy")}
 
 

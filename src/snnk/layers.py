@@ -59,10 +59,6 @@ class FflSpec:
         object.__setattr__(self, "b", b)
 
     @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def in_dim(self) -> int:
         return self.W.shape[1]
 

@@ -461,7 +461,7 @@ def fit_A(layer: SnnkLayer, head, data: Dataset, cfg: TrainConfig,
 
 
 def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
-               step: float = 1e-5, max_entries: int = 64) -> float:
+               max_entries: int = 64) -> float:
     """Max relative error, analytic vs central finite differences.
 
     Differentiates the training objective, the mean ``loss``, in the real
@@ -470,6 +470,7 @@ def grad_check(layer: SnnkLayer, head, data_batch: Dataset, loss: str = "mse",
     even and odd columns, as two arrays) and of the head, up to
     ``max_entries`` per array, scanning each in a fixed order.
     """
+    step = 1e-5
     feats = real_design(layer.feature_map.features_many(data_batch.X))
     A = _stack_weights(layer.A, feats)
     params = [A] if head is None else [A, head.W.copy(), head.b.copy()]

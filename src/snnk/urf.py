@@ -368,7 +368,8 @@ def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
     as ``snnk_forward`` forms Re(A Phi(x)): [Re phi_j, -Im phi_j] against
     [Re psi_j, Im psi_j], one real product per row, so a one-row layer's
     output is the estimate bit for bit.  One pair gives a Python float."""
-    x = np.conjugate(px.entries, dtype=complex).view(float)
+    # a C-order copy: the rows of UrfDraws.instantiations at m = 1 are strided views
+    x = np.conjugate(px.entries, dtype=complex, order="C").view(float)
     w = np.ascontiguousarray(pw.entries, dtype=complex).view(float)
     est = np.matmul(x[..., None, :], w[..., None])[..., 0, 0]
     return float(est) if est.ndim == 0 else est

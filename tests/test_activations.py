@@ -17,7 +17,6 @@ from snnk.activations import (
     closed_form_ft,
     decompose,
     decomposition_for,
-    numeric_decomposition,
     numeric_ft,
     validate_decomposition,
 )

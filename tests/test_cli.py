@@ -24,6 +24,7 @@ from snnk.cli import (
 )
 from snnk.layers import relu_snnk_features
 from snnk.urf import (
+    ConfigError,
     FeatureVector,
     UrfConfig,
     kernel_estimate,
@@ -130,21 +131,21 @@ class TestEstimateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
-        # iid is the one sampling scheme: strategy and block_size accept only its values
-        ({"strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
-        ({"block_size": 4}, "block_size: must be 0, got 4"),
-        ({"strategy": "block"}, "strategy: must be 'iid', got 'block'"),
-        ({"strategy": "block", "block_size": 4}, "strategy: must be 'iid', got 'block'"),
+        # strategy, block_size and l have one legal value each, so no config sets them
+        ({"strategy": "bogus"}, "strategy: unknown key"),
+        ({"block_size": 4}, "block_size: unknown key"),
+        ({"strategy": "block"}, "strategy: unknown key"),
+        ({"strategy": "block", "block_size": 4}, "strategy: unknown key"),
         ({"A": 0.5}, "A: must be finite and <= 0, got 0.5"),
-        ({"activation": "arccos", "strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
-        ({"activation": "arccos", "block_size": 4}, "block_size: must be 0, got 4"),
+        ({"activation": "arccos", "strategy": "bogus"}, "strategy: unknown key"),
+        ({"activation": "arccos", "block_size": 4}, "block_size: unknown key"),
         ({"feature_counts": []}, "feature_counts: must be a nonempty list of counts >= 1, got []"),
         ({"activation": "arccos", "feature_counts": []},
          "feature_counts: must be a nonempty list of counts >= 1, got []"),
         ({"feature_counts": [8, 0]},
          "feature_counts: must be a nonempty list of counts >= 1, got [8, 0]"),
         ({"instantiations": 1}, "instantiations: must be >= 2, got 1"),
-        ({"l": 2}, "l: pointwise estimation is defined for l = 1, got 2"),
+        ({"l": 2}, "l: unknown key"),
         ({"d": 0}, "d: must be >= 1, got 0"),
         ({"d": -1}, "d: must be >= 1, got -1"),
         # every count reads a prefix of the same features, so two counts of one
@@ -173,6 +174,24 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        # no config sets these fields, but EstimateConfig is built directly too,
+        # and accepts only the one legal value of each
+        ({"strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
+        ({"block_size": 4}, "block_size: must be 0, got 4"),
+        ({"strategy": "block"}, "strategy: must be 'iid', got 'block'"),
+        ({"strategy": "block", "block_size": 4}, "strategy: must be 'iid', got 'block'"),
+        ({"activation": "arccos", "strategy": "bogus"}, "strategy: must be 'iid', got 'bogus'"),
+        ({"activation": "arccos", "block_size": 4}, "block_size: must be 0, got 4"),
+        ({"block_size": 3}, "block_size: must be 0, got 3"),
+        ({"l": 2}, "l: pointwise estimation is defined for l = 1, got 2"),
+    ], ids=["strategy", "block_size", "no-block-size", "block", "arccos-strategy",
+            "arccos-block_size", "block_size-3", "l"])
+    def test_one_value_fields_refuse_others(self, change, message):
+        with pytest.raises(ConfigError) as exc:
+            EstimateConfig(**dict(ESTIMATE_CFG, feature_counts=(8, 16, 32), **change))
+        assert str(exc.value) == message
 
     def test_arccos_ignores_A(self):
         cli.EstimateConfig(activation="arccos", A=0.5)
@@ -438,6 +457,26 @@ class TestPerCountDraws:
         rows = draws.G.reshape(-1, draws.dim)
         assert len(np.unique(rows, axis=0)) == len(rows) == C * draws.config.m
 
+    @pytest.mark.parametrize("activation", ["sine", "tanh", "sigmoid", "gelu"])
+    def test_one_feature_per_component(self, drawn, activation):
+        # at m = 1 the instantiation rows are strided views of the flat draw set
+        n = 6
+        C = cli._component_counts(activation, (1,))[0]
+        cfg = EstimateConfig(activation=activation, d=16, feature_counts=(C, 8 * C),
+                             instantiations=n, seed=7)
+        rows = run_pointwise(cfg).rows
+        draws, = drawn
+        xk, wk = cli._span_coords(*cli._draw_inputs(cfg))
+        px, pw = phi(xk, draws).entries, psi(wk, cfg.bias, draws).entries
+        T = draws.config.m
+        for c, m in enumerate((1, 8)):
+            got = [row[4] for row in rows[c * n:(c + 1) * n]]
+            assert all(math.isfinite(e) for e in got)
+            # each row equals the estimate of its (phi, psi) pair alone
+            pairs = zip(draws.instantiations(px, n, m), draws.instantiations(pw, n, m))
+            assert got == [kernel_estimate(FeatureVector(x), FeatureVector(w)) * (T / m)
+                           for x, w in pairs]
+
     def test_one_draw_per_sweep_point(self, drawn):
         base = EstimateConfig(activation="sine", d=16, feature_counts=(8, 32), instantiations=4,
                               seed=3)
@@ -515,9 +554,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("payload, message", [
         ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, strategy="block")},
-         "base.strategy: must be 'iid', got 'block'"),
+         "base.strategy: unknown key"),
         ({"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, block_size=3)},
-         "base.block_size: must be 0, got 3"),
+         "base.block_size: unknown key"),
         ({"axis": "A", "values": [0.0, 0.5], "base": ESTIMATE_CFG},
          "values: 0.5 is not a valid A value: A: must be finite and <= 0, got 0.5"),
         ({"axis": "bogus", "values": [1], "base": ESTIMATE_CFG},
@@ -986,3 +1025,45 @@ class TestTrainCommand:
         losses = [float(r[2]) for r in rows[1:] if r[1] == "train"]
         assert all(math.isfinite(v) for v in losses)
         assert losses[-1] < losses[0]
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("estimate", dict(ESTIMATE_CFG, d=True), "d: expected an integer, got True"),
+    ("estimate", dict(ESTIMATE_CFG, bias="0.5"), "bias: expected a number, got '0.5'"),
+    ("estimate", dict(ESTIMATE_CFG, A=False), "A: expected a number, got False"),
+    ("sweep", {"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, instantiations=True)},
+     "base.instantiations: expected an integer, got True"),
+    ("sweep", {"axis": "A", "values": [0.0], "base": dict(ESTIMATE_CFG, bias="0.5")},
+     "base.bias: expected a number, got '0.5'"),
+    ("sweep", {"axis": "A", "values": [True], "base": ESTIMATE_CFG},
+     "values: True is not a valid A value"),
+    ("sweep", {"axis": "A", "values": ["-0.1"], "base": ESTIMATE_CFG},
+     "values: '-0.1' is not a valid A value"),
+    ("bundle", dict(BUNDLE_CFG, probes=True), "probes: expected an integer, got True"),
+    ("bundle", dict(BUNDLE_CFG, init_std="0.8"), "init_std: expected a number, got '0.8'"),
+    ("bundle", dict(BUNDLE_CFG, urf={"m": True}), "urf.m: expected an integer, got True"),
+    ("bundle", dict(BUNDLE_CFG, urf={"A": "0"}), "urf.A: expected a number, got '0'"),
+    ("train", dict(TRAIN_CFG, data=dict(TRAIN_CFG["data"], separation=True)),
+     "data.separation: expected a number, got True"),
+    ("train", dict(TRAIN_CFG, data=dict(TRAIN_CFG["data"], validation_frac="0.25")),
+     "data.validation_frac: expected a number, got '0.25'"),
+    ("train", dict(TRAIN_CFG, layer={"kind": "urf", "activation": "sine", "A": "0"}),
+     "layer.A: expected a number, got '0'"),
+    ("train", dict(TRAIN_CFG, layer=dict(TRAIN_CFG["layer"], out_dim=True)),
+     "layer.out_dim: expected an integer, got True"),
+    ("train", dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], epochs=True)),
+     "train.epochs: expected an integer, got True"),
+    ("train", dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], learning_rate="0.05")),
+     "train.learning_rate: expected a number, got '0.05'"),
+], ids=["estimate-d", "estimate-bias", "estimate-A", "base-instantiations", "base-bias",
+        "values-bool", "values-str", "bundle-probes", "bundle-init_std", "urf-m", "urf-A",
+        "data-separation", "data-validation_frac", "layer-A", "layer-out_dim", "train-epochs",
+        "train-learning_rate"])
+def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, command, payload, message):
+    # JSON true is a Python int and float("0.5") parses, but a count or number key
+    # takes a JSON number only
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
