@@ -17,13 +17,21 @@ G_STREAM = 1
 MISC_STREAM = 2
 
 _MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4  # SeedSequence's default pool size
 
 
 def _sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=int(seed) & (2**64 - 1),
-        spawn_key=tuple(int(k) & _MASK32 for k in key),
-    )
+    """``SeedSequence(entropy=seed mod 2^64, spawn_key=key mod 2^32)``, given
+    the uint32 entropy words that SeedSequence assembles from those two: the
+    seed's low and high words (one word below 2^32), zeros up to the pool
+    size when there is a key, then one word per key element.  The pool, and
+    so every state it generates, is the same; an array of words skips the
+    per-word conversions, which cost about half of a SeedSequence."""
+    seed = int(seed) & (2**64 - 1)
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    if key:
+        words += [0] * (_POOL_WORDS - len(words)) + [int(k) & _MASK32 for k in key]
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:

@@ -20,6 +20,8 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -120,7 +122,7 @@ class EstimateConfig:
             raise ConfigError("block_size", f"must be 0, got {self.block_size}")
         if self.activation != "arccos":  # the relu map draws no frequencies, so it ignores A
             UrfConfig(m=1, A=self.A)
-        n_active, ms = _component_counts(self.activation, self.feature_counts)
+        n_active, ms = self.count_plan
         per = "" if self.activation == "arccos" else f" per component ({n_active} components)"
         # every count reads a prefix of the same features (_urf_run), so a
         # repeated count would only repeat another's rows
@@ -132,6 +134,12 @@ class EstimateConfig:
                     f"the same features; give distinct counts"))
             seen[m] = p
 
+    @cached_property
+    def count_plan(self) -> tuple[int, list[int]]:
+        """``_component_counts`` of this config, formed once: the number of
+        active components and the features per component of each count."""
+        return _component_counts(self.activation, self.feature_counts)
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -141,21 +149,21 @@ class EstimateReport:
 
 def _draw_inputs(cfg: EstimateConfig):
     rng = rng_for(cfg.seed, 400, 0, MISC_STREAM)
-    scale = 1.0 / math.sqrt(cfg.d)
-    x = scale * rng.random(cfg.d)
-    w = scale * rng.random(cfg.d)
+    # one call draws x's entries, then w's, as two calls of d each would
+    x, w = (1.0 / math.sqrt(cfg.d)) * rng.random((2, cfg.d))
     return x, w
 
 
 def _span_coords(x, w):
     """x and w in an orthonormal basis of span{x, w}, in k = min(d, 2)
     coordinates: x' = (|x|, 0) and w' = (x.w/|x|, |w - (x.w/|x|^2) x|).
-    Every inner product and norm among x and w is kept."""
+    Every inner product and norm among x and w is kept.  A norm is the root
+    of the row's ``dot`` with itself, as ``np.linalg.norm`` forms it."""
     k = min(len(x), 2)
-    nx = np.linalg.norm(x)
-    along = np.dot(x, w) / nx
-    across = np.linalg.norm(w - (along / nx) * x)
-    return np.array([nx, 0.0][:k]), np.array([along, across][:k])
+    nx = math.sqrt(x.dot(x))
+    along = x.dot(w) / nx
+    r = w - (along / nx) * x
+    return np.array([nx, 0.0][:k]), np.array([along, math.sqrt(r.dot(r))][:k])
 
 
 def _urf_run(cfg, dec, xk, wk, ms):
@@ -178,7 +186,7 @@ def _urf_run(cfg, dec, xk, wk, ms):
         # each g_i's d - k coordinates off span{x, w} enter Lambda only through
         # the prefactor and A|g_i|^2, once per tower
         chi2 = rng_for(seed, 0, 0, MISC_STREAM).chisquare(cfg.d - k, draws.xi.shape)
-        px = px * np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
+        px *= np.exp(0.5 * (cfg.d - k) * math.log1p(-4.0 * cfg.A) + 2.0 * cfg.A * chi2)
     pw = psi(wk, cfg.bias, draws).entries
     estimates = []
     for m in ms:
@@ -204,8 +212,7 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
     trials read a prefix of every instantiation's features."""
     x, w = _draw_inputs(cfg)
     xk, wk = _span_coords(x, w)
-    n_active, ms = _component_counts(cfg.activation, cfg.feature_counts)
-    plan = [m * n_active for m in ms]
+    n_active, ms = cfg.count_plan
     if cfg.activation == "arccos":
         exact = 0.5 * arc_cosine_exact(1, w, x)
         estimates = _arccos_run(cfg, xk, wk, ms)
@@ -214,14 +221,27 @@ def run_pointwise(cfg: EstimateConfig, threads: int = 1) -> EstimateReport:
         exact = float(act(np.dot(w, x) + cfg.bias))
         estimates = _urf_run(cfg, decomposition_for(act), xk, wk, ms)
 
+    n = cfg.instantiations
     estimates = np.array(estimates)  # (counts, instantiations)
-    errs = np.abs(estimates - exact) / max(abs(exact), REL_ERROR_FLOOR)
-    # tolist: the CSV writes Python floats by repr.  Each row of errs is
-    # contiguous, so the per-row mean and std sum it as they would the row alone
-    rows = [(cfg.activation, cfg.d, p, trial, e, exact, rel)
-            for p, est, err in zip(plan, estimates.tolist(), errs.tolist())
-            for trial, (e, rel) in enumerate(zip(est, err))]
-    aggregates = list(zip(plan, errs.mean(axis=1).tolist(), errs.std(axis=1, ddof=1).tolist()))
+    errs = np.abs(estimates - exact)
+    errs /= max(abs(exact), REL_ERROR_FLOOR)
+    # each count's mean and std(ddof=1) by the ufuncs np.mean and np.std run:
+    # the row sum over n, then the row sum of the squared deviations from it
+    # over n - 1.  Each row of errs is contiguous, so it is summed as it would
+    # be alone
+    mean = np.add.reduce(errs, axis=1, keepdims=True)
+    mean /= n
+    dev = errs - mean
+    dev *= dev
+    std = np.add.reduce(dev, axis=1)
+    std /= n - 1
+    np.sqrt(std, out=std)
+    # row r is trial r % n of count r // n; tolist: the CSV writes Python floats by repr
+    plan = [m * n_active for m in ms]
+    rows = list(zip(repeat(cfg.activation), repeat(cfg.d), [p for p in plan for _ in range(n)],
+                    [*range(n)] * len(plan), estimates.ravel().tolist(), repeat(exact),
+                    errs.ravel().tolist()))
+    aggregates = list(zip(plan, mean.ravel().tolist(), std.tolist()))
     return EstimateReport(rows=rows, aggregates=aggregates)
 
 

@@ -180,12 +180,14 @@ class UrfDraws:
 
     def _packed(self, constants: list, order: str) -> np.ndarray:
         """A tower's packed matrix in memory ``order``: the Gaussian block
-        (columns :dim) and entry column (dim) left for the caller, then the
-        ``constants`` columns ([[v_j] for each component j]), the last plus
-        A|g_i|^2.  Columns are filled along the entries: a loop over each
-        row's few coordinates costs 4x at the dim = 2 of an estimate run."""
-        cols = np.empty((self.total_features, self.dim + 1 + len(constants)), order=order).T
-        cols[self.dim + 1 :].reshape(len(constants), len(self.axes), self.config.m)[:] = constants
+        (columns :dim) and entry column (dim) left for the caller, then one
+        column per item of ``constants``, a list of one value per component,
+        the last plus A|g_i|^2.  Columns are filled along the entries: a loop
+        over each row's few coordinates costs 4x at the dim = 2 of an
+        estimate run."""
+        d, values = self.dim, np.array(constants)  # (columns, components)
+        cols = np.empty((self.total_features, d + 1 + len(values)), order=order).T
+        cols[d + 1 :].reshape(*values.shape, self.config.m)[:] = values[..., None]
         if self.config.A != 0:  # the default shape skips this pass over G
             cols[-1] += self.config.A * np.einsum("ij,ij->i", self.G, self.G)
         return cols.T
@@ -196,10 +198,9 @@ class UrfDraws:
         sqrt(1-4A) 2 pi xi_i, q_i = 2 pi^2 xi_i^2, s = ``scale``.
         Row-major: a single row's product reads it fastest."""
         d, root = self.dim, math.sqrt(1.0 - 4.0 * self.config.A)
-        P = self._packed([[[math.log(self.scale)]] * len(self.axes)], "C")
+        P = self._packed([[math.log(self.scale)] * len(self.axes)], "C")
         np.multiply(self.G.T, 2.0 * math.pi * root * self.xi, out=P.T[:d], order="C")
-        q = np.square(self.xi, out=P[:, d])
-        q *= 2.0 * math.pi**2
+        np.multiply(np.square(self.xi), 2.0 * math.pi**2, out=P[:, d])
         return P
 
     def param_matrix(self) -> np.ndarray:
@@ -207,8 +208,9 @@ class UrfDraws:
         against [sqrt(1-4A) w, i b, w.w, i, 1], with c_j the signed mass of
         entry i's component.  Column-major: built per call, its columns are
         contiguous, and a tall product with few columns reads it faster."""
-        P = self._packed([[[-0.5]] * len(self.axes), [[cmath.phase(c)] for _, c in self.axes],
-                          [[math.log(self.scale * abs(c))] for _, c in self.axes]], "F")
+        s, masses = self.scale, [c for _, c in self.axes]
+        P = self._packed([[-0.5] * len(masses), [cmath.phase(c) for c in masses],
+                          [math.log(s * abs(c)) for c in masses]], "F")
         P[:, : self.dim] = self.G
         np.multiply(self.xi, 2.0 * math.pi, out=P[:, self.dim])
         return P
@@ -228,7 +230,9 @@ def _sample_xi(component: FourierComponent, n_xi: int, stream):
 
     ``stream()`` gives the generator to draw from; it is called only when
     there is something to draw, so a single atom builds none.  Atoms are
-    drawn from their own categorical distribution (ratio 1).  A
+    drawn from their own categorical distribution (ratio 1); a ratio of 1,
+    and a single atom's frequency, come back as a scalar that the caller's
+    rows broadcast.  A
     density is drawn piecewise-uniformly over its tabulation cells, which
     keeps every ratio within a few percent of one; a moment-matched Gaussian
     proposal loses to the exponential tails of the principal-value densities
@@ -242,12 +246,10 @@ def _sample_xi(component: FourierComponent, n_xi: int, stream):
     """
     if component.is_atomic:
         if len(component.atoms) == 1:
-            xi = np.full(n_xi, component.atoms[0][0])
-        else:
-            locs = np.array([x for x, _ in component.atoms])
-            probs = np.array([w for _, w in component.atoms]) / component.mass
-            xi = locs[stream().choice(len(locs), size=n_xi, p=probs)]
-        return xi, np.ones(n_xi)
+            return component.atoms[0][0], 1.0
+        locs = np.array([x for x, _ in component.atoms])
+        probs = np.array([w for _, w in component.atoms]) / component.mass
+        return locs[stream().choice(len(locs), size=n_xi, p=probs)], 1.0
     cells = component.cells
     if cells.total <= 0:
         raise ProposalMismatch("grid proposal over an empty tabulation")
@@ -354,7 +356,7 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
     """
     W, d = input_rows(W, draws.dim, "weights"), draws.dim
     aug = np.zeros(W.shape[:-1] + (d + 4,), dtype=complex)
-    aug[..., :d] = W * math.sqrt(1.0 - 4.0 * draws.config.A)
+    np.multiply(W, math.sqrt(1.0 - 4.0 * draws.config.A), out=aug[..., :d])
     aug.imag[..., d] = b
     aug[..., d + 1] = _square(W)
     aug[..., d + 2 :] = 1j, 1.0
@@ -366,12 +368,13 @@ def psi_many(W: np.ndarray, b: np.ndarray, draws: UrfDraws) -> np.ndarray:
 def kernel_estimate(px: FeatureVector, pw: FeatureVector) -> float | np.ndarray:
     """Re of the bilinear feature dot product (the estimator proper), formed
     as ``snnk_forward`` forms Re(A Phi(x)): [Re phi_j, -Im phi_j] against
-    [Re psi_j, Im psi_j], one real product per row, so a one-row layer's
+    [Re psi_j, Im psi_j], one real dot product per row (``np.vecdot`` runs
+    the BLAS dot that a (1, K) @ (K, 1) product runs), so a one-row layer's
     output is the estimate bit for bit.  One pair gives a Python float."""
     # a C-order copy: the rows of UrfDraws.instantiations at m = 1 are strided views
     x = np.conjugate(px.entries, dtype=complex, order="C").view(float)
     w = np.ascontiguousarray(pw.entries, dtype=complex).view(float)
-    est = np.matmul(x[..., None, :], w[..., None])[..., 0, 0]
+    est = np.vecdot(x, w)
     return float(est) if est.ndim == 0 else est
 
 

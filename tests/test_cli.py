@@ -9,6 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
 import snnk
@@ -320,6 +323,20 @@ class TestSpanSampling:
         for got, want in ((xk @ xk, x @ x), (wk @ wk, w @ w), (xk @ wk, x @ w)):
             assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 200]).flatmap(lambda d: st.tuples(
+        *[arrays(np.float64, d, elements=st.floats(-1e3, 1e3, allow_subnormal=False))] * 2)))
+    def test_span_coordinates_are_the_norm_form_bit_for_bit(self, xw):
+        x, w = xw
+        assume(x @ x > 0)
+        k = min(len(x), 2)
+        nx = np.linalg.norm(x)
+        along = np.dot(x, w) / nx
+        across = np.linalg.norm(w - (along / nx) * x)
+        xk, wk = cli._span_coords(x, w)
+        assert xk.tobytes() == np.array([nx, 0.0][:k]).tobytes()
+        assert wk.tobytes() == np.array([along, across][:k]).tobytes()
+
     @pytest.mark.parametrize("activation, A", [
         ("sine", 0.0), ("sine", -0.5), ("tanh", 0.0), ("tanh", -0.5),
     ])
@@ -364,6 +381,34 @@ def prefix_indices(n, C, M, m):
     T = n * M
     return np.array([[j * T + t * M + i for j in range(C) for i in range(m)]
                      for t in range(n)])
+
+
+@pytest.mark.parametrize("activation", ["sine", "tanh", "sigmoid", "arccos"])
+def test_each_hook_is_called_once_per_run_or_per_count(monkeypatch, activation):
+    # the benchmark's tracer and self-test wrap these names of snnk.cli: a urf
+    # run draws, and builds each tower, once, and forms one estimate per count
+    hooks = ("sample_draws", "phi", "psi", "kernel_estimate")
+    calls = dict.fromkeys(hooks, 0)
+    for name in hooks:
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    counts = (24, 96, 48, 192)
+    run_pointwise(EstimateConfig(activation=activation, d=16, feature_counts=counts,
+                                 instantiations=3, seed=2))
+    urf = activation != "arccos"  # the relu map draws no frequencies
+    assert calls == {"sample_draws": urf, "phi": urf, "psi": urf,
+                     "kernel_estimate": len(counts) * urf}
+
+
+@pytest.mark.parametrize("activation", ["sine", "tanh", "arccos"])
+def test_feature_counts_as_a_list_give_the_tuple_report(activation):
+    # the count plan is formed once per config, from whichever sequence it is given
+    kw = dict(activation=activation, d=16, instantiations=4, seed=5)
+    listed = EstimateConfig(feature_counts=[32, 8, 16], **kw)
+    assert run_pointwise(listed) == run_pointwise(EstimateConfig(feature_counts=(32, 8, 16), **kw))
 
 
 class TestPerCountDraws:

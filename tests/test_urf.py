@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snnk.urf as urf_module
-from snnk._seeds import MISC_STREAM, XI_STREAM, rng_for
+from snnk._seeds import MISC_STREAM, XI_STREAM, _sequence, rng_for
 from snnk.activations import GUIDE, Activation, _density_component, decomposition_for
 from snnk.bundling import bundle_full, bundle_once, network
 from snnk.urf import (
@@ -110,6 +112,19 @@ class TestLambdaFeature:
         prods = lambda_feature(g, z, -0.1) ** 2
         se = prods.real.std(ddof=1) / 1000.0
         assert abs(prods.real.mean() - math.exp(-0.09)) < 3 * se
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**70, 2**70), st.lists(st.integers(-2**40, 2**40), max_size=4))
+def test_seed_sequence_is_the_one_of_entropy_and_spawn_key(seed, key):
+    # _sequence hands SeedSequence the words it would assemble from the seed and
+    # the spawn key, so every stream, and every child it spawns, is unchanged
+    got = _sequence(seed, tuple(key))
+    want = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                  spawn_key=tuple(k & 0xFFFFFFFF for k in key))
+    assert np.array_equal(got.pool, want.pool)
+    assert np.array_equal(got.generate_state(4, np.uint64), want.generate_state(4, np.uint64))
+    assert np.array_equal(got.spawn(2)[1].generate_state(4), want.spawn(2)[1].generate_state(4))
 
 
 class TestPinnedDrawStreams:
